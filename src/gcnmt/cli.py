@@ -142,9 +142,9 @@ def cmd_translate(args) -> int:
 
 def cmd_score(args) -> int:
     with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.split() for line in fh.read().split("\n")[:-1]]
+        hyps = [line.split() for line in fh.read().splitlines()]
     with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.split() for line in fh.read().split("\n")[:-1]]
+        refs = [line.split() for line in fh.read().splitlines()]
     report = bleu(hyps, refs)
     print(report.format())
     return 0

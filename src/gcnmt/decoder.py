@@ -5,7 +5,10 @@ previous target embedding concatenated with the context vector, and the
 output projection reads [state; context; previous embedding]. Beam search
 is length-unnormalized: finished hypotheses compete in a completed pool
 and the highest-scoring completed hypothesis wins (best live one at
-max_len if nothing finished).
+max_len if nothing finished). It batches the beam: the live hypotheses
+are the batch dimension of one ``decoder_step`` per time step, and the
+candidates are ranked by score descending, then token id ascending, then
+hypothesis index ascending.
 """
 
 from __future__ import annotations
@@ -200,32 +203,53 @@ def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int)
 
 def beam_decode(enc: EncoderOutput, params: DecoderParams, beam: int,
                 max_len: int) -> Hypothesis:
-    """Length-unnormalized beam search over one sentence."""
+    """Length-unnormalized beam search over one sentence.
+
+    The live hypotheses form the batch: each time step runs one batched
+    ``decoder_step`` over them and keeps the ``beam`` best of the flattened
+    (hypothesis, token) scores, ordered by score descending, then token id
+    ascending, then live-hypothesis index ascending.
+    """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
-        live = [Hypothesis(tokens=[], score=0.0, state=init_state(enc, params))]
+        states = init_state(enc, params).data[None]   # (k, h), k live hypotheses
+        prev = np.array([BOS], dtype=np.intp)
+        scores = np.zeros(1)
+        tokens = [[]]
         completed = []
         for _ in range(max_len):
-            candidates = []
-            for hyp in live:
-                prev = hyp.tokens[-1] if hyp.tokens else BOS
-                s_t, logits = decoder_step(prev, hyp.state, enc, params)
-                logprobs = log_softmax(logits).data
-                for tok in range(logprobs.shape[-1]):
-                    candidates.append(
-                        (hyp.score + float(logprobs[tok]), tok, hyp, s_t))
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            live = []
-            for score, tok, hyp, s_t in candidates[:beam]:
-                new = Hypothesis(tokens=hyp.tokens + [tok], score=score, state=s_t)
+            k = len(tokens)
+            view = EncoderOutput(
+                states=Tensor(np.broadcast_to(enc.states.data, (k,) + enc.states.shape)),
+                mask=np.broadcast_to(enc.mask, (k,) + enc.mask.shape))
+            s_t, logits = decoder_step(prev, Tensor(states), view, params)
+            vocab = logits.shape[-1]
+            total = (scores[:, None] + log_softmax(logits).data).ravel()
+            n = min(beam, total.size)
+            # every candidate tied with the n-th best, then the exact order
+            kth = -np.partition(-total, n - 1)[n - 1]
+            cand = np.flatnonzero(total >= kth)
+            hyp_idx, tok_idx = np.divmod(cand, vocab)
+            top = np.lexsort((hyp_idx, tok_idx, -total[cand]))[:n]
+            keep = []
+            for j in top:
+                h, tok = int(hyp_idx[j]), int(tok_idx[j])
                 if tok == EOS:
-                    completed.append(new)
+                    completed.append(Hypothesis(tokens=tokens[h] + [tok],
+                                                score=float(total[cand[j]]),
+                                                state=Tensor(s_t.data[h])))
                 else:
-                    live.append(new)
-            if not live:
+                    keep.append(j)
+            if not keep:
                 break
-        pool = completed if completed else live
-        return max(pool, key=lambda h: h.score)
+            tokens = [tokens[hyp_idx[j]] + [int(tok_idx[j])] for j in keep]
+            states = s_t.data[hyp_idx[keep]]
+            prev = tok_idx[keep]
+            scores = total[cand[keep]]
+        if completed:
+            return max(completed, key=lambda h: h.score)
+        return Hypothesis(tokens=tokens[0], score=float(scores[0]),
+                          state=Tensor(states[0]))

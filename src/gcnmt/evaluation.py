@@ -27,30 +27,24 @@ from .corpus import (
     learn_bpe,
     segment,
 )
-from .training import bucket_batches, train, translate_pairs
+from .decoder import _sentence_view, beam_decode
+from .training import decode_pairs, train, translate_pairs
 
 MAX_ORDER = 4
 
 
 def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
                      train_cfg: TrainConfig):
-    """Translate honoring the configured decoding mode (greedy or beam)."""
-    from .corpus import rejoin_bpe
-    from .decoder import beam_decode, _sentence_view
-    from .encoders import encode_pipeline
-
+    """Translate honoring the configured decoding mode (greedy or beam);
+    returns detokenized word lists in input order."""
     cfg = model.config
     if cfg.decode == "greedy":
         return translate_pairs(model, pairs, src_vocab, tgt_vocab, bpe, train_cfg)
-    hyps = []
-    for batch in bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg):
-        enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
-        for i in range(batch.size):
-            hyp = beam_decode(_sentence_view(enc, i), model.decoder,
-                              cfg.beam_size, cfg.max_decode_len)
-            pieces = [tgt_vocab.token(t) for t in hyp.translation()]
-            hyps.append(rejoin_bpe(pieces) if bpe is not None else pieces)
-    return hyps
+    return decode_pairs(
+        model, pairs, src_vocab, tgt_vocab, bpe, train_cfg.batch_size,
+        lambda enc: [beam_decode(_sentence_view(enc, i), model.decoder, cfg.beam_size,
+                                 cfg.max_decode_len).translation()
+                     for i in range(enc.states.shape[0])])
 
 
 @dataclass

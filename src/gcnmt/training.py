@@ -111,22 +111,24 @@ def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: Train
     return nll_loss(all_logits, tgt_out.T, mask.T)
 
 
-def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):
-    """Group sentence pairs into batches of uniform source length."""
+def bucket_indices(pairs, batch_size: int, rng=None):
+    """Indices of ``pairs`` grouped into batches of uniform source length."""
     order = list(range(len(pairs)))
     if rng is not None:
         rng.shuffle(order)
     buckets = {}
     for i in order:
-        buckets.setdefault(len(pairs[i][0].tokens), []).append(pairs[i])
-    batches = []
-    for length in sorted(buckets):
-        group = buckets[length]
-        for i in range(0, len(group), train_cfg.batch_size):
-            batches.append(make_batch(group[i:i + train_cfg.batch_size],
-                                      src_vocab, tgt_vocab, bpe,
-                                      max_len=train_cfg.max_sentence_len))
-    return batches
+        buckets.setdefault(len(pairs[i][0].tokens), []).append(i)
+    return [group[i:i + batch_size]
+            for group in (buckets[length] for length in sorted(buckets))
+            for i in range(0, len(group), batch_size)]
+
+
+def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):
+    """Group sentence pairs into batches of uniform source length."""
+    return [make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe,
+                       max_len=train_cfg.max_sentence_len)
+            for idx in bucket_indices(pairs, train_cfg.batch_size, rng)]
 
 
 @dataclass
@@ -146,18 +148,29 @@ class TrainResult:
     best_checkpoint: str | None
 
 
+def decode_pairs(model: Model, pairs, src_vocab, tgt_vocab, bpe, batch_size: int,
+                 decode_batch):
+    """Detokenized word lists for ``pairs``, in input order.
+
+    Sentences are encoded in length buckets with no length limit;
+    ``decode_batch(enc)`` returns one id list per sentence of a bucket.
+    """
+    hyps = [None] * len(pairs)
+    for idx in bucket_indices(pairs, batch_size):
+        batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
+        enc = encode_pipeline(batch, model.config, model.encoder, mode="infer")
+        for i, ids in zip(idx, decode_batch(enc)):
+            pieces = [tgt_vocab.token(t) for t in ids]
+            hyps[i] = rejoin_bpe(pieces) if bpe is not None else pieces
+    return hyps
+
+
 def translate_pairs(model: Model, pairs, src_vocab, tgt_vocab, bpe,
                     train_cfg: TrainConfig):
-    """Greedy-decode a list of pairs; returns detokenized word lists."""
-    hyps = []
-    batches = bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg)
-    for batch in batches:
-        enc = encode_pipeline(batch, model.config, model.encoder, mode="infer")
-        for ids in greedy_decode_batch(enc, model.decoder,
-                                       model.config.max_decode_len):
-            pieces = [tgt_vocab.token(i) for i in ids]
-            hyps.append(rejoin_bpe(pieces) if bpe is not None else pieces)
-    return hyps
+    """Greedy-decode a list of pairs; returns detokenized word lists in input order."""
+    return decode_pairs(
+        model, pairs, src_vocab, tgt_vocab, bpe, train_cfg.batch_size,
+        lambda enc: greedy_decode_batch(enc, model.decoder, model.config.max_decode_len))
 
 
 def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,

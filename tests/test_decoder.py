@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from beam_oracle import reference_beam_decode
 from gcnmt import decoder as D
 from gcnmt import tensor as T
 from gcnmt.corpus import BOS, EOS
@@ -223,3 +224,78 @@ def test_beam_rejects_bad_arguments():
         D.beam_decode(enc, params, beam=0, max_len=3)
     with pytest.raises(ValueError):
         D.greedy_decode(enc, params, max_len=0)
+
+
+def _assert_matches_oracle(enc, params, beam, max_len):
+    want = reference_beam_decode(enc, params, beam, max_len)
+    got = D.beam_decode(enc, params, beam, max_len)
+    assert got.tokens == want.tokens
+    npt.assert_allclose(got.score, want.score, rtol=0, atol=1e-9)
+    assert got.state.shape == want.state.shape
+    npt.assert_allclose(got.state.data, want.state.data, rtol=0, atol=1e-9)
+    return got
+
+
+@pytest.mark.parametrize("beam", [1, 2, 3, 12])
+@pytest.mark.parametrize("max_len", [1, 6])
+def test_batched_beam_matches_reference_oracle(beam, max_len):
+    rng = np.random.default_rng(20 + 7 * beam + max_len)
+    for seed in range(4):
+        # scale 3 spreads the scores, so pruning decides the outcome
+        params = _decoder(vocab=9, emb=4, hid=6, width=4, attn=5, seed=seed,
+                          scale=3.0)
+        enc = _enc(rng.uniform(-1, 1, (int(rng.integers(1, 5)), 4)))
+        _assert_matches_oracle(enc, params, beam, max_len)
+
+
+@pytest.mark.parametrize("max_len", [1, 6])
+def test_batched_beam_wider_than_all_candidates_matches_oracle(max_len):
+    # vocab 4: a beam of 108 keeps every one of the k * V candidates
+    rng = np.random.default_rng(30 + max_len)
+    for seed in range(3):
+        params = _decoder(vocab=4, seed=40 + seed, scale=3.0)
+        _assert_matches_oracle(_enc(rng.uniform(-1, 1, (3, 4))), params,
+                               beam=108, max_len=max_len)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 3, 12])
+@pytest.mark.parametrize("max_len", [1, 6])
+def test_batched_beam_eos_favoured_matches_oracle(beam, max_len):
+    enc = _enc(np.random.default_rng(50).uniform(-1, 1, (3, 4)))
+    got = _assert_matches_oracle(enc, _eos_lover(vocab=6), beam, max_len)
+    assert got.tokens == [EOS]
+
+
+def test_batched_beam_keeps_the_state_of_the_finishing_hypothesis():
+    # step 1 ranks [4] above [5]; EOS is then likely only after token 5, so
+    # the winner [5, EOS] comes from live hypothesis 1, not 0
+    params = _decoder(vocab=6, seed=3)
+    params.b_out.data[[4, 5]] = [3.0, 2.5]
+    params.embedding.data[4] = [0.0, 3.0, 0.0]
+    params.embedding.data[5] = [3.0, 0.0, 0.0]
+    emb_rows = params.w_out.shape[0] - params.embedding.shape[1]
+    params.w_out.data[emb_rows, EOS] = 5.0
+    enc = _enc(np.random.default_rng(60).uniform(-1, 1, (3, 4)))
+    got = _assert_matches_oracle(enc, params, beam=2, max_len=2)
+    assert got.tokens == [5, EOS]
+
+
+def test_batched_beam_exact_ties_follow_score_token_hypothesis_order():
+    # zero weights keep the state and the context at 0, so the logits are
+    # b_out + embedding(prev) @ (embedding rows of w_out), all exact
+    params = _decoder(vocab=6, scale=0.0)
+    enc = _enc(np.zeros((2, 4)))
+    # uniform: step 1 keeps [0], [1], [2] (token asc); at step 2 all 18
+    # candidates tie and token 0 of hypothesis 0 ranks first
+    assert _assert_matches_oracle(enc, params, beam=3, max_len=2).tokens == [0, 0]
+    # tokens 0-3 out of reach, 4 and 5 tie at step 1; after 4, token 5
+    # gains 1 and after 5, token 4 does, so [4, 5] and [5, 4] tie exactly
+    # and the smaller token outranks the smaller hypothesis index
+    params.b_out.data[:4] = -1000.0
+    params.embedding.data[4, 0] = params.embedding.data[5, 1] = 1.0
+    emb_rows = params.w_out.shape[0] - params.embedding.shape[1]
+    params.w_out.data[emb_rows, 5] = params.w_out.data[emb_rows + 1, 4] = 1.0
+    assert _assert_matches_oracle(enc, params, beam=2, max_len=2).tokens == [5, 4]
+    for beam in (1, 3, 12):
+        for max_len in (1, 2, 3):
+            _assert_matches_oracle(enc, params, beam, max_len)

@@ -175,6 +175,25 @@ def test_cli_score_missing_file_fails_cleanly(tmp_path, capsys):
     assert "gcnmt score:" in capsys.readouterr().err
 
 
+def test_cli_score_keeps_unterminated_last_line(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b c d\nx y z w")
+    ref.write_text("a b c d\ne f g h")
+    assert cli.main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("BLEU = ") and not out.startswith("BLEU = 100.00")
+
+
+def test_cli_score_rejects_unequal_line_counts(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b c d\ne f g h")
+    ref.write_text("a b c d\n")
+    assert cli.main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 1
+    assert "1 references" in capsys.readouterr().err
+
+
 def _write_tiny_dataset(tmp_path, n=20):
     rng = np.random.default_rng(0)
     words = ["w%d" % i for i in range(6)]
@@ -243,6 +262,34 @@ def test_cli_translate_beam1_matches_greedy(tmp_path):
         assert rc == 0
         outs[name] = path.read_text()
     assert outs["greedy"] == outs["beam"]
+
+
+def test_cli_translate_keeps_sentences_longer_than_training_limit(tmp_path):
+    # training caps sources at max_sentence_len = 4; translating a 7-token
+    # sentence must not abort the file, and every line keeps its place
+    conll, tgt = _write_tiny_dataset(tmp_path, n=10)
+    out = tmp_path / "run"
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\nmax_sentence_len = 4\n")
+    base = _tiny_flags(conll, tgt, out) + ["--config", str(tmp_path / "small.cfg")]
+    assert cli.main(["train"] + base) == 0
+    sents = [AnnotatedSentence(tokens=["w%d" % (i % 6) for i in range(n)],
+                               sem_edges=[], syn_edges=[]) for n in (3, 7, 1)]
+
+    def translate(name, batch):
+        src = tmp_path / f"{name}.conll"
+        src.write_text(serialize_conll(batch))
+        path = tmp_path / f"{name}.txt"
+        rc = cli.main(["translate"] + base +
+                      ["--checkpoint", str(out / "best.npz"), "--input", str(src),
+                       "--output", str(path)])
+        assert rc == 0
+        return path.read_text().splitlines()
+
+    lines = translate("all", sents)
+    assert len(lines) == 3
+    assert lines == [translate(f"one{i}", [s])[0] for i, s in enumerate(sents)]
 
 
 def test_cli_rejects_invalid_recipe(capsys):

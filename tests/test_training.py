@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from gcnmt import tensor as T
 from gcnmt import training as TR
 from gcnmt.config import ExperimentConfig, TrainConfig
 from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence
-from gcnmt.evaluation import preprocess
+from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model
 
 
@@ -265,3 +266,32 @@ def test_full_model_gradcheck_small():
 
     report = T.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
+
+
+def test_translations_come_back_in_input_order():
+    # copy pairs of source lengths 4, 1, 3 and 2: the length buckets decode
+    # them as 1, 2, 3, 4, so only input-order output lines up with refs
+    sources = [["a", "b", "c", "d"], ["e"], ["f", "g", "h"], ["i", "j"]]
+    pairs = [(AnnotatedSentence(tokens=toks, sem_edges=[], syn_edges=[]),
+              [w.upper() for w in toks]) for toks in sources]
+    refs = [tgt for _, tgt in pairs]
+    exp = ExperimentConfig(encoder="birnn", recipe="none", emb_size=16,
+                           hidden_size=16, attn_size=16, decode="greedy",
+                           max_decode_len=6, bpe_merges=0)
+    tc = TrainConfig(learning_rate=2e-2, epochs=40, batch_size=4, rng_seed=0,
+                     min_count=1, word_retain=1.0, edge_retain=1.0)
+    prep = preprocess(pairs, exp, tc)
+    vocabs = (prep.src_vocab, prep.tgt_vocab, None)
+    res = TR.train(tc, exp, pairs, pairs, *vocabs, prep.label_vocabs)
+
+    greedy = TR.translate_pairs(res.model, pairs, *vocabs, tc)
+    assert greedy == [TR.translate_pairs(res.model, [p], *vocabs, tc)[0]
+                      for p in pairs]
+    assert greedy == refs
+    assert res.history[-1].val_bleu == bleu(greedy, refs).bleu == 100.0
+
+    beam_model = dataclasses.replace(
+        res.model, config=dataclasses.replace(exp, decode="beam", beam_size=3))
+    beam = translate_corpus(beam_model, pairs, *vocabs, tc)
+    assert beam == [translate_corpus(beam_model, [p], *vocabs, tc)[0]
+                    for p in pairs]
