@@ -1,10 +1,12 @@
-"""Command-line interface: preprocess, train, translate, score, experiment."""
+"""Command-line interface: preprocess, train, translate, score, and
+experiment runs over one configuration or a named grid."""
 
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,15 +18,8 @@ from .config import (
     TrainConfig,
     load_config,
 )
-from .corpus import BpeModel, CorpusError, LabelVocab, Vocabulary
-from .evaluation import (
-    _read_pairs,
-    bleu,
-    preprocess,
-    run_experiment,
-    run_grid,
-    translate_corpus,
-)
+from .corpus import BpeModel, CorpusError, LabelVocab, Vocabulary, ingest_conll
+from .evaluation import PreprocessResult, _read_pairs, bleu, preprocess, translate_corpus
 from .model import build_model, load_model_params
 from .training import train
 
@@ -77,8 +72,6 @@ def _save_prep(prep, out_dir: str) -> None:
 
 
 def _load_prep(out_dir: str):
-    from .evaluation import PreprocessResult
-
     bpe_path = os.path.join(out_dir, "bpe.txt")
     return PreprocessResult(
         src_vocab=Vocabulary.load(os.path.join(out_dir, "src_vocab.txt")),
@@ -89,6 +82,73 @@ def _load_prep(out_dir: str):
             "syn": LabelVocab.load(os.path.join(out_dir, "syn_labels.txt")),
         },
     )
+
+
+@dataclass
+class ExperimentSummary:
+    recipe: str
+    encoder: str
+    test_bleu: float
+    best_val_bleu: float
+    best_epoch: int
+    out_dir: str
+
+    def row(self) -> str:
+        return (f"{self.encoder}\t{self.recipe}\t{self.test_bleu:.2f}\t"
+                f"{self.best_val_bleu:.2f}\t{self.best_epoch}")
+
+
+def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
+                   paths: DataPaths) -> ExperimentSummary:
+    """Preprocess, train, translate the test set and score one configuration."""
+    stage = "preprocess"
+    try:
+        train_pairs = _read_pairs(paths.train_conll, paths.train_tgt)
+        val_pairs = (_read_pairs(paths.val_conll, paths.val_tgt)
+                     if paths.val_conll else train_pairs)
+        test_pairs = (_read_pairs(paths.test_conll, paths.test_tgt)
+                      if paths.test_conll else val_pairs)
+        prep = preprocess(train_pairs, exp_cfg, train_cfg)
+
+        stage = "train"
+        result = train(train_cfg, exp_cfg, train_pairs, val_pairs,
+                       prep.src_vocab, prep.tgt_vocab, prep.bpe,
+                       prep.label_vocabs, out_dir=paths.out_dir)
+
+        stage = "translate"
+        hyps = translate_corpus(result.model, test_pairs, prep.src_vocab,
+                                prep.tgt_vocab, prep.bpe, train_cfg)
+        if paths.out_dir:
+            with open(os.path.join(paths.out_dir, "test.hyp.txt"), "w",
+                      encoding="utf-8") as fh:
+                for words in hyps:
+                    fh.write(" ".join(words) + "\n")
+
+        stage = "score"
+        report = bleu(hyps, [tgt for _, tgt in test_pairs])
+    except Exception as e:
+        raise RuntimeError(f"experiment failed during {stage}: {e}") from e
+    return ExperimentSummary(recipe=exp_cfg.recipe, encoder=exp_cfg.encoder,
+                             test_bleu=report.bleu,
+                             best_val_bleu=result.best_val_bleu,
+                             best_epoch=result.best_epoch,
+                             out_dir=paths.out_dir or "")
+
+
+def run_grid(grid_name: str, exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
+             paths: DataPaths):
+    """Run every recipe of a named grid; returns one summary per recipe."""
+    if grid_name not in GRIDS:
+        raise ConfigError(f"unknown grid {grid_name!r}; known: {sorted(GRIDS)}")
+    summaries = []
+    base_out = paths.out_dir
+    for recipe in GRIDS[grid_name]:
+        cfg = ExperimentConfig(**{**exp_cfg.__dict__, "recipe": recipe})
+        cell_paths = DataPaths(**{**paths.__dict__,
+                                  "out_dir": os.path.join(base_out,
+                                                          recipe.replace(":", ""))})
+        summaries.append(run_experiment(cfg, train_cfg, cell_paths))
+    return summaries
 
 
 def cmd_preprocess(args) -> int:
@@ -126,7 +186,6 @@ def cmd_translate(args) -> int:
     pairs = _read_pairs(args.input, args.input_tgt) if args.input_tgt else None
     if pairs is None:
         with open(args.input, encoding="utf-8") as fh:
-            from .corpus import ingest_conll
             pairs = [(s, []) for s in ingest_conll(fh.read())]
     hyps = translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
                             prep.bpe, trn)

@@ -403,3 +403,16 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
     src_mask = np.arange(max_src)[None, :] < src_len[:, None]
     return Batch(src=src, tgt=tgt, src_len=src_len, sem_edges=sem_edges,
                  syn_edges=syn_edges, src_mask=src_mask)
+
+
+def bucket_indices(pairs, batch_size: int, rng=None):
+    """Indices of ``pairs`` grouped into batches of uniform source length."""
+    order = list(range(len(pairs)))
+    if rng is not None:
+        rng.shuffle(order)
+    buckets = {}
+    for i in order:
+        buckets.setdefault(len(pairs[i][0].tokens), []).append(i)
+    return [group[i:i + batch_size]
+            for group in (buckets[length] for length in sorted(buckets))
+            for i in range(0, len(group), batch_size)]

@@ -107,14 +107,10 @@ def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams):
         raise ValueError("attention: all source positions masked")
     proj_s = matmul(s_prev, params.u_dec)
     proj_e = matmul(states, params.v_enc)
-    if states.ndim == 3:
-        proj_s = reshape(proj_s, (proj_s.shape[0], 1, proj_s.shape[-1]))
+    proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(proj_e + proj_s), params.score_v)
     weights = softmax(scores, mask=enc.mask, axis=-1)
-    if states.ndim == 3:
-        context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=1)
-    else:
-        context = matmul(weights, states)
+    context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
     return weights, context
 
 
@@ -138,11 +134,6 @@ def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
     return s_t, logits
 
 
-def _sentence_view(enc: EncoderOutput, i: int) -> EncoderOutput:
-    states = reshape(gather_rows(enc.states, np.asarray([i])), enc.states.shape[1:])
-    return EncoderOutput(states=states, mask=enc.mask[i])
-
-
 def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
     """Cumulative log-probability of ``tokens`` (EOS appended if absent)."""
     seq = list(tokens)
@@ -161,24 +152,14 @@ def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
 
 def greedy_decode(enc: EncoderOutput, params: DecoderParams, max_len: int):
     """Argmax decoding for a single sentence; returns ids without BOS/EOS."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    with no_grad():
-        s = init_state(enc, params)
-        prev = BOS
-        out = []
-        for _ in range(max_len):
-            s, logits = decoder_step(prev, s, enc, params)
-            tok = int(np.argmax(logits.data))
-            if tok == EOS:
-                break
-            out.append(tok)
-            prev = tok
-    return out
+    one = EncoderOutput(states=Tensor(enc.states.data[None]), mask=enc.mask[None])
+    return greedy_decode_batch(one, params, max_len)[0]
 
 
 def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int):
     """Batched argmax decoding; returns one id list per sentence."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     with no_grad():
         B = enc.states.shape[0]
         s = init_state(enc, params)

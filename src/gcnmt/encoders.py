@@ -195,25 +195,6 @@ def init_gcn_layer(rng, d: int, label_counts: dict) -> GcnLayerParams:
     )
 
 
-def gate(h_u, direction: str, label_id: int, params: GcnLayerParams, graph: str = None):
-    """Scalar edge gate: sigmoid(h_u . gate_w[dir] + gate_b[dir, label])."""
-    if direction == "loop":
-        return sigmoid(matmul(h_u, params.gate_w_loop)
-                       + reshape(params.gate_b_loop, ()))
-    if graph is None:
-        if len(params.graphs) != 1:
-            raise ValueError("gate: graph name required for multi-graph layers")
-        graph = next(iter(params.graphs))
-    gp = params.graphs[graph]
-    if direction == "in":
-        w, b = gp.gate_w_in, gp.gate_b_in
-    elif direction == "out":
-        w, b = gp.gate_w_out, gp.gate_b_out
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return sigmoid(matmul(h_u, w) + _row(b, label_id))
-
-
 def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=None):
     """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
 

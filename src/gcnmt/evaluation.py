@@ -1,4 +1,4 @@
-"""Cased corpus-level BLEU and the experiment pipeline.
+"""BLEU, corpus translation, preprocessing.
 
 BLEU follows the original corpus definition: clipped modified n-gram
 precisions up to order 4, geometric mean, multiplicative brevity penalty,
@@ -9,26 +9,23 @@ of detokenized output.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass
 
-from .config import (
-    GRIDS,
-    ConfigError,
-    DataPaths,
-    ExperimentConfig,
-    TrainConfig,
-)
+from .config import ExperimentConfig, TrainConfig
 from .corpus import (
+    bucket_indices,
     build_label_vocab,
     build_vocab,
     ingest_conll,
     learn_bpe,
+    make_batch,
+    rejoin_bpe,
     segment,
 )
-from .decoder import _sentence_view, beam_decode
-from .training import decode_pairs, train, translate_pairs
+from .decoder import beam_decode, greedy_decode_batch
+from .encoders import EncoderOutput, encode_pipeline
+from .tensor import Tensor
 
 MAX_ORDER = 4
 
@@ -36,15 +33,28 @@ MAX_ORDER = 4
 def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
                      train_cfg: TrainConfig):
     """Translate honoring the configured decoding mode (greedy or beam);
-    returns detokenized word lists in input order."""
+    returns detokenized word lists in input order.
+
+    The one corpus-translation loop: sentences are encoded in length
+    buckets of ``train_cfg.batch_size`` with no length limit, each bucket is
+    greedy-decoded as a batch or beam-searched sentence by sentence.
+    """
     cfg = model.config
-    if cfg.decode == "greedy":
-        return translate_pairs(model, pairs, src_vocab, tgt_vocab, bpe, train_cfg)
-    return decode_pairs(
-        model, pairs, src_vocab, tgt_vocab, bpe, train_cfg.batch_size,
-        lambda enc: [beam_decode(_sentence_view(enc, i), model.decoder, cfg.beam_size,
-                                 cfg.max_decode_len).translation()
-                     for i in range(enc.states.shape[0])])
+    hyps = [None] * len(pairs)
+    for idx in bucket_indices(pairs, train_cfg.batch_size):
+        batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
+        enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
+        if cfg.decode == "greedy":
+            outs = greedy_decode_batch(enc, model.decoder, cfg.max_decode_len)
+        else:
+            outs = [beam_decode(EncoderOutput(Tensor(enc.states.data[j]), enc.mask[j]),
+                                model.decoder, cfg.beam_size,
+                                cfg.max_decode_len).translation()
+                    for j in range(len(idx))]
+        for i, ids in zip(idx, outs):
+            pieces = [tgt_vocab.token(t) for t in ids]
+            hyps[i] = rejoin_bpe(pieces) if bpe is not None else pieces
+    return hyps
 
 
 @dataclass
@@ -102,7 +112,7 @@ def _read_pairs(conll_path, tgt_path):
     with open(conll_path, encoding="utf-8") as fh:
         sentences = ingest_conll(fh.read())
     with open(tgt_path, encoding="utf-8") as fh:
-        targets = [line.split() for line in fh if line.strip()]
+        targets = [line.split() for line in fh.read().splitlines()]
     if len(sentences) != len(targets):
         raise ValueError(f"{conll_path}: {len(sentences)} sentences but "
                          f"{tgt_path}: {len(targets)} targets")
@@ -131,70 +141,3 @@ def preprocess(train_pairs, exp_cfg: ExperimentConfig,
     }
     return PreprocessResult(src_vocab=src_vocab, tgt_vocab=tgt_vocab, bpe=bpe,
                             label_vocabs=label_vocabs)
-
-
-@dataclass
-class ExperimentSummary:
-    recipe: str
-    encoder: str
-    test_bleu: float
-    best_val_bleu: float
-    best_epoch: int
-    out_dir: str
-
-    def row(self) -> str:
-        return (f"{self.encoder}\t{self.recipe}\t{self.test_bleu:.2f}\t"
-                f"{self.best_val_bleu:.2f}\t{self.best_epoch}")
-
-
-def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
-                   paths: DataPaths) -> ExperimentSummary:
-    """Preprocess, train, translate the test set and score one configuration."""
-    stage = "preprocess"
-    try:
-        train_pairs = _read_pairs(paths.train_conll, paths.train_tgt)
-        val_pairs = (_read_pairs(paths.val_conll, paths.val_tgt)
-                     if paths.val_conll else train_pairs)
-        test_pairs = (_read_pairs(paths.test_conll, paths.test_tgt)
-                      if paths.test_conll else val_pairs)
-        prep = preprocess(train_pairs, exp_cfg, train_cfg)
-
-        stage = "train"
-        result = train(train_cfg, exp_cfg, train_pairs, val_pairs,
-                       prep.src_vocab, prep.tgt_vocab, prep.bpe,
-                       prep.label_vocabs, out_dir=paths.out_dir)
-
-        stage = "translate"
-        hyps = translate_corpus(result.model, test_pairs, prep.src_vocab,
-                                prep.tgt_vocab, prep.bpe, train_cfg)
-        if paths.out_dir:
-            with open(os.path.join(paths.out_dir, "test.hyp.txt"), "w",
-                      encoding="utf-8") as fh:
-                for words in hyps:
-                    fh.write(" ".join(words) + "\n")
-
-        stage = "score"
-        report = bleu(hyps, [tgt for _, tgt in test_pairs])
-    except Exception as e:
-        raise RuntimeError(f"experiment failed during {stage}: {e}") from e
-    return ExperimentSummary(recipe=exp_cfg.recipe, encoder=exp_cfg.encoder,
-                             test_bleu=report.bleu,
-                             best_val_bleu=result.best_val_bleu,
-                             best_epoch=result.best_epoch,
-                             out_dir=paths.out_dir or "")
-
-
-def run_grid(grid_name: str, exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
-             paths: DataPaths):
-    """Run every recipe of a named grid; returns one summary per recipe."""
-    if grid_name not in GRIDS:
-        raise ConfigError(f"unknown grid {grid_name!r}; known: {sorted(GRIDS)}")
-    summaries = []
-    base_out = paths.out_dir
-    for recipe in GRIDS[grid_name]:
-        cfg = ExperimentConfig(**{**exp_cfg.__dict__, "recipe": recipe})
-        cell_paths = DataPaths(**{**paths.__dict__,
-                                  "out_dir": os.path.join(base_out,
-                                                          recipe.replace(":", ""))})
-        summaries.append(run_experiment(cfg, train_cfg, cell_paths))
-    return summaries

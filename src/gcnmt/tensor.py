@@ -26,12 +26,9 @@ __all__ = [
     "relu",
     "sigmoid",
     "tanh",
-    "exp",
-    "log",
     "softmax",
     "log_softmax",
     "tsum",
-    "tmean",
     "concat",
     "stack0",
     "gather_rows",
@@ -229,18 +226,6 @@ def tanh(a) -> Tensor:
     return _node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-    return _node(data, (a,), lambda g: (g * data,))
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.log(a.data)
-    return _node(data, (a,), lambda g: (g / a.data,))
-
-
 def softmax(a, mask=None, axis: int = -1) -> Tensor:
     """Exp-normalize along ``axis``; ``mask`` (True = keep) zeroes entries exactly."""
     a = _as_tensor(a)
@@ -283,12 +268,6 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _node(data, (a,), bwd)
-
-
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
-from .corpus import PAD, UNK, Batch, make_batch, rejoin_bpe
-from .decoder import decoder_step, greedy_decode_batch, init_state
+from .corpus import PAD, UNK, Batch, bucket_indices, make_batch
+from .decoder import decoder_step, init_state
 from .encoders import encode_pipeline
+from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
 from .tensor import Tensor, backward, gather_rows, log_softmax, reshape, stack0, tsum, zero_grads
 
@@ -111,19 +112,6 @@ def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: Train
     return nll_loss(all_logits, tgt_out.T, mask.T)
 
 
-def bucket_indices(pairs, batch_size: int, rng=None):
-    """Indices of ``pairs`` grouped into batches of uniform source length."""
-    order = list(range(len(pairs)))
-    if rng is not None:
-        rng.shuffle(order)
-    buckets = {}
-    for i in order:
-        buckets.setdefault(len(pairs[i][0].tokens), []).append(i)
-    return [group[i:i + batch_size]
-            for group in (buckets[length] for length in sorted(buckets))
-            for i in range(0, len(group), batch_size)]
-
-
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):
     """Group sentence pairs into batches of uniform source length."""
     return [make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe,
@@ -148,29 +136,12 @@ class TrainResult:
     best_checkpoint: str | None
 
 
-def decode_pairs(model: Model, pairs, src_vocab, tgt_vocab, bpe, batch_size: int,
-                 decode_batch):
-    """Detokenized word lists for ``pairs``, in input order.
-
-    Sentences are encoded in length buckets with no length limit;
-    ``decode_batch(enc)`` returns one id list per sentence of a bucket.
-    """
-    hyps = [None] * len(pairs)
-    for idx in bucket_indices(pairs, batch_size):
-        batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
-        enc = encode_pipeline(batch, model.config, model.encoder, mode="infer")
-        for i, ids in zip(idx, decode_batch(enc)):
-            pieces = [tgt_vocab.token(t) for t in ids]
-            hyps[i] = rejoin_bpe(pieces) if bpe is not None else pieces
-    return hyps
-
-
 def translate_pairs(model: Model, pairs, src_vocab, tgt_vocab, bpe,
                     train_cfg: TrainConfig):
-    """Greedy-decode a list of pairs; returns detokenized word lists in input order."""
-    return decode_pairs(
-        model, pairs, src_vocab, tgt_vocab, bpe, train_cfg.batch_size,
-        lambda enc: greedy_decode_batch(enc, model.decoder, model.config.max_decode_len))
+    """Greedy-decode a list of pairs whatever the configured decoding mode,
+    as validation does; returns detokenized word lists in input order."""
+    greedy = replace(model, config=replace(model.config, decode="greedy"))
+    return translate_corpus(greedy, pairs, src_vocab, tgt_vocab, bpe, train_cfg)
 
 
 def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
@@ -182,8 +153,6 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
     ``out_dir`` when given; the final ``best.npz`` checkpoint is the epoch
     with the highest validation BLEU.
     """
-    from .evaluation import bleu  # local import to avoid a module cycle
-
     train_cfg.validate()
     exp_cfg.validate()
     if not train_pairs:

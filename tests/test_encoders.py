@@ -152,20 +152,45 @@ def _layer(rng, d, n_labels=3, graphs=("sem",)):
     return E.init_gcn_layer(rng, d, {g: n_labels for g in graphs})
 
 
+def _gate_through_layer(layer, h_u, direction, label_id):
+    """The gate on one edge, read through ``gcn_layer``.
+
+    With message weights 0 and label biases 1, an edge's message is its
+    gate in every entry. ``in`` and ``out`` use the one edge 0 -> 1 with the
+    self-loop silenced: the ``in`` gate reads the head's state (node 0) and
+    lands on node 1, the ``out`` gate reads the dependent's state (node 1)
+    and lands on node 0. ``loop`` uses no edge and reads node 0's gate.
+    """
+    gp = layer.graphs["sem"]
+    for t in (gp.w_in, gp.w_out, layer.w_loop):
+        t.data[...] = 0.0
+    for t in (gp.b_in, gp.b_out, layer.b_loop):
+        t.data[...] = 1.0
+    h_u = np.asarray(h_u, dtype=float)
+    H = np.zeros((2, h_u.size))
+    if direction == "loop":
+        H[0] = h_u
+        return E.gcn_layer(T.Tensor(H), [], layer).data[0, 0]
+    layer.b_loop.data[...] = 0.0  # silence the self-loop message
+    node = 1 if direction == "in" else 0
+    H[1 - node] = h_u
+    out = E.gcn_layer(T.Tensor(H), [(0, 1, label_id)], layer).data
+    assert np.all(out[node] == out[node, 0])
+    return out[node, 0]
+
+
 def test_gate_zero_params_is_half():
     layer = _layer(np.random.default_rng(0), 2)
     gp = layer.graphs["sem"]
     for t in (gp.gate_w_in, gp.gate_b_in):
         t.data[...] = 0.0
-    g = E.gate(T.Tensor([0.7, -0.3]), "in", 1, layer)
-    assert g.item() == 0.5
+    assert _gate_through_layer(layer, [0.7, -0.3], "in", 1) == 0.5
 
 
 def test_gate_saturates_to_zero():
     layer = _layer(np.random.default_rng(0), 2)
     layer.graphs["sem"].gate_b_in.data[...] = -50.0
-    g = E.gate(T.Tensor([0.1, 0.1]), "in", 0, layer)
-    assert g.item() < 1e-9
+    assert _gate_through_layer(layer, [0.1, 0.1], "in", 0) < 1e-9
 
 
 def test_gate_hand_dot_product():
@@ -175,17 +200,16 @@ def test_gate_hand_dot_product():
     gp.gate_b_out.data[:] = [0.0, 0.25, 0.0]
     h = [0.2, 0.4]
     expected = 1.0 / (1.0 + math.exp(-(0.5 * 0.2 - 1.0 * 0.4 + 0.25)))
-    npt.assert_allclose(E.gate(T.Tensor(h), "out", 1, layer).item(),
-                        expected, rtol=1e-12)
+    npt.assert_allclose(_gate_through_layer(layer, h, "out", 1), expected, rtol=1e-12)
 
 
 def test_gate_range_strictly_open():
     rng = np.random.default_rng(11)
     layer = _layer(rng, 4)
     for _ in range(20):
-        h = T.Tensor(rng.uniform(-1, 1, 4))
+        h = rng.uniform(-1, 1, 4)
         for direction, lab in (("in", 0), ("out", 2), ("loop", 0)):
-            g = E.gate(h, direction, lab, layer).item()
+            g = _gate_through_layer(layer, h, direction, lab)
             assert 0.0 < g < 1.0
 
 

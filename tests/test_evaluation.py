@@ -292,6 +292,33 @@ def test_cli_translate_keeps_sentences_longer_than_training_limit(tmp_path):
     assert lines == [translate(f"one{i}", [s])[0] for i, s in enumerate(sents)]
 
 
+def test_read_pairs_keeps_blank_target_lines(tmp_path):
+    # a blank reference line is an empty target, not a missing one
+    sents = [AnnotatedSentence(tokens=["w%d" % i, "w%d" % (i + 1)],
+                               sem_edges=[], syn_edges=[]) for i in range(3)]
+    conll = tmp_path / "in.conll"
+    tgt = tmp_path / "in.tgt"
+    conll.write_text(serialize_conll(sents))
+    tgt.write_text("A B\n\nC D\n")
+    pairs = E._read_pairs(conll, tgt)
+    assert [t for _, t in pairs] == [["A", "B"], [], ["C", "D"]]
+
+    train_conll, train_tgt = _write_tiny_dataset(tmp_path, n=10)
+    out = tmp_path / "run"
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\n")
+    base = (_tiny_flags(train_conll, train_tgt, out)
+            + ["--config", str(tmp_path / "small.cfg")])
+    assert cli.main(["train"] + base) == 0
+    hyp = tmp_path / "hyp.txt"
+    rc = cli.main(["translate"] + base +
+                  ["--checkpoint", str(out / "best.npz"), "--input", str(conll),
+                   "--input-tgt", str(tgt), "--output", str(hyp)])
+    assert rc == 0
+    assert len(hyp.read_text().splitlines()) == 3
+
+
 def test_cli_rejects_invalid_recipe(capsys):
     rc = cli.main(["train", "--recipe", "sem:9", "--train-conll", "x",
                    "--train-tgt", "y"])
@@ -307,7 +334,7 @@ def test_run_experiment_single_cell(tmp_path):
     trn = CFG.TrainConfig(epochs=2, batch_size=6, min_count=1, rng_seed=3)
     paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt),
                           out_dir=str(tmp_path / "cell"))
-    summary = E.run_experiment(exp, trn, paths)
+    summary = cli.run_experiment(exp, trn, paths)
     assert summary.recipe == "sem:1"
     assert 0.0 <= summary.test_bleu <= 100.0
     assert (tmp_path / "cell" / "test.hyp.txt").exists()
@@ -320,7 +347,7 @@ def test_run_experiment_wraps_stage_errors(tmp_path):
                           train_tgt=str(tmp_path / "missing.tgt"),
                           out_dir=str(tmp_path / "x"))
     with pytest.raises(RuntimeError, match="during preprocess"):
-        E.run_experiment(exp, trn, paths)
+        cli.run_experiment(exp, trn, paths)
 
 
 def test_run_grid_paper_small_produces_four_rows(tmp_path):
@@ -330,8 +357,8 @@ def test_run_grid_paper_small_produces_four_rows(tmp_path):
     trn = CFG.TrainConfig(epochs=1, batch_size=6, min_count=1)
     paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt),
                           out_dir=str(tmp_path / "grid"))
-    summaries = E.run_grid("paper-small", exp, trn, paths)
+    summaries = cli.run_grid("paper-small", exp, trn, paths)
     assert [s.recipe for s in summaries] == CFG.GRIDS["paper-small"]
     assert len({s.out_dir for s in summaries}) == 4
     with pytest.raises(CFG.ConfigError):
-        E.run_grid("nope", exp, trn, paths)
+        cli.run_grid("nope", exp, trn, paths)

@@ -295,3 +295,30 @@ def test_translations_come_back_in_input_order():
     beam = translate_corpus(beam_model, pairs, *vocabs, tc)
     assert beam == [translate_corpus(beam_model, [p], *vocabs, tc)[0]
                     for p in pairs]
+
+
+def test_validation_stays_greedy_when_decoding_with_beam():
+    # half-trained copy task on which greedy and beam-3 outputs differ, so
+    # validating with the configured beam would change val BLEU
+    sources = [["a", "b", "c", "d"], ["e", "f", "g", "h", "i"],
+               ["f", "g", "h", "a", "b"], ["i", "j", "c", "d"]]
+    pairs = [(AnnotatedSentence(tokens=toks, sem_edges=[], syn_edges=[]),
+              [w.upper() for w in toks]) for toks in sources]
+    refs = [tgt for _, tgt in pairs]
+    exp = ExperimentConfig(encoder="birnn", recipe="none", emb_size=16,
+                           hidden_size=16, attn_size=16, decode="beam", beam_size=3,
+                           max_decode_len=6, bpe_merges=0)
+    tc = TrainConfig(learning_rate=2e-2, epochs=10, batch_size=4, rng_seed=0,
+                     min_count=1, word_retain=1.0, edge_retain=1.0)
+    prep = preprocess(pairs, exp, tc)
+    vocabs = (prep.src_vocab, prep.tgt_vocab, None)
+    res = TR.train(tc, exp, pairs, pairs, *vocabs, prep.label_vocabs)
+    assert res.model.config.decode == "beam"
+
+    hyps = TR.translate_pairs(res.model, pairs, *vocabs, tc)
+    assert res.history[-1].val_bleu == bleu(hyps, refs).bleu
+    greedy_model = dataclasses.replace(
+        res.model, config=dataclasses.replace(exp, decode="greedy"))
+    assert hyps == translate_corpus(greedy_model, pairs, *vocabs, tc)
+    beam = translate_corpus(res.model, pairs, *vocabs, tc)
+    assert bleu(beam, refs).bleu != res.history[-1].val_bleu
