@@ -13,14 +13,14 @@ class ConfigError(ValueError):
     """Invalid configuration value or file."""
 
 
-# A GCN recipe is an ordered list of blocks; each block reads a fixed set
-# of graphs ("sem", "syn", both for the fused variant, or none for the
-# self-loop ablation) for a given number of stacked layers.
-GraphSet = tuple
-
-
 def parse_recipe(text: str):
-    """Parse a recipe string such as ``none``, ``sem:2`` or ``syn:2+sem:1``."""
+    """Parse a recipe string such as ``none``, ``sem:2`` or ``syn:2+sem:1``.
+
+    A GCN recipe is an ordered list of blocks; each block reads a fixed set
+    of graphs ("sem", "syn", both for the fused variant, or none for the
+    self-loop ablation) for a given number of stacked layers. Returns a
+    list of ``(graphs, layers)`` tuples.
+    """
     text = text.strip()
     if text == "none":
         return []
@@ -93,12 +93,6 @@ class ExperimentConfig:
     @property
     def enc_width(self) -> int:
         return 2 * self.hidden_size if self.encoder == "birnn" else self.hidden_size
-
-    def graphs_used(self):
-        used = set()
-        for graphs, _ in self.blocks:
-            used.update(graphs)
-        return used
 
 
 @dataclass

@@ -14,7 +14,7 @@ both at once (distinct W per graph, shared self-loop) or neither
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,8 +34,6 @@ from .tensor import (
     tanh,
     transpose,
 )
-
-LOOP_LABEL = "<loop>"
 
 INIT_SCALE = 0.08
 
@@ -59,8 +57,7 @@ class GruParams:
     b_h: Tensor
 
     def named(self, prefix: str):
-        return {f"{prefix}.{k}": getattr(self, k) for k in
-                ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 def init_gru(rng, in_dim: int, hidden: int) -> GruParams:
@@ -136,6 +133,38 @@ def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, window: int):
     return relu(matmul(stacked, w_filter) + b_filter)
 
 
+# Base encoders, one replaceable part under the GCN stack. They call the
+# module-level functions by name, so a wrapper set on the module sees them.
+@dataclass
+class BiRNN:
+    """Forward and backward GRUs, concatenated per position (2 * hidden)."""
+
+    gru_fwd: GruParams
+    gru_bwd: GruParams
+
+    def named(self, prefix: str):
+        return {**self.gru_fwd.named(f"{prefix}.gru_fwd"),
+                **self.gru_bwd.named(f"{prefix}.gru_bwd")}
+
+    def __call__(self, embeddings):
+        return birnn_encode(embeddings, self.gru_fwd, self.gru_bwd)
+
+
+@dataclass
+class CNN:
+    """Zero-padded window of ``window`` positions, affine, ReLU (hidden)."""
+
+    w: Tensor
+    b: Tensor
+    window: int
+
+    def named(self, prefix: str):
+        return {f"{prefix}.cnn.w": self.w, f"{prefix}.cnn.b": self.b}
+
+    def __call__(self, embeddings):
+        return cnn_encode(embeddings, self.w, self.b, self.window)
+
+
 @dataclass
 class GcnGraphParams:
     """Per-graph direction matrices, label biases and gate parameters."""
@@ -150,9 +179,7 @@ class GcnGraphParams:
     gate_b_out: Tensor  # (n_labels,)
 
     def named(self, prefix: str):
-        return {f"{prefix}.{k}": getattr(self, k) for k in
-                ("w_in", "w_out", "b_in", "b_out",
-                 "gate_w_in", "gate_w_out", "gate_b_in", "gate_b_out")}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -245,12 +272,6 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
 
 
 @dataclass
-class GcnBlock:
-    graphs: tuple
-    layers: list
-
-
-@dataclass
 class EncoderOutput:
     states: Tensor        # (batch, len, width) or (len, width)
     mask: np.ndarray      # bool, matching leading dims
@@ -261,25 +282,14 @@ class EncoderStack:
     """Embeddings, one base encoder, and the configured GCN blocks."""
 
     embedding: Tensor
-    kind: str                      # birnn | cnn
-    gru_fwd: GruParams | None
-    gru_bwd: GruParams | None
-    cnn_w: Tensor | None
-    cnn_b: Tensor | None
-    cnn_window: int
-    blocks: list                   # list[GcnBlock]
+    base: BiRNN | CNN
+    blocks: list                   # one list of GcnLayerParams per recipe block
     label_vocabs: dict             # graph name -> LabelVocab
 
     def parameters(self):
-        out = {"encoder.embedding": self.embedding}
-        if self.kind == "birnn":
-            out.update(self.gru_fwd.named("encoder.gru_fwd"))
-            out.update(self.gru_bwd.named("encoder.gru_bwd"))
-        else:
-            out["encoder.cnn.w"] = self.cnn_w
-            out["encoder.cnn.b"] = self.cnn_b
-        for bi, block in enumerate(self.blocks):
-            for li, layer in enumerate(block.layers):
+        out = {"encoder.embedding": self.embedding, **self.base.named("encoder")}
+        for bi, layers in enumerate(self.blocks):
+            for li, layer in enumerate(layers):
                 out.update(layer.named(f"gcn.{bi}.{li}"))
         return out
 
@@ -288,13 +298,12 @@ def build_encoder(cfg: ExperimentConfig, vocab_size: int, label_vocabs: dict,
                   rng) -> EncoderStack:
     cfg.validate()
     emb = _uniform(rng, (vocab_size, cfg.emb_size))
-    gru_fwd = gru_bwd = cnn_w = cnn_b = None
     if cfg.encoder == "birnn":
-        gru_fwd = init_gru(rng, cfg.emb_size, cfg.hidden_size)
-        gru_bwd = init_gru(rng, cfg.emb_size, cfg.hidden_size)
+        base = BiRNN(init_gru(rng, cfg.emb_size, cfg.hidden_size),
+                     init_gru(rng, cfg.emb_size, cfg.hidden_size))
     else:
-        cnn_w = _uniform(rng, (cfg.cnn_window * cfg.emb_size, cfg.hidden_size))
-        cnn_b = _uniform(rng, (cfg.hidden_size,))
+        base = CNN(_uniform(rng, (cfg.cnn_window * cfg.emb_size, cfg.hidden_size)),
+                   _uniform(rng, (cfg.hidden_size,)), cfg.cnn_window)
     d = cfg.enc_width
     blocks = []
     for graphs, k in cfg.blocks:
@@ -302,14 +311,9 @@ def build_encoder(cfg: ExperimentConfig, vocab_size: int, label_vocabs: dict,
             if g not in label_vocabs:
                 raise ConfigError(f"recipe needs {g!r} labels but none were provided")
         counts = {g: len(label_vocabs[g]) for g in graphs}
-        layers = [init_gcn_layer(rng, d, counts) for _ in range(k)]
-        blocks.append(GcnBlock(graphs=tuple(graphs), layers=layers))
-    return EncoderStack(
-        embedding=emb, kind=cfg.encoder,
-        gru_fwd=gru_fwd, gru_bwd=gru_bwd,
-        cnn_w=cnn_w, cnn_b=cnn_b, cnn_window=cfg.cnn_window,
-        blocks=blocks, label_vocabs=dict(label_vocabs),
-    )
+        blocks.append([init_gcn_layer(rng, d, counts) for _ in range(k)])
+    return EncoderStack(embedding=emb, base=base, blocks=blocks,
+                        label_vocabs=dict(label_vocabs))
 
 
 def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack,
@@ -325,15 +329,12 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
     ids = batch.src if src_ids is None else src_ids
     B, L = ids.shape
     emb = gather_rows(params.embedding, ids.T)  # (L, B, emb)
-    if params.kind == "birnn":
-        base = birnn_encode(emb, params.gru_fwd, params.gru_bwd)
-    else:
-        base = cnn_encode(emb, params.cnn_w, params.cnn_b, params.cnn_window)
+    base = params.base(emb)
     d = base.shape[-1]
     H = reshape(transpose(base, (1, 0, 2)), (B * L, d))
 
     retain = edge_retain if mode == "train" else 1.0
-    for block, (graphs, _) in zip(params.blocks, config.blocks):
+    for layers, (graphs, _) in zip(params.blocks, config.blocks):
         edges = {}
         for g in graphs:
             per_sent = batch.sem_edges if g == "sem" else batch.syn_edges
@@ -346,7 +347,7 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
                 flat.extend((off + u, off + v, vocab.id(lab))
                             for u, v, lab in sent_edges)
             edges[g] = flat
-        for layer in block.layers:
+        for layer in layers:
             H = gcn_layer(H, edges, layer, edge_retain=retain, rng=rng) + H
     states = reshape(H, (B, L, d))
     return EncoderOutput(states=states, mask=batch.src_mask.copy())

@@ -25,7 +25,7 @@ from .corpus import (
 )
 from .decoder import beam_decode, greedy_decode_batch
 from .encoders import EncoderOutput, encode_pipeline
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 MAX_ORDER = 4
 
@@ -43,7 +43,8 @@ def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
     hyps = [None] * len(pairs)
     for idx in bucket_indices(pairs, train_cfg.batch_size):
         batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
-        enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
+        with no_grad():
+            enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
         if cfg.decode == "greedy":
             outs = greedy_decode_batch(enc, model.decoder, cfg.max_decode_len)
         else:

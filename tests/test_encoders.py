@@ -8,6 +8,7 @@ from gcnmt import encoders as E
 from gcnmt import tensor as T
 from gcnmt.config import ExperimentConfig
 from gcnmt.corpus import AnnotatedSentence, LabelVocab, Vocabulary, make_batch
+from gcnmt.model import build_model
 
 
 def zero_gru(in_dim, hidden):
@@ -354,7 +355,7 @@ def test_pipeline_baseline_equals_base_encoder():
     cfg, stack = _build("none")
     out = E.encode_pipeline(batch, cfg, stack)
     emb = T.gather_rows(stack.embedding, batch.src.T)
-    base = E.birnn_encode(emb, stack.gru_fwd, stack.gru_bwd)
+    base = E.birnn_encode(emb, stack.base.gru_fwd, stack.base.gru_bwd)
     npt.assert_array_equal(out.states.data,
                            np.transpose(base.data, (1, 0, 2)))
 
@@ -382,14 +383,14 @@ def test_pipeline_sem_two_layers_matches_manual_composition():
     cfg, stack = _build("sem:2")
     out = E.encode_pipeline(batch, cfg, stack).states.data
     emb = T.gather_rows(stack.embedding, batch.src.T)
-    base = E.birnn_encode(emb, stack.gru_fwd, stack.gru_bwd)
+    base = E.birnn_encode(emb, stack.base.gru_fwd, stack.base.gru_bwd)
     B, L, d = 2, 3, 6
     H = T.Tensor(np.transpose(base.data, (1, 0, 2)).reshape(B * L, d))
     vocab = stack.label_vocabs["sem"]
     flat = []
     for i, edges in enumerate(batch.sem_edges):
         flat.extend((i * L + u, i * L + v, vocab.id(lab)) for u, v, lab in edges)
-    for layer in stack.blocks[0].layers:
+    for layer in stack.blocks[0]:
         H = E.gcn_layer(H, {"sem": flat}, layer) + H
     npt.assert_allclose(out, H.data.reshape(B, L, d), rtol=1e-12)
 
@@ -397,7 +398,7 @@ def test_pipeline_sem_two_layers_matches_manual_composition():
 def test_pipeline_fused_layer_reads_both_graphs():
     batch, _ = _toy_batch()
     cfg, stack = _build("semsyn:1")
-    layer = stack.blocks[0].layers[0]
+    layer = stack.blocks[0][0]
     assert set(layer.graphs) == {"sem", "syn"}
     out = E.encode_pipeline(batch, cfg, stack)
     assert np.isfinite(out.states.data).all()
@@ -422,6 +423,68 @@ def test_pipeline_cnn_encoder_finite():
     out = E.encode_pipeline(batch, cfg, stack)
     assert out.states.shape == (2, 3, 3)
     assert np.isfinite(out.states.data).all()
+
+
+def test_pipeline_cnn_baseline_equals_cnn_encode():
+    batch, _ = _toy_batch()
+    cfg, stack = _build("none", encoder="cnn")
+    out = E.encode_pipeline(batch, cfg, stack)
+    emb = T.gather_rows(stack.embedding, batch.src.T)
+    base = E.cnn_encode(emb, stack.base.w, stack.base.b, cfg.cnn_window)
+    npt.assert_array_equal(out.states.data, np.transpose(base.data, (1, 0, 2)))
+
+
+# Checkpoint layout: parameter path and shape, in the order the archive holds
+# them (emb 4, hidden 3, attn 3, cnn window 3, src vocab 7, tgt vocab 5).
+BIRNN_SEMSYN1_LAYOUT = """
+encoder.embedding:7x4 encoder.gru_fwd.w_z:4x3 encoder.gru_fwd.u_z:3x3
+encoder.gru_fwd.b_z:3 encoder.gru_fwd.w_r:4x3 encoder.gru_fwd.u_r:3x3
+encoder.gru_fwd.b_r:3 encoder.gru_fwd.w_h:4x3 encoder.gru_fwd.u_h:3x3
+encoder.gru_fwd.b_h:3 encoder.gru_bwd.w_z:4x3 encoder.gru_bwd.u_z:3x3
+encoder.gru_bwd.b_z:3 encoder.gru_bwd.w_r:4x3 encoder.gru_bwd.u_r:3x3
+encoder.gru_bwd.b_r:3 encoder.gru_bwd.w_h:4x3 encoder.gru_bwd.u_h:3x3
+encoder.gru_bwd.b_h:3 gcn.0.0.w_loop:6x6 gcn.0.0.b_loop:6 gcn.0.0.gate_w_loop:6
+gcn.0.0.gate_b_loop:1 gcn.0.0.sem.w_in:6x6 gcn.0.0.sem.w_out:6x6
+gcn.0.0.sem.b_in:3x6 gcn.0.0.sem.b_out:3x6 gcn.0.0.sem.gate_w_in:6
+gcn.0.0.sem.gate_w_out:6 gcn.0.0.sem.gate_b_in:3 gcn.0.0.sem.gate_b_out:3
+gcn.0.0.syn.w_in:6x6 gcn.0.0.syn.w_out:6x6 gcn.0.0.syn.b_in:2x6
+gcn.0.0.syn.b_out:2x6 gcn.0.0.syn.gate_w_in:6 gcn.0.0.syn.gate_w_out:6
+gcn.0.0.syn.gate_b_in:2 gcn.0.0.syn.gate_b_out:2 decoder.embedding:5x4
+decoder.w_init:6x3 decoder.b_init:3 decoder.w_out:13x5 decoder.b_out:5
+decoder.gru.w_z:10x3 decoder.gru.u_z:3x3 decoder.gru.b_z:3 decoder.gru.w_r:10x3
+decoder.gru.u_r:3x3 decoder.gru.b_r:3 decoder.gru.w_h:10x3 decoder.gru.u_h:3x3
+decoder.gru.b_h:3 decoder.attn.u_dec:3x3 decoder.attn.v_enc:6x3
+decoder.attn.score_v:3
+"""
+
+CNN_SYN1_SEM1_LAYOUT = """
+encoder.embedding:7x4 encoder.cnn.w:12x3 encoder.cnn.b:3 gcn.0.0.w_loop:3x3
+gcn.0.0.b_loop:3 gcn.0.0.gate_w_loop:3 gcn.0.0.gate_b_loop:1 gcn.0.0.syn.w_in:3x3
+gcn.0.0.syn.w_out:3x3 gcn.0.0.syn.b_in:2x3 gcn.0.0.syn.b_out:2x3
+gcn.0.0.syn.gate_w_in:3 gcn.0.0.syn.gate_w_out:3 gcn.0.0.syn.gate_b_in:2
+gcn.0.0.syn.gate_b_out:2 gcn.1.0.w_loop:3x3 gcn.1.0.b_loop:3 gcn.1.0.gate_w_loop:3
+gcn.1.0.gate_b_loop:1 gcn.1.0.sem.w_in:3x3 gcn.1.0.sem.w_out:3x3
+gcn.1.0.sem.b_in:3x3 gcn.1.0.sem.b_out:3x3 gcn.1.0.sem.gate_w_in:3
+gcn.1.0.sem.gate_w_out:3 gcn.1.0.sem.gate_b_in:3 gcn.1.0.sem.gate_b_out:3
+decoder.embedding:5x4 decoder.w_init:3x3 decoder.b_init:3 decoder.w_out:10x5
+decoder.b_out:5 decoder.gru.w_z:7x3 decoder.gru.u_z:3x3 decoder.gru.b_z:3
+decoder.gru.w_r:7x3 decoder.gru.u_r:3x3 decoder.gru.b_r:3 decoder.gru.w_h:7x3
+decoder.gru.u_h:3x3 decoder.gru.b_h:3 decoder.attn.u_dec:3x3 decoder.attn.v_enc:3x3
+decoder.attn.score_v:3
+"""
+
+
+@pytest.mark.parametrize("encoder,recipe,layout", [
+    ("birnn", "semsyn:1", BIRNN_SEMSYN1_LAYOUT),
+    ("cnn", "syn:1+sem:1", CNN_SYN1_SEM1_LAYOUT),
+])
+def test_checkpoint_parameter_layout(encoder, recipe, layout):
+    cfg = ExperimentConfig(encoder=encoder, recipe=recipe, emb_size=4,
+                           hidden_size=3, attn_size=3, cnn_window=3)
+    model = build_model(cfg, 7, 5, _labels(), np.random.default_rng(0))
+    expected = [(name, tuple(int(n) for n in shape.split("x")))
+                for name, shape in (item.split(":") for item in layout.split())]
+    assert [(k, p.shape) for k, p in model.parameters().items()] == expected
 
 
 def test_pipeline_batched_matches_single_sentence():

@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 from gcnmt import cli
 from gcnmt import config as CFG
 from gcnmt import evaluation as E
-from gcnmt.corpus import AnnotatedSentence, serialize_conll
+from gcnmt.corpus import AnnotatedSentence, make_batch, serialize_conll
+from gcnmt.decoder import greedy_decode
+from gcnmt.encoders import EncoderOutput, encode_pipeline
+from gcnmt.model import build_model
+from gcnmt.tensor import Tensor
 
 
 def test_bleu_identical_corpus_is_100():
@@ -319,6 +323,40 @@ def test_read_pairs_keeps_blank_target_lines(tmp_path):
     assert len(hyp.read_text().splitlines()) == 3
 
 
+def test_translate_corpus_encodes_without_a_tape(monkeypatch):
+    sources = [["a", "b", "c"], ["d", "e"], ["b", "e"], ["c", "a", "d", "e"]]
+    pairs = [(AnnotatedSentence(tokens=toks, sem_edges=[(0, 1, "A0")],
+                                syn_edges=[]), [w.upper() for w in toks])
+             for toks in sources]
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=6, hidden_size=5,
+                               attn_size=4, max_decode_len=4, bpe_merges=0)
+    trn = CFG.TrainConfig(batch_size=4, min_count=1)
+    prep = E.preprocess(pairs, exp, trn)
+    model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                        prep.label_vocabs, np.random.default_rng(5))
+    expected = []
+    for pair in pairs:
+        batch = make_batch([pair], prep.src_vocab, prep.tgt_vocab)
+        enc = encode_pipeline(batch, exp, model.encoder)
+        assert enc.states.requires_grad  # outside no_grad the encode is taped
+        one = EncoderOutput(Tensor(enc.states.data[0]), enc.mask[0])
+        ids = greedy_decode(one, model.decoder, exp.max_decode_len)
+        expected.append([prep.tgt_vocab.token(t) for t in ids])
+
+    taped = []
+
+    def spy(*args, **kwargs):
+        enc = encode_pipeline(*args, **kwargs)
+        taped.append(enc.states.requires_grad)
+        return enc
+
+    monkeypatch.setattr(E, "encode_pipeline", spy)
+    hyps = E.translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
+                              None, trn)
+    assert taped == [False, False, False]
+    assert hyps == expected
+
+
 def test_cli_rejects_invalid_recipe(capsys):
     rc = cli.main(["train", "--recipe", "sem:9", "--train-conll", "x",
                    "--train-tgt", "y"])
@@ -338,6 +376,28 @@ def test_run_experiment_single_cell(tmp_path):
     assert summary.recipe == "sem:1"
     assert 0.0 <= summary.test_bleu <= 100.0
     assert (tmp_path / "cell" / "test.hyp.txt").exists()
+
+
+def test_run_experiment_leaves_a_run_directory_for_translate(tmp_path):
+    # the best epoch (1) is not the last one, so test.hyp.txt must come from
+    # best.npz, and the cell must hold the vocabularies translate reads
+    conll, tgt = _write_tiny_dataset(tmp_path)
+    cell = tmp_path / "cell"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\nrecipe = sem:1\nbpe_merges = 0\nepochs = 3\n"
+        "batch_size = 5\nlearning_rate = 0.05\nrng_seed = 3\n"
+        f"train_conll = {conll}\ntrain_tgt = {tgt}\nout_dir = {cell}\n")
+    summary = cli.run_experiment(*CFG.load_config(cfg))
+    assert summary.best_epoch < 3
+    hyp = tmp_path / "hyp.txt"
+    rc = cli.main(["translate", "--config", str(cfg), "--checkpoint",
+                   str(cell / "best.npz"), "--input", str(conll),
+                   "--output", str(hyp)])
+    assert rc == 0
+    assert hyp.read_text().splitlines() == \
+        (cell / "test.hyp.txt").read_text().splitlines()
 
 
 def test_run_experiment_wraps_stage_errors(tmp_path):

@@ -55,3 +55,41 @@ def test_relative_imports_form_no_cycle():
 
     for name in sorted(graph):
         visit(name)
+
+
+def _defined_names(tree):
+    """Module-level functions, classes and constants, plus non-dunder methods."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.update(m.name for m in node.body
+                         if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def _loaded_names(tree):
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+    return out
+
+
+def test_every_defined_name_is_used():
+    root = Path(__file__).resolve().parent.parent
+    loaded = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            loaded |= _loaded_names(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(f"{module}.{name}" for module, tree in _modules().items()
+                    for name in _defined_names(tree) - loaded)
+    assert unused == []
