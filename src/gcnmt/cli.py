@@ -18,7 +18,14 @@ from .config import (
     TrainConfig,
     load_config,
 )
-from .corpus import BpeModel, CorpusError, LabelVocab, Vocabulary, ingest_conll
+from .corpus import (
+    BpeModel,
+    CorpusError,
+    LabelVocab,
+    Vocabulary,
+    ingest_conll,
+    read_lines,
+)
 from .evaluation import PreprocessResult, _read_pairs, bleu, preprocess, translate_corpus
 from .model import build_model, load_model_params
 from .training import train
@@ -203,10 +210,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_score(args) -> int:
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.split() for line in fh.read().splitlines()]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.split() for line in fh.read().splitlines()]
+    hyps = [line.split() for line in read_lines(args.hyp)]
+    refs = [line.split() for line in read_lines(args.ref)]
     report = bleu(hyps, refs)
     print(report.format())
     return 0

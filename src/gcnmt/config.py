@@ -13,6 +13,11 @@ class ConfigError(ValueError):
     """Invalid configuration value or file."""
 
 
+# Recipe block kind -> the graphs its layers read.
+RECIPE_KINDS = {"sem": ("sem",), "syn": ("syn",), "semsyn": ("sem", "syn"),
+                "selfloop": ()}
+
+
 def parse_recipe(text: str):
     """Parse a recipe string such as ``none``, ``sem:2`` or ``syn:2+sem:1``.
 
@@ -36,24 +41,16 @@ def parse_recipe(text: str):
             raise ConfigError(f"recipe block {part!r}: bad layer count") from e
         if not 1 <= k <= 3:
             raise ConfigError(f"recipe block {part!r}: layer count must be 1..3")
-        if name == "sem":
-            graphs = ("sem",)
-        elif name == "syn":
-            graphs = ("syn",)
-        elif name == "semsyn":
-            graphs = ("sem", "syn")
-        elif name == "selfloop":
-            graphs = ()
-        else:
+        if name not in RECIPE_KINDS:
             raise ConfigError(f"recipe block {part!r}: unknown kind {name!r}")
-        blocks.append((graphs, k))
+        blocks.append((RECIPE_KINDS[name], k))
     return blocks
 
 
 def format_recipe(blocks) -> str:
     if not blocks:
         return "none"
-    names = {("sem",): "sem", ("syn",): "syn", ("sem", "syn"): "semsyn", (): "selfloop"}
+    names = {graphs: kind for kind, graphs in RECIPE_KINDS.items()}
     return "+".join(f"{names[tuple(g)]}:{k}" for g, k in blocks)
 
 

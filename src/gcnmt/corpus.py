@@ -148,11 +148,30 @@ def serialize_conll(sentences) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def read_lines(path):
+    r"""The lines of a UTF-8 text file, one entry per line.
+
+    Lines end only at ``\n``, ``\r\n`` or ``\r``; a final line ending closes
+    the last line instead of starting an empty one.
+    """
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    lines = text.split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
+
+
 class Vocabulary:
-    """Token <-> id map with reserved specials PAD=0, UNK=1, BOS=2, EOS=3."""
+    """Symbol <-> id map whose first ids are the reserved ``SPECIALS``.
+
+    Word vocabularies reserve PAD=0, UNK=1, BOS=2, EOS=3 and map unknown
+    tokens to UNK.
+    """
+
+    SPECIALS = SPECIALS
+    UNK_ID = UNK
 
     def __init__(self, tokens):
-        self.id_to_token = list(SPECIALS) + list(tokens)
+        self.id_to_token = list(self.SPECIALS) + list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise CorpusError("duplicate tokens in vocabulary")
@@ -161,7 +180,7 @@ class Vocabulary:
         return len(self.id_to_token)
 
     def id(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK)
+        return self.token_to_id.get(token, self.UNK_ID)
 
     def token(self, idx: int) -> str:
         return self.id_to_token[idx]
@@ -173,27 +192,34 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            entries = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if tuple(entries[:4]) != SPECIALS:
-            raise CorpusError(f"{path}: vocabulary file must start with {SPECIALS}")
-        return cls(entries[4:])
+        entries = [line for line in read_lines(path) if line]
+        n = len(cls.SPECIALS)
+        if tuple(entries[:n]) != cls.SPECIALS:
+            raise CorpusError(f"{path}: file must start with {cls.SPECIALS}")
+        return cls(entries[n:])
 
 
-def build_vocab(corpus, min_count: int = 1) -> Vocabulary:
-    """Keep tokens with count >= min_count, ordered by frequency then lexically."""
+class LabelVocab(Vocabulary):
+    """Edge-label inventory; rare and unseen labels share id 0."""
+
+    SPECIALS = (UNK_LABEL,)
+    UNK_ID = 0
+
+
+def build_vocab(corpus, min_count: int = 1, cls=Vocabulary) -> Vocabulary:
+    """Keep symbols with count >= min_count, ordered by frequency then lexically."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
     counts = Counter()
     for sent in corpus:
         counts.update(sent)
-    for special in SPECIALS:
+    for special in cls.SPECIALS:
         counts.pop(special, None)
     kept = sorted(
         (t for t, c in counts.items() if c >= min_count),
         key=lambda t: (-counts[t], t),
     )
-    return Vocabulary(kept)
+    return cls(kept)
 
 
 class BpeModel:
@@ -211,12 +237,11 @@ class BpeModel:
     @classmethod
     def load(cls, path) -> "BpeModel":
         merges = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != 2:
-                    raise CorpusError(f"{path} line {lineno}: expected two symbols")
-                merges.append((parts[0], parts[1]))
+        for lineno, line in enumerate(read_lines(path), start=1):
+            parts = line.split(" ")
+            if len(parts) != 2:
+                raise CorpusError(f"{path} line {lineno}: expected two symbols")
+            merges.append((parts[0], parts[1]))
         return cls(merges)
 
 
@@ -304,43 +329,6 @@ def rejoin_bpe(pieces):
     if current:
         words.append(current)
     return words
-
-
-class LabelVocab:
-    """Edge-label inventory with a reserved UNK entry for rare/unseen labels."""
-
-    def __init__(self, labels):
-        self.labels = [UNK_LABEL] + [l for l in labels if l != UNK_LABEL]
-        self.index = {l: i for i, l in enumerate(self.labels)}
-
-    def __len__(self):
-        return len(self.labels)
-
-    def id(self, label: str) -> int:
-        return self.index.get(label, 0)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for lab in self.labels:
-                fh.write(lab + "\n")
-
-    @classmethod
-    def load(cls, path) -> "LabelVocab":
-        with open(path, encoding="utf-8") as fh:
-            labels = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-        if not labels or labels[0] != UNK_LABEL:
-            raise CorpusError(f"{path}: label file must start with {UNK_LABEL}")
-        return cls(labels[1:])
-
-
-def build_label_vocab(edge_lists, min_count: int = 2) -> LabelVocab:
-    """Labels seen fewer than min_count times fold into the UNK entry."""
-    counts = Counter(lab for edges in edge_lists for _, _, lab in edges)
-    kept = sorted(
-        (l for l, c in counts.items() if c >= min_count),
-        key=lambda l: (-counts[l], l),
-    )
-    return LabelVocab(kept)
 
 
 @dataclass

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 
 from .config import ExperimentConfig, TrainConfig
 from .corpus import (
+    LabelVocab,
     bucket_indices,
-    build_label_vocab,
     build_vocab,
     ingest_conll,
     learn_bpe,
     make_batch,
+    read_lines,
     rejoin_bpe,
     segment,
 )
@@ -112,8 +113,7 @@ def bleu(hypotheses, references) -> BleuReport:
 def _read_pairs(conll_path, tgt_path):
     with open(conll_path, encoding="utf-8") as fh:
         sentences = ingest_conll(fh.read())
-    with open(tgt_path, encoding="utf-8") as fh:
-        targets = [line.split() for line in fh.read().splitlines()]
+    targets = [line.split() for line in read_lines(tgt_path)]
     if len(sentences) != len(targets):
         raise ValueError(f"{conll_path}: {len(sentences)} sentences but "
                          f"{tgt_path}: {len(targets)} targets")
@@ -137,8 +137,10 @@ def preprocess(train_pairs, exp_cfg: ExperimentConfig,
     bpe = learn_bpe(tgt_corpus, exp_cfg.bpe_merges) if exp_cfg.bpe_merges > 0 else None
     tgt_vocab = build_vocab((segment(bpe, tgt) for tgt in tgt_corpus), min_count=1)
     label_vocabs = {
-        "sem": build_label_vocab([s.sem_edges for s, _ in train_pairs]),
-        "syn": build_label_vocab([s.syn_edges for s, _ in train_pairs]),
+        "sem": build_vocab(([lab for _, _, lab in s.sem_edges] for s, _ in train_pairs),
+                           min_count=2, cls=LabelVocab),
+        "syn": build_vocab(([lab for _, _, lab in s.syn_edges] for s, _ in train_pairs),
+                           min_count=2, cls=LabelVocab),
     }
     return PreprocessResult(src_vocab=src_vocab, tgt_vocab=tgt_vocab, bpe=bpe,
                             label_vocabs=label_vocabs)

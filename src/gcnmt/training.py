@@ -150,8 +150,8 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
     """Train a model from scratch; returns history and the best model.
 
     Writes per-epoch checkpoints and a tab-separated metrics log under
-    ``out_dir`` when given; the final ``best.npz`` checkpoint is the epoch
-    with the highest validation BLEU.
+    ``out_dir`` unless it is None or empty; the final ``best.npz`` checkpoint
+    is the epoch with the highest validation BLEU.
     """
     train_cfg.validate()
     exp_cfg.validate()
@@ -166,7 +166,7 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
     best_epoch, best_bleu = 0, -1.0
     best_path = None
     metrics_fh = None
-    if out_dir is not None:
+    if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         metrics_fh = open(os.path.join(out_dir, "metrics.tsv"), "w", encoding="utf-8")
     try:
@@ -198,11 +198,11 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
                 metrics_fh.write(f"{epoch}\t{train_loss:.6f}\t{val_bleu:.2f}\t"
                                  f"{seconds:.2f}\n")
                 metrics_fh.flush()
-            if out_dir is not None and epoch % train_cfg.checkpoint_every == 0:
+            if out_dir and epoch % train_cfg.checkpoint_every == 0:
                 save_model(os.path.join(out_dir, f"epoch_{epoch:04d}.npz"), model)
             if val_bleu > best_bleu:
                 best_bleu, best_epoch = val_bleu, epoch
-                if out_dir is not None:
+                if out_dir:
                     best_path = os.path.join(out_dir, "best.npz")
                     save_model(best_path, model)
     finally:

@@ -160,10 +160,49 @@ def test_bpe_file_roundtrip(tmp_path):
 
 
 def test_label_vocab_folds_rare_labels():
-    vocab = C.build_label_vocab([[(0, 1, "A0"), (0, 2, "A0"), (0, 3, "AM-DIR")]])
+    vocab = C.build_vocab([["A0", "A0", "AM-DIR"]], min_count=2, cls=C.LabelVocab)
     assert vocab.id("A0") != 0
     assert vocab.id("AM-DIR") == 0  # count 1 < 2 folds into UNK
     assert vocab.id("never-seen") == 0
+
+
+def test_label_vocab_file_loads_to_fixed_ids(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("<unk-label>\nA0\nA1\n")
+    vocab = C.LabelVocab.load(path)
+    assert [vocab.id(l) for l in ("<unk-label>", "A0", "A1")] == [0, 1, 2]
+    assert vocab.id("AM-TMP") == 0
+    assert len(vocab) == 3
+
+
+def test_label_vocab_file_must_start_with_unk_label(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text("A0\n<unk-label>\nA1\n")
+    with pytest.raises(C.CorpusError, match="must start with"):
+        C.LabelVocab.load(path)
+
+
+def test_label_vocab_drops_literal_unk_label():
+    # a corpus label spelled like the reserved entry folds into id 0
+    vocab = C.build_vocab([["A0", "A0", C.UNK_LABEL, C.UNK_LABEL, "A1", "A1"]],
+                          min_count=2, cls=C.LabelVocab)
+    assert len(vocab) == 1 + 2
+    assert vocab.id(C.UNK_LABEL) == 0
+    assert vocab.id_to_token == [C.UNK_LABEL, "A0", "A1"]
+
+
+@pytest.mark.parametrize("data, lines", [
+    (b"a\r\nb", ["a", "b"]),
+    (b"a\rb\r", ["a", "b"]),
+    (b"a\nb", ["a", "b"]),
+    (b"a\n\nb\n", ["a", "", "b"]),
+    (b"", []),
+    (b"x\x1cy\nz\xe2\x80\xa8w\n", ["x\x1cy", "z\u2028w"]),
+])
+def test_read_lines_splits_only_at_line_endings(tmp_path, data, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(data)
+    assert C.read_lines(path) == lines
 
 
 def _sentences():

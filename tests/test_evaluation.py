@@ -198,6 +198,17 @@ def test_cli_score_rejects_unequal_line_counts(tmp_path, capsys):
     assert "1 references" in capsys.readouterr().err
 
 
+def test_cli_score_counts_lines_with_unicode_separators(tmp_path, capsys):
+    # U+2028 ends a line for str.splitlines, not in a line-per-entry file;
+    # between words it is whitespace like the space in the reference
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b c d\ne f\u2028g h\ni j k l\n", encoding="utf-8")
+    ref.write_text("a b c d\ne f g h\ni j k l\n", encoding="utf-8")
+    assert cli.main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert capsys.readouterr().out.startswith("BLEU = 100.00")
+
+
 def _write_tiny_dataset(tmp_path, n=20):
     rng = np.random.default_rng(0)
     words = ["w%d" % i for i in range(6)]
@@ -323,6 +334,17 @@ def test_read_pairs_keeps_blank_target_lines(tmp_path):
     assert len(hyp.read_text().splitlines()) == 3
 
 
+def test_read_pairs_splits_targets_only_at_line_endings(tmp_path):
+    sents = [AnnotatedSentence(tokens=["w%d" % i, "w%d" % (i + 1)],
+                               sem_edges=[], syn_edges=[]) for i in range(3)]
+    conll = tmp_path / "in.conll"
+    tgt = tmp_path / "in.tgt"
+    conll.write_text(serialize_conll(sents))
+    tgt.write_text("A B\nC\x1cD\nE F\n", encoding="utf-8")
+    pairs = E._read_pairs(conll, tgt)
+    assert [t for _, t in pairs] == [["A", "B"], ["C", "D"], ["E", "F"]]
+
+
 def test_translate_corpus_encodes_without_a_tape(monkeypatch):
     sources = [["a", "b", "c"], ["d", "e"], ["b", "e"], ["c", "a", "d", "e"]]
     pairs = [(AnnotatedSentence(tokens=toks, sem_edges=[(0, 1, "A0")],
@@ -398,6 +420,23 @@ def test_run_experiment_leaves_a_run_directory_for_translate(tmp_path):
     assert rc == 0
     assert hyp.read_text().splitlines() == \
         (cell / "test.hyp.txt").read_text().splitlines()
+
+
+def test_run_experiment_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    conll, tgt = _write_tiny_dataset(data, n=8)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=8, hidden_size=8,
+                               attn_size=8, max_decode_len=5, bpe_merges=0)
+    trn = CFG.TrainConfig(epochs=1, batch_size=4, min_count=1)
+    paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt), out_dir="")
+    summary = cli.run_experiment(exp, trn, paths)
+    assert summary.out_dir == "" and summary.best_epoch == 1
+    assert list(work.iterdir()) == []
+    assert sorted(p.name for p in data.iterdir()) == ["train.conll", "train.tgt"]
 
 
 def test_run_experiment_wraps_stage_errors(tmp_path):
