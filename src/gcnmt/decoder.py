@@ -1,8 +1,13 @@
 """Attention-based GRU decoder with greedy and beam search.
 
-Scoring is additive attention over encoder states; the GRU consumes the
-previous target embedding concatenated with the context vector, and the
-output projection reads [state; context; previous embedding]. Beam search
+Scoring is additive attention over encoder states; the attention keys
+``states @ v_enc`` are computed once per encode and passed to every step.
+The GRU consumes the previous target embedding concatenated with the
+context vector, and the output projection reads [state; context; previous
+embedding]. A step is the recurrence (``recurrence_step``) followed by the
+projection (``output_logits``): decoding runs both per step, while teacher
+forcing runs the recurrence per step and the projection once per batch,
+over every step's features. Beam search
 is length-unnormalized: finished hypotheses compete in a completed pool
 and the highest-scoring completed hypothesis wins (best live one at
 max_len if nothing finished). It batches the beam: the live hypotheses
@@ -96,19 +101,29 @@ class Hypothesis:
         return self.tokens[:-1] if self.finished else list(self.tokens)
 
 
-def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams):
+def attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
+    """Encoder-side attention projection ``states @ v_enc``; it does not
+    change between decoder steps, so callers compute it once per encode."""
+    return matmul(enc.states, params.v_enc)
+
+
+def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
+              keys: Tensor | None = None):
     """Masked additive attention; returns (weights, context).
 
     Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
     Batched: s_prev (B, h), states (B, len, d) -> (B, len), (B, d).
+    Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
+    ``keys`` is ``attention_keys(enc, params)``, computed here when omitted.
     """
     states = enc.states
     if not bool(np.asarray(enc.mask).any(axis=-1).all()):
         raise ValueError("attention: all source positions masked")
+    if keys is None:
+        keys = attention_keys(enc, params)
     proj_s = matmul(s_prev, params.u_dec)
-    proj_e = matmul(states, params.v_enc)
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
-    scores = matmul(tanh(proj_e + proj_s), params.score_v)
+    scores = matmul(tanh(keys + proj_s), params.score_v)
     weights = softmax(scores, mask=enc.mask, axis=-1)
     context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
     return weights, context
@@ -122,16 +137,28 @@ def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
     return tanh(matmul(avg, params.w_init) + params.b_init)
 
 
-def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
-                 params: DecoderParams):
-    """One decoding step; returns (new state, unnormalized vocab logits)."""
+def recurrence_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
+                    params: DecoderParams, keys: Tensor | None = None):
+    """Attention and GRU update; returns (new state, output features
+    ``[s_t; context; emb]``) for ``output_logits``."""
     ids = np.asarray(y_prev_id, dtype=np.intp)
     emb = gather_rows(params.embedding, ids)
-    _, context = attention(s_prev, enc, params.attn)
+    _, context = attention(s_prev, enc, params.attn, keys)
     x = concat([emb, context], axis=-1)
     s_t = gru_cell(x, s_prev, params.gru)
-    logits = matmul(concat([s_t, context, emb], axis=-1), params.w_out) + params.b_out
-    return s_t, logits
+    return s_t, concat([s_t, context, emb], axis=-1)
+
+
+def output_logits(features: Tensor, params: DecoderParams) -> Tensor:
+    """Unnormalized vocabulary logits of one or many steps' features."""
+    return matmul(features, params.w_out) + params.b_out
+
+
+def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
+                 params: DecoderParams, keys: Tensor | None = None):
+    """One decoding step; returns (new state, unnormalized vocab logits)."""
+    s_t, features = recurrence_step(y_prev_id, s_prev, enc, params, keys)
+    return s_t, output_logits(features, params)
 
 
 def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
@@ -140,11 +167,12 @@ def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
     if not seq or seq[-1] != EOS:
         seq = seq + [EOS]
     with no_grad():
+        keys = attention_keys(enc, params.attn)
         s = init_state(enc, params)
         prev = BOS
         total = 0.0
         for tok in seq:
-            s, logits = decoder_step(prev, s, enc, params)
+            s, logits = decoder_step(prev, s, enc, params, keys)
             total += float(log_softmax(logits).data[tok])
             prev = tok
     return total
@@ -162,12 +190,13 @@ def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int)
         raise ValueError("max_len must be >= 1")
     with no_grad():
         B = enc.states.shape[0]
+        keys = attention_keys(enc, params.attn)
         s = init_state(enc, params)
         prev = np.full(B, BOS, dtype=np.intp)
         done = np.zeros(B, dtype=bool)
         outs = [[] for _ in range(B)]
         for _ in range(max_len):
-            s, logits = decoder_step(prev, s, enc, params)
+            s, logits = decoder_step(prev, s, enc, params, keys)
             toks = np.argmax(logits.data, axis=-1)
             for i in range(B):
                 if done[i]:
@@ -201,12 +230,10 @@ def beam_decode(enc: EncoderOutput, params: DecoderParams, beam: int,
         scores = np.zeros(1)
         tokens = [[]]
         completed = []
+        keys = attention_keys(enc, params.attn)
         for _ in range(max_len):
-            k = len(tokens)
-            view = EncoderOutput(
-                states=Tensor(np.broadcast_to(enc.states.data, (k,) + enc.states.shape)),
-                mask=np.broadcast_to(enc.mask, (k,) + enc.mask.shape))
-            s_t, logits = decoder_step(prev, Tensor(states), view, params)
+            # the sentence's (len, d) states broadcast against the (k, h) batch
+            s_t, logits = decoder_step(prev, Tensor(states), enc, params, keys)
             vocab = logits.shape[-1]
             total = (scores[:, None] + log_softmax(logits).data).ravel()
             n = min(beam, total.size)

@@ -195,6 +195,12 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         A, B = a.data, b.data
+        if A.ndim > 2 and B.ndim <= 2:
+            # fold a's leading axes into rows: one GEMM per gradient
+            A2 = A.reshape(-1, A.shape[-1])
+            B2 = B if B.ndim == 2 else B[:, None]
+            G2 = g.reshape(A2.shape[0], B2.shape[1])
+            return (G2 @ B2.T).reshape(A.shape), (A2.T @ G2).reshape(B.shape)
         A1 = A if A.ndim > 1 else A[None, :]
         B1 = B if B.ndim > 1 else B[:, None]
         lead = np.broadcast_shapes(A1.shape[:-2], B1.shape[:-2])
@@ -336,7 +342,10 @@ def transpose(a, axes) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(t) into ``t.grad`` for every requires_grad tensor."""
+    """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor that
+    requires gradients, that is one created directly rather than by an
+    operation. Gradients of intermediate nodes are passed on to their
+    parents and not kept: their ``.grad`` stays None."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     seen = set()
@@ -359,12 +368,12 @@ def backward(loss: Tensor) -> None:
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for p, pg in zip(node._parents, node._backward(g)):
-            if pg is None:
+            if pg is None or not p.requires_grad:
                 continue
             key = id(p)
             pending[key] = pg if key not in pending else pending[key] + pg

@@ -16,11 +16,12 @@ import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
 from .corpus import PAD, UNK, Batch, bucket_indices, make_batch
-from .decoder import decoder_step, init_state
+from .decoder import attention_keys, init_state, output_logits, recurrence_step
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
-from .tensor import Tensor, backward, gather_rows, log_softmax, reshape, stack0, tsum, zero_grads
+from .tensor import (Tensor, backward, concat, gather_rows, log_softmax, reshape, tsum,
+                     zero_grads)
 
 
 def nll_loss(logits, targets, mask):
@@ -70,23 +71,41 @@ class AdamState:
 
 
 def adam_step(params: dict, state: AdamState, lr: float, l2: float = 0.0) -> None:
-    """Bias-corrected Adam update in place; L2 is added to the gradients."""
+    """Bias-corrected Adam update in place; L2 is added to the gradients.
+
+    Every gradient is checked before anything changes, so a non-finite one
+    leaves the parameters, the moments and ``state.step`` as they were.
+    The moments and each ``p.data`` are updated in place.
+    """
+    for name, p in params.items():
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
     state.step += 1
     t = state.step
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
-        grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
-        g = grad + l2 * p.data
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        if l2:
+            g = g + l2 * p.data
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
         m, v = state.moments[name]
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.moments[name] = (m, v)
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        # same operations, in the same order, as m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g, p -= lr * (m/c1) / (sqrt(v/c2) + eps)
+        m *= b1
+        m += (1.0 - b1) * g
+        gg = (1.0 - b2) * g
+        gg *= g
+        v *= b2
+        v += gg
+        denom = np.divide(v, c2, out=gg)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        update = m / c1
+        update *= lr
+        update /= denom
+        p.data -= update
 
 
 def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: TrainConfig,
@@ -103,13 +122,16 @@ def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: Train
     enc = encode_pipeline(batch, model.config, model.encoder, mode=mode,
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
-    s = init_state(enc, model.decoder)
-    step_logits = []
+    dec = model.decoder
+    keys = attention_keys(enc, dec.attn)
+    s = init_state(enc, dec)
+    features = []
     for t in range(tgt_in.shape[1]):
-        s, logits = decoder_step(tgt_in[:, t], s, enc, model.decoder)
-        step_logits.append(logits)
-    all_logits = stack0(step_logits)  # (T, B, vocab)
-    return nll_loss(all_logits, tgt_out.T, mask.T)
+        s, f = recurrence_step(tgt_in[:, t], s, enc, dec, keys)
+        features.append(f)
+    # one projection over every step: (T·B, F) rows in time-major order
+    logits = output_logits(concat(features, axis=0), dec)
+    return nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
 
 
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):

@@ -299,3 +299,24 @@ def test_batched_beam_exact_ties_follow_score_token_hypothesis_order():
     for beam in (1, 3, 12):
         for max_len in (1, 2, 3):
             _assert_matches_oracle(enc, params, beam, max_len)
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_attention_with_precomputed_keys_equals_uncached(batched):
+    params = _decoder(width=4, hid=4, attn=3, seed=6)
+    rng = np.random.default_rng(7)
+    if batched:
+        enc = _enc(rng.uniform(-1, 1, (2, 5, 4)),
+                   mask=[[True] * 5, [True, True, True, False, False]])
+        s = T.Tensor(rng.uniform(-1, 1, (2, 4)))
+    else:
+        enc = _enc(rng.uniform(-1, 1, (5, 4)), mask=[True, False, True, True, True])
+        s = T.Tensor(rng.uniform(-1, 1, 4))
+    keys = D.attention_keys(enc, params.attn)
+    for got, want in zip(D.attention(s, enc, params.attn, keys),
+                         D.attention(s, enc, params.attn)):
+        npt.assert_array_equal(got.data, want.data)
+    s_a, logits_a = D.decoder_step(np.array([4, 2]) if batched else 4, s, enc, params, keys)
+    s_b, logits_b = D.decoder_step(np.array([4, 2]) if batched else 4, s, enc, params)
+    npt.assert_array_equal(s_a.data, s_b.data)
+    npt.assert_array_equal(logits_a.data, logits_b.data)

@@ -196,3 +196,60 @@ def test_checkpoint_roundtrip(tmp_path):
     for k in params:
         npt.assert_array_equal(loaded[k], params[k].data)
         assert loaded[k].dtype == np.float64
+
+
+def _per_index_matmul_grads(A, B, G):
+    """Reference gradients of sum(G * (A @ B)) by a loop over A's leading
+    indices, each a 2-D (or matrix-vector) product."""
+    lead = A.shape[:-2]
+    gA = np.zeros_like(A)
+    gB = np.zeros_like(B)
+    for i in np.ndindex(*lead):
+        if B.ndim == 1:
+            gA[i] = np.outer(G[i], B)
+            gB += A[i].T @ G[i]
+        else:
+            gA[i] = G[i] @ B.T
+            gB += A[i].T @ G[i]
+    return gA, gB
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((3, 5, 4), (4, 2)),       # (B, L, d) @ (d, a)
+    ((2, 3, 5, 4), (4, 2)),    # (2, 3, L, d) @ (d, a)
+    ((3, 5, 4), (4,)),         # (B, L, a) @ (a,)
+])
+def test_matmul_folded_backward_matches_per_index_loop(a_shape, b_shape):
+    rng = np.random.default_rng(31)
+    a = T.Tensor(rng.uniform(-1, 1, a_shape), requires_grad=True)
+    b = T.Tensor(rng.uniform(-1, 1, b_shape), requires_grad=True)
+    G = rng.uniform(-1, 1, np.matmul(a.data, b.data).shape)
+    T.backward(T.tsum(T.matmul(a, b) * T.Tensor(G)))
+    gA, gB = _per_index_matmul_grads(a.data, b.data, G)
+    npt.assert_allclose(a.grad, gA, rtol=0, atol=1e-12)
+    npt.assert_allclose(b.grad, gB, rtol=0, atol=1e-12)
+    assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
+                          {"a": a, "b": b})
+    assert all(e.ok for e in report.values())
+
+
+def test_backward_keeps_gradients_on_leaves_only():
+    rng = np.random.default_rng(32)
+    x = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+    const = T.Tensor(rng.uniform(-1, 1, (3, 2)))
+    h = T.matmul(x, w)
+    y = T.tanh(h)
+    loss = T.tsum(y * const)
+    T.backward(loss)
+    for node in (h, y, loss):
+        assert node.requires_grad and node.grad is None
+    assert const.grad is None
+    dh = const.data * (1.0 - np.tanh(x.data @ w.data) ** 2)
+    npt.assert_allclose(x.grad, dh @ w.data.T, rtol=1e-14)
+    npt.assert_allclose(w.grad, x.data.T @ dh, rtol=1e-14)
+    # a second backward still accumulates into the leaves
+    T.backward(T.tsum(T.matmul(x, w) * T.Tensor(const.data)))
+    npt.assert_allclose(w.grad, x.data.T @ dh + x.data.T @ const.data, rtol=1e-14)

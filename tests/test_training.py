@@ -10,7 +10,8 @@ from gcnmt import training as TR
 from gcnmt.config import ExperimentConfig, TrainConfig
 from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence
 from gcnmt.evaluation import bleu, preprocess, translate_corpus
-from gcnmt.model import build_model
+from gcnmt.model import build_model, load_model_params, save_model
+from tf_oracle import reference_teacher_forcing_loss
 
 
 def test_nll_certain_correct_prediction_is_zero():
@@ -140,6 +141,113 @@ def test_adam_minimizes_quadratic():
     assert np.abs(p.data).max() < 1e-3
 
 
+def _out_of_place_adam(data, grads, moments, t, lr, l2, b1=0.9, b2=0.999, eps=1e-8):
+    """The original out-of-place update, one step over dicts of arrays."""
+    out = {}
+    for name, x in data.items():
+        grad = grads[name] if grads[name] is not None else np.zeros_like(x)
+        g = grad + l2 * x
+        m, v = moments.get(name, (np.zeros_like(x), np.zeros_like(x)))
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        moments[name] = (m, v)
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        out[name] = x - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.5])
+def test_adam_in_place_matches_out_of_place_formula(l2):
+    rng = np.random.default_rng(21)
+    shapes = {"w": (3, 4), "b": (4,), "unused": (2,)}
+    params = {k: T.Tensor(rng.normal(size=s), requires_grad=True)
+              for k, s in shapes.items()}
+    ref = {k: p.data.copy() for k, p in params.items()}
+    ref_moments = {}
+    state = TR.AdamState()
+    for t in range(1, 6):
+        grads = {k: (None if k == "unused" else rng.normal(size=shapes[k]))
+                 for k in shapes}
+        for k, p in params.items():
+            p.grad = grads[k]
+        TR.adam_step(params, state, lr=0.01, l2=l2)
+        ref = _out_of_place_adam(ref, grads, ref_moments, t, lr=0.01, l2=l2)
+        for k, p in params.items():
+            npt.assert_allclose(p.data, ref[k], rtol=1e-15, atol=0)
+            for got, want in zip(state.moments[k], ref_moments[k]):
+                npt.assert_allclose(got, want, rtol=1e-15, atol=0)
+    assert state.step == 5
+
+
+def test_adam_moments_never_alias_parameters():
+    rng = np.random.default_rng(22)
+    params = {k: T.Tensor(rng.normal(size=(3, 2)), requires_grad=True) for k in "ab"}
+    state = TR.AdamState()
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=(3, 2))
+        TR.adam_step(params, state, lr=0.1, l2=0.5)
+        for k, p in params.items():
+            m, v = state.moments[k]
+            assert not np.shares_memory(m, p.data)
+            assert not np.shares_memory(v, p.data)
+            assert not np.shares_memory(m, v)
+            assert not np.shares_memory(m, p.grad) and not np.shares_memory(v, p.grad)
+
+
+def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
+    _, exp, _, prep = _toy_setup()
+    rng = np.random.default_rng(23)
+    model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                        prep.label_vocabs, rng)
+    params = model.parameters()
+    state = TR.AdamState()
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    TR.adam_step(params, state, lr=0.01)
+    path = tmp_path / "model.npz"
+    save_model(path, model)
+    load_model_params(path, model)  # rebinds every .data to a fresh array
+    loaded = {k: p.data for k, p in params.items()}
+    ref_moments = {k: (m.copy(), v.copy()) for k, (m, v) in state.moments.items()}
+    grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
+    for k, p in params.items():
+        p.grad = grads[k]
+    ref = _out_of_place_adam({k: x.copy() for k, x in loaded.items()}, grads,
+                             ref_moments, 2, lr=0.01, l2=0.0)
+    TR.adam_step(params, state, lr=0.01)
+    for k, p in model.parameters().items():
+        assert p.data is loaded[k]
+        npt.assert_allclose(p.data, ref[k], rtol=1e-15, atol=0)
+        assert not np.array_equal(p.data, T.load_checkpoint(path)[k])
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    a = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = T.Tensor(np.array([3.0]), requires_grad=True)
+    params = {"a": a, "b": b}
+    state = TR.AdamState()
+    a.grad, b.grad = np.array([0.5, -0.5]), np.array([1.0])
+    TR.adam_step(params, state, lr=0.1)
+    before = {k: (p.data.copy(), [x.copy() for x in state.moments[k]])
+              for k, p in params.items()}
+    a.grad, b.grad = np.array([0.25, 0.25]), np.array([np.nan])
+    with pytest.raises(FloatingPointError, match="for b"):
+        TR.adam_step(params, state, lr=0.1)
+    assert state.step == 1
+    for k, p in params.items():
+        npt.assert_array_equal(p.data, before[k][0])
+        for got, want in zip(state.moments[k], before[k][1]):
+            npt.assert_array_equal(got, want)
+    fresh = TR.AdamState()
+    with pytest.raises(FloatingPointError):
+        TR.adam_step(params, fresh, lr=0.1)
+    assert fresh.step == 0 and fresh.moments == {}
+    for k, p in params.items():
+        npt.assert_array_equal(p.data, before[k][0])
+
+
 def _toy_setup(recipe="none", seed=0):
     sents = [
         AnnotatedSentence(tokens=["a", "b", "c"],
@@ -183,6 +291,79 @@ def test_teacher_forcing_loss_batch_matches_singles():
         singles.append(TR.teacher_forcing_loss(model, b, "infer", tc1, None).item())
     # both targets have the same length, so the batch loss is the mean
     npt.assert_allclose(loss_batch.item(), np.mean(singles), rtol=1e-10)
+
+
+def _mixed_target_setup(encoder, recipe):
+    """Three source-length-4 sentences with both graphs and targets of 1, 4
+    and 2 tokens, so the batch's target rows are PAD-masked unevenly."""
+    sents = [
+        AnnotatedSentence(tokens=["a", "b", "c", "d"],
+                          sem_edges=[(1, 0, "A0"), (1, 3, "A1")],
+                          syn_edges=[(1, 0, "sbj"), (1, 3, "obj"), (3, 2, "det")]),
+        AnnotatedSentence(tokens=["c", "a", "d", "b"],
+                          sem_edges=[(0, 2, "A1"), (0, 1, "A0")],
+                          syn_edges=[(0, 2, "obj"), (0, 1, "sbj"), (2, 3, "det")]),
+        AnnotatedSentence(tokens=["d", "c", "b", "a"],
+                          sem_edges=[(2, 3, "A0"), (2, 0, "A1")],
+                          syn_edges=[(2, 3, "sbj"), (2, 1, "obj"), (1, 0, "det")]),
+    ]
+    pairs = [(sents[0], ["x"]), (sents[1], ["y", "x", "z", "y"]),
+             (sents[2], ["z", "y"])]
+    exp = ExperimentConfig(encoder=encoder, recipe=recipe, emb_size=5,
+                           hidden_size=6, attn_size=4, cnn_window=3,
+                           decode="greedy", max_decode_len=5, bpe_merges=0)
+    tc = TrainConfig(batch_size=3, min_count=1, word_retain=0.8, edge_retain=0.8)
+    prep = preprocess(pairs, exp, tc)
+    (batch,) = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
+    model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                        prep.label_vocabs, np.random.default_rng(5))
+    return model, batch, tc
+
+
+def _loss_and_grads(loss_fn, model, batch, tc, rng):
+    params = model.parameters()
+    T.zero_grads(params)
+    loss = loss_fn(model, batch, "train", tc, rng)
+    T.backward(loss)
+    return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+@pytest.mark.parametrize("recipe", ["none", "sem:1", "syn:1+sem:1"])
+def test_teacher_forcing_matches_per_step_oracle(encoder, recipe):
+    model, batch, tc = _mixed_target_setup(encoder, recipe)
+    assert batch.tgt.shape == (3, 6) and (batch.tgt == PAD).sum() == 5
+    rng_ref, rng_new = np.random.default_rng(99), np.random.default_rng(99)
+    want_loss, want = _loss_and_grads(reference_teacher_forcing_loss, model, batch,
+                                      tc, rng_ref)
+    got_loss, got = _loss_and_grads(TR.teacher_forcing_loss, model, batch, tc, rng_new)
+    assert abs(got_loss - want_loss) <= 1e-12
+    assert set(got) == set(want)
+    for name in want:
+        npt.assert_allclose(got[name], want[name], rtol=0, atol=1e-12, err_msg=name)
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    # the draws happened: dropout consumed the generator
+    assert rng_new.bit_generator.state != np.random.default_rng(99).bit_generator.state
+
+
+def test_teacher_forcing_projects_and_keys_once_per_batch():
+    model, batch, tc = _mixed_target_setup("birnn", "syn:1+sem:1")
+    loss = TR.teacher_forcing_loss(model, batch, "train", tc, np.random.default_rng(1))
+    consumers = {id(model.decoder.w_out): [], id(model.decoder.attn.v_enc): []}
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        for p in node._parents:
+            if id(p) in consumers:
+                consumers[id(p)].append(node)
+        stack.extend(node._parents)
+    for nodes in consumers.values():
+        assert len(nodes) == 1
+        assert nodes[0]._backward.__qualname__.startswith("matmul.")
+    assert batch.tgt.shape[1] - 1 > 1  # more than one decoder step was taken
 
 
 def test_single_sentence_overfit_drives_loss_down():
