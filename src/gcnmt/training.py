@@ -86,26 +86,15 @@ def adam_step(params: dict, state: AdamState, lr: float, l2: float = 0.0) -> Non
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if l2:
-            g = g + l2 * p.data
+        g = g + l2 * p.data
         if name not in state.moments:
             state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
         m, v = state.moments[name]
-        # same operations, in the same order, as m = b1*m + (1-b1)*g,
-        # v = b2*v + (1-b2)*g*g, p -= lr * (m/c1) / (sqrt(v/c2) + eps)
         m *= b1
         m += (1.0 - b1) * g
-        gg = (1.0 - b2) * g
-        gg *= g
         v *= b2
-        v += gg
-        denom = np.divide(v, c2, out=gg)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        update = m / c1
-        update *= lr
-        update /= denom
-        p.data -= update
+        v += (1.0 - b2) * g * g
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: TrainConfig,
