@@ -18,8 +18,11 @@ Every row of a sentence must carry 5 + (number of predicates) columns.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -210,9 +213,7 @@ def build_vocab(corpus, min_count: int = 1, cls=Vocabulary) -> Vocabulary:
     """Keep symbols with count >= min_count, ordered by frequency then lexically."""
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = Counter()
-    for sent in corpus:
-        counts.update(sent)
+    counts = Counter(chain.from_iterable(corpus))
     for special in cls.SPECIALS:
         counts.pop(special, None)
     kept = sorted(
@@ -223,10 +224,17 @@ def build_vocab(corpus, min_count: int = 1, cls=Vocabulary) -> Vocabulary:
 
 
 class BpeModel:
-    """Ordered merge table; the end-of-word marker is appended to final chars."""
+    """Ordered merge table; the end-of-word marker is appended to final chars.
+
+    ``_ranks`` maps each pair to the ascending ranks (table positions) at
+    which it occurs; a hand-written table may repeat a pair.
+    """
 
     def __init__(self, merges):
         self.merges = [tuple(m) for m in merges]
+        self._ranks = {}
+        for rank, pair in enumerate(self.merges):
+            self._ranks.setdefault(pair, []).append(rank)
         self._cache = {}
 
     def save(self, path) -> None:
@@ -264,42 +272,86 @@ def _merge_symbols(symbols, pair):
 
 
 def learn_bpe(corpus, num_merges: int) -> BpeModel:
-    """Greedy most-frequent-pair merges; ties broken lexicographically."""
+    """Greedy most-frequent-pair merges; ties broken lexicographically.
+
+    Each merge takes the adjacent symbol pair with the highest count over
+    all word types (weighted by frequency), the smallest pair among ties,
+    and stops early when no pair is left. Counts are kept up to date across
+    merges: only the word types listed under the merged pair in a pair ->
+    word-types index are re-merged, their old pairs subtracted and their new
+    ones added. The next pair comes from a heap of ``(-count, pair)`` whose
+    entries are skipped once their count is stale.
+    """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
-    word_freq = Counter()
-    for sent in corpus:
-        word_freq.update(tok for tok in sent if tok)
+    word_freq = Counter(chain.from_iterable(corpus))
+    word_freq.pop("", None)
     words = {w: _word_symbols(w) for w in word_freq}
+    pair_counts = Counter()
+    index = defaultdict(set)
+    for w, syms in words.items():
+        for pair in zip(syms, syms[1:]):
+            pair_counts[pair] += word_freq[w]
+            index[pair].add(w)
+    heap = [(-c, p) for p, c in pair_counts.items()]
+    heapq.heapify(heap)
     merges = []
-    for _ in range(num_merges):
-        pair_counts = Counter()
-        for w, syms in words.items():
-            freq = word_freq[w]
-            for a, b in zip(syms, syms[1:]):
-                pair_counts[(a, b)] += freq
-        if not pair_counts:
-            break
-        top = max(pair_counts.values())
-        best = min(p for p, c in pair_counts.items() if c == top)
+    while heap and len(merges) < num_merges:
+        neg_count, best = heapq.heappop(heap)
+        if pair_counts[best] != -neg_count:
+            continue
         merges.append(best)
-        for w in words:
-            words[w] = _merge_symbols(words[w], best)
+        changed = set()
+        for w in index.pop(best):
+            old = words[w]
+            new = _merge_symbols(old, best)
+            if len(new) == len(old):  # an earlier merge took the pair from w
+                continue
+            freq = word_freq[w]
+            for pair in zip(old, old[1:]):
+                pair_counts[pair] -= freq
+                changed.add(pair)
+            for pair in zip(new, new[1:]):
+                pair_counts[pair] += freq
+                index[pair].add(w)
+                changed.add(pair)
+            words[w] = new
+        for pair in changed:
+            if pair_counts[pair]:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
+            else:
+                del pair_counts[pair]
     return BpeModel(merges)
 
 
 def apply_bpe(model: BpeModel, token: str):
-    """Deterministic segmentation; inner pieces carry the join marker."""
+    """Deterministic segmentation; inner pieces carry the join marker.
+
+    The result is that of applying every merge of the table in order, each
+    to all its left-to-right occurrences: a merge whose pair is absent is
+    skipped, and a repeated merge applies again. Only merges that change the
+    word are run: the next one is the lowest rank above the last applied
+    among the pairs present.
+    """
     if not token:
         return []
     cached = model._cache.get(token)
     if cached is not None:
         return list(cached)
     symbols = _word_symbols(token)
-    for pair in model.merges:
-        if len(symbols) == 1:
+    last = -1
+    while len(symbols) > 1:
+        best = None
+        for pair in zip(symbols, symbols[1:]):
+            ranks = model._ranks.get(pair)
+            if ranks is not None and ranks[-1] > last:
+                rank = ranks[bisect_right(ranks, last)]
+                if best is None or rank < best:
+                    best = rank
+        if best is None:
             break
-        symbols = _merge_symbols(symbols, pair)
+        symbols = _merge_symbols(symbols, model.merges[best])
+        last = best
     pieces = [s + BPE_JOIN for s in symbols[:-1]]
     pieces.append(symbols[-1][: -len(BPE_EOW)])
     model._cache[token] = tuple(pieces)

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bpe_oracle import reference_apply_bpe, reference_learn_bpe
 from gcnmt import corpus as C
 
 FIGURE1 = """\
@@ -157,6 +159,72 @@ def test_bpe_file_roundtrip(tmp_path):
     path = tmp_path / "bpe.txt"
     model.save(path)
     assert C.BpeModel.load(path).merges == model.merges
+
+
+def _assert_matches_bpe_oracle(corpus, num_merges, extra_words=()):
+    model = C.learn_bpe(corpus, num_merges)
+    expected = reference_learn_bpe(corpus, num_merges)
+    assert model.merges == expected.merges
+    for word in {w for sent in corpus for w in sent} | set(extra_words):
+        assert C.apply_bpe(model, word) == reference_apply_bpe(expected, word)
+    return model
+
+
+def _random_corpus(rng, alphabet, n_types, max_len):
+    # Zipf-like counts: type k occurs about n_types / (k + 1) times, so a few
+    # types dominate and many occur once.
+    types = ["".join(rng.choice(list(alphabet), size=rng.integers(0, max_len + 1)))
+             for _ in range(n_types)]
+    tokens = [t for k, t in enumerate(types) for _ in range(max(1, n_types // (k + 1)))]
+    rng.shuffle(tokens)
+    return [tokens[i:i + 7] for i in range(0, len(tokens), 7)]
+
+
+@pytest.mark.parametrize("alphabet", ["ab", "abcd"])
+@pytest.mark.parametrize("seed", range(25))
+def test_bpe_matches_oracle_on_seeded_corpora(alphabet, seed):
+    rng = np.random.default_rng(seed)
+    corpus = _random_corpus(rng, alphabet, n_types=int(rng.integers(1, 40)), max_len=8)
+    unseen = ["".join(rng.choice(list(alphabet), size=n)) for n in range(1, 12)]
+    _assert_matches_bpe_oracle(corpus, int(rng.integers(0, 60)), unseen)
+
+
+def test_bpe_matches_oracle_with_skewed_frequencies():
+    corpus = [["aaaa"] * 500 + ["abab"] * 50 + ["baba", "aabb", "bbbb", "a"]]
+    _assert_matches_bpe_oracle(corpus, 12, ["aaaaaaa", "ababab", "bab"])
+
+
+def test_bpe_matches_oracle_with_empty_tokens():
+    corpus = [["", "ab", ""], [""], [], ["ba", "", "aab"]]
+    model = _assert_matches_bpe_oracle(corpus, 5)
+    assert C.apply_bpe(model, "") == []
+
+
+def test_bpe_stops_early_like_oracle_when_pairs_run_out():
+    model = _assert_matches_bpe_oracle([["ab", "aab", "b"]], 50)
+    assert len(model.merges) < 50
+    assert C.apply_bpe(model, "aab") == ["aab"]
+
+
+@given(st.lists(st.lists(st.text(alphabet="abc", max_size=7), max_size=6), max_size=6),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=150, deadline=None)
+def test_bpe_matches_oracle_property(corpus, num_merges):
+    _assert_matches_bpe_oracle(corpus, num_merges, ["abcabc", "aaaa", "cba"])
+
+
+def test_apply_bpe_skips_absent_pair_and_keeps_table_order():
+    # ("a", "bc</w>") is absent when the table starts, so it is skipped; the
+    # later ("b", "c</w>") must not let it apply afterwards.
+    model = C.BpeModel([("a", "bc</w>"), ("b", "c</w>")])
+    assert C.apply_bpe(model, "abc") == ["a@@", "bc"]
+
+
+def test_apply_bpe_repeated_merge_applies_again(tmp_path):
+    path = tmp_path / "bpe.txt"
+    path.write_text("a bc</w>\nb c</w>\na bc</w>\n", encoding="utf-8")
+    model = C.BpeModel.load(path)
+    assert C.apply_bpe(model, "abc") == ["abc"]
 
 
 def test_label_vocab_folds_rare_labels():
