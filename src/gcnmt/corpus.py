@@ -353,7 +353,12 @@ def apply_bpe(model: BpeModel, token: str):
         symbols = _merge_symbols(symbols, model.merges[best])
         last = best
     pieces = [s + BPE_JOIN for s in symbols[:-1]]
-    pieces.append(symbols[-1][: -len(BPE_EOW)])
+    final = symbols[-1][: -len(BPE_EOW)]
+    if final.endswith(BPE_JOIN):
+        # rejoin_bpe would read it as an inner piece: end the word on its last char
+        pieces += [final[:-1] + BPE_JOIN, final[-1]]
+    else:
+        pieces.append(final)
     model._cache[token] = tuple(pieces)
     return pieces
 

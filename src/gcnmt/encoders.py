@@ -91,22 +91,18 @@ def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
         raise ValueError("birnn_encode: empty input")
     hidden = fwd.u_z.shape[0]
     state_shape = (hidden,) if emb.ndim == 2 else (emb.shape[1], hidden)
+    rows = [gather_rows(emb, t) for t in range(n)]
     h = Tensor(np.zeros(state_shape))
     forward = []
-    for t in range(n):
-        h = gru_cell(_row(emb, t), h, fwd)
+    for x_t in rows:
+        h = gru_cell(x_t, h, fwd)
         forward.append(h)
     h = Tensor(np.zeros(state_shape))
-    backward_states = [None] * n
-    for t in reversed(range(n)):
-        h = gru_cell(_row(emb, t), h, bwd)
-        backward_states[t] = h
-    rows = [concat([f, b], axis=-1) for f, b in zip(forward, backward_states)]
-    return stack0(rows)
-
-
-def _row(t: Tensor, i: int) -> Tensor:
-    return reshape(slice_rows(t, i, i + 1), t.shape[1:])
+    backward_states = []
+    for x_t in reversed(rows):
+        h = gru_cell(x_t, h, bwd)
+        backward_states.append(h)
+    return concat([stack0(forward), stack0(backward_states[::-1])], axis=-1)
 
 
 def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, window: int):
@@ -115,22 +111,11 @@ def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, window: int):
         raise ValueError(f"cnn window must be odd and >= 1, got {window}")
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     n = emb.shape[0]
-    half = window // 2
-    shifts = []
-    for offset in range(-half, half + 1):
-        if offset == 0:
-            shifts.append(emb)
-            continue
-        keep = max(0, n - abs(offset))
-        pad = Tensor(np.zeros((n - keep,) + emb.shape[1:]))
-        if keep == 0:
-            shifts.append(pad)
-        elif offset < 0:
-            shifts.append(concat([pad, slice_rows(emb, 0, keep)], axis=0))
-        else:
-            shifts.append(concat([slice_rows(emb, offset, offset + keep), pad], axis=0))
-    stacked = concat(shifts, axis=-1)
-    return relu(matmul(stacked, w_filter) + b_filter)
+    pad = Tensor(np.zeros((window // 2,) + emb.shape[1:]))
+    padded = concat([pad, emb, pad], axis=0)
+    # shift k is emb moved by k - window // 2 rows, zeros past either end
+    shifts = [slice_rows(padded, k, k + n) for k in range(window)]
+    return relu(matmul(concat(shifts, axis=-1), w_filter) + b_filter)
 
 
 # Base encoders, one replaceable part under the GCN stack. They call the

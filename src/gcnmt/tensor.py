@@ -185,31 +185,21 @@ def neg(a) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """``a`` (..., k) times ``b`` (k, m) or (k,); each gradient is one GEMM."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError(f"matmul needs >=1-d operands, got {a.shape} and {b.shape}")
+    if a.ndim == 0 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul needs a >=1-d a and a 1-d or 2-d b, "
+                         f"got {a.shape} and {b.shape}")
     try:
         data = np.matmul(a.data, b.data)
     except ValueError as e:
         raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible") from e
 
     def bwd(g):
-        A, B = a.data, b.data
-        if A.ndim > 2 and B.ndim <= 2:
-            # fold a's leading axes into rows: one GEMM per gradient
-            A2 = A.reshape(-1, A.shape[-1])
-            B2 = B if B.ndim == 2 else B[:, None]
-            G2 = g.reshape(A2.shape[0], B2.shape[1])
-            return (G2 @ B2.T).reshape(A.shape), (A2.T @ G2).reshape(B.shape)
-        A1 = A if A.ndim > 1 else A[None, :]
-        B1 = B if B.ndim > 1 else B[:, None]
-        lead = np.broadcast_shapes(A1.shape[:-2], B1.shape[:-2])
-        G1 = g.reshape(lead + (A1.shape[-2], B1.shape[-1]))
-        gA = np.matmul(G1, np.swapaxes(B1, -1, -2))
-        gB = np.matmul(np.swapaxes(A1, -1, -2), G1)
-        gA = _unbroadcast(gA, A1.shape).reshape(A.shape)
-        gB = _unbroadcast(gB, B1.shape).reshape(B.shape)
-        return gA, gB
+        A2 = a.data.reshape(-1, a.shape[-1])
+        B2 = b.data if b.ndim == 2 else b.data[:, None]
+        G2 = g.reshape(A2.shape[0], B2.shape[1])
+        return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
 
     return _node(data, (a, b), bwd)
 
@@ -263,14 +253,12 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _node(lsm, (a,), bwd)
 
 
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _node(data, (a,), bwd)
@@ -289,8 +277,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def stack0(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis."""
-    ts = [reshape(_as_tensor(t), (1,) + _as_tensor(t).shape) for t in tensors]
-    return concat(ts, axis=0)
+    ts = [_as_tensor(t) for t in tensors]
+    return _node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -441,11 +429,8 @@ def save_checkpoint(path, params: dict) -> None:
     The container is numpy's ``.npz`` format: a zip archive holding one
     ``.npy`` member per parameter path.
     """
-    arrays = {}
-    for name, p in params.items():
-        data = p.data if isinstance(p, Tensor) else np.asarray(p)
-        arrays[name] = np.asarray(data, dtype="<f8")
-    np.savez(path, **arrays)
+    np.savez(path, **{name: np.asarray(p.data, dtype="<f8")
+                      for name, p in params.items()})
 
 
 def load_checkpoint(path) -> dict:

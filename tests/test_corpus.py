@@ -154,6 +154,20 @@ def test_bpe_inverse_concatenation_property(tokens):
         assert C.rejoin_bpe(pieces) == [tok]
 
 
+JOIN_MARKER_WORDS = ["@", "@@", "@@@@", "x@@@", "a@", "a@@b", "ab@@"]
+
+
+@pytest.mark.parametrize("corpus", [[["ab@@"] * 5], [JOIN_MARKER_WORDS * 5], []])
+def test_rejoin_bpe_keeps_words_ending_in_the_join_marker(corpus):
+    # a learned merge can make a word-final piece such as "ab@@", which must
+    # not be glued to the next word
+    model = C.learn_bpe(corpus, 10)
+    for word in JOIN_MARKER_WORDS:
+        pieces = C.segment(model, [word, "c"])
+        assert all(pieces)
+        assert C.rejoin_bpe(pieces) == [word, "c"]
+
+
 def test_bpe_file_roundtrip(tmp_path):
     model = C.learn_bpe([["banana", "bandana"]], num_merges=5)
     path = tmp_path / "bpe.txt"

@@ -149,6 +149,51 @@ def test_cnn_rejects_even_window():
                      T.Tensor(np.zeros(2)), window=2)
 
 
+def _cnn_oracle(emb, w, b, window):
+    """Zero-padded windows built position by position in numpy."""
+    n, half = emb.shape[0], window // 2
+    zero = np.zeros_like(emb[0])
+    windows = [np.concatenate([emb[j] if 0 <= j < n else zero
+                               for j in range(i - half, i + half + 1)], axis=-1)
+               for i in range(n)]
+    return np.maximum(np.stack(windows) @ w + b, 0.0)
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 7])
+@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("n", [1, 2, 6])
+def test_cnn_matches_padded_window_oracle_and_finite_differences(window, lead, n):
+    # with n <= window // 2 the outer shifts lie wholly in the zero padding
+    rng = np.random.default_rng(100 * window + 10 * len(lead) + n)
+    params = {"emb": T.Tensor(rng.uniform(-1, 1, (n,) + lead + (2,)), requires_grad=True),
+              "w": T.Tensor(rng.uniform(-1, 1, (window * 2, 3)), requires_grad=True),
+              "b": T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)}
+    out = E.cnn_encode(params["emb"], params["w"], params["b"], window)
+    expected = _cnn_oracle(params["emb"].data, params["w"].data, params["b"].data, window)
+    npt.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
+
+    def f(p):
+        y = E.cnn_encode(p["emb"], p["w"], p["b"], window)
+        return T.tsum(y * y)
+
+    report = T.grad_check(f, params)
+    assert all(e.ok for e in report.values()), report
+
+
+def test_birnn_batch_gradients_vs_finite_differences():
+    rng = np.random.default_rng(11)
+    fwd, bwd = E.init_gru(rng, 3, 2), E.init_gru(rng, 3, 2)
+    params = {"emb": T.Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True),
+              **fwd.named("fwd"), **bwd.named("bwd")}
+    weights = T.Tensor(rng.uniform(-1, 1, (3, 2, 4)))
+
+    def f(p):
+        return T.tsum(E.birnn_encode(p["emb"], fwd, bwd) * weights)
+
+    report = T.grad_check(f, params)
+    assert all(e.ok for e in report.values()), report
+
+
 def _layer(rng, d, n_labels=3, graphs=("sem",)):
     return E.init_gcn_layer(rng, d, {g: n_labels for g in graphs})
 

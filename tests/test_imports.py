@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import gcnmt
+from gcnmt import tensor
 
 PACKAGE = Path(gcnmt.__file__).parent
 
@@ -93,3 +94,12 @@ def test_every_defined_name_is_used():
     unused = sorted(f"{module}.{name}" for module, tree in _modules().items()
                     for name in _defined_names(tree) - loaded)
     assert unused == []
+
+
+def test_exports_match_definitions():
+    tree = _modules()["tensor"]
+    public = {node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(tensor.__all__) == sorted(public)
+    assert [name for name in gcnmt.__all__ if not hasattr(gcnmt, name)] == []

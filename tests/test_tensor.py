@@ -25,6 +25,8 @@ def test_matmul_identity_and_zero():
 def test_matmul_shape_error_names_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
         T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((2, 3))))
+    with pytest.raises(T.ShapeError, match=r"\(2, 3, 4\).*\(2, 4, 5\)"):
+        T.matmul(T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((2, 4, 5))))
 
 
 def test_elementwise_trivial():
@@ -218,6 +220,8 @@ def _per_index_matmul_grads(A, B, G):
     ((3, 5, 4), (4, 2)),       # (B, L, d) @ (d, a)
     ((2, 3, 5, 4), (4, 2)),    # (2, 3, L, d) @ (d, a)
     ((3, 5, 4), (4,)),         # (B, L, a) @ (a,)
+    ((5, 4), (4, 2)),
+    ((5, 4), (4,)),
 ])
 def test_matmul_folded_backward_matches_per_index_loop(a_shape, b_shape):
     rng = np.random.default_rng(31)
@@ -229,6 +233,20 @@ def test_matmul_folded_backward_matches_per_index_loop(a_shape, b_shape):
     npt.assert_allclose(a.grad, gA, rtol=0, atol=1e-12)
     npt.assert_allclose(b.grad, gB, rtol=0, atol=1e-12)
     assert a.grad.shape == a_shape and b.grad.shape == b_shape
+
+    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
+                          {"a": a, "b": b})
+    assert all(e.ok for e in report.values())
+
+
+def test_matmul_vector_a_gradients():
+    rng = np.random.default_rng(33)
+    a = T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
+    b = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    G = rng.uniform(-1, 1, 3)
+    T.backward(T.tsum(T.matmul(a, b) * T.Tensor(G)))
+    npt.assert_allclose(a.grad, b.data @ G, rtol=0, atol=1e-12)
+    npt.assert_allclose(b.grad, np.outer(a.data, G), rtol=0, atol=1e-12)
 
     report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
                           {"a": a, "b": b})
