@@ -147,16 +147,18 @@ def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
 
 def run_grid(grid_name: str, exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
              paths: DataPaths):
-    """Run every recipe of a named grid; returns one summary per recipe."""
+    """Run every recipe of a named grid; returns one summary per recipe.
+
+    Each cell writes under ``out_dir/<recipe>``; an empty ``out_dir`` stays
+    empty for every cell, so the grid writes no files."""
     if grid_name not in GRIDS:
         raise ConfigError(f"unknown grid {grid_name!r}; known: {sorted(GRIDS)}")
     summaries = []
     base_out = paths.out_dir
     for recipe in GRIDS[grid_name]:
         cfg = ExperimentConfig(**{**exp_cfg.__dict__, "recipe": recipe})
-        cell_paths = DataPaths(**{**paths.__dict__,
-                                  "out_dir": os.path.join(base_out,
-                                                          recipe.replace(":", ""))})
+        cell_out = os.path.join(base_out, recipe.replace(":", "")) if base_out else ""
+        cell_paths = DataPaths(**{**paths.__dict__, "out_dir": cell_out})
         summaries.append(run_experiment(cfg, train_cfg, cell_paths))
     return summaries
 

@@ -7,7 +7,10 @@ context vector, and the output projection reads [state; context; previous
 embedding]. A step is the recurrence (``recurrence_step``) followed by the
 projection (``output_logits``): decoding runs both per step, while teacher
 forcing runs the recurrence per step and the projection once per batch,
-over every step's features. Beam search
+over every step's features. A greedy batch may mix source lengths: its
+states are zero-padded to the longest source, and ``mask`` keeps the
+padding out of attention (masked softmax) and out of the initial state
+(masked mean). Beam search
 is length-unnormalized: finished hypotheses compete in a completed pool
 and the highest-scoring completed hypothesis wins (best live one at
 max_len if nothing finished). It batches the beam: the live hypotheses
@@ -185,7 +188,13 @@ def greedy_decode(enc: EncoderOutput, params: DecoderParams, max_len: int):
 
 
 def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int):
-    """Batched argmax decoding; returns one id list per sentence."""
+    """Batched argmax decoding; returns one id list per sentence.
+
+    Rows may have different source lengths: padded positions carry
+    ``mask`` False and never reach attention or the initial state. Each
+    step's argmax goes into a ``(steps, B)`` matrix, and each row is cut
+    at its first EOS at the end; a finished row feeds EOS back in.
+    """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
@@ -194,21 +203,19 @@ def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int)
         s = init_state(enc, params)
         prev = np.full(B, BOS, dtype=np.intp)
         done = np.zeros(B, dtype=bool)
-        outs = [[] for _ in range(B)]
+        steps = []
         for _ in range(max_len):
             s, logits = decoder_step(prev, s, enc, params, keys)
             toks = np.argmax(logits.data, axis=-1)
-            for i in range(B):
-                if done[i]:
-                    continue
-                if toks[i] == EOS:
-                    done[i] = True
-                else:
-                    outs[i].append(int(toks[i]))
-            prev = np.where(done, EOS, toks).astype(np.intp)
+            steps.append(toks)
+            done |= toks == EOS
+            prev = np.where(done, EOS, toks)
             if done.all():
                 break
-    return outs
+    ids = np.stack(steps)
+    eos = ids == EOS
+    ends = np.where(eos.any(axis=0), eos.argmax(axis=0), len(steps))
+    return [ids[:end, i].tolist() for i, end in enumerate(ends)]
 
 
 def beam_decode(enc: EncoderOutput, params: DecoderParams, beam: int,

@@ -12,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ExperimentConfig, TrainConfig
 from .corpus import (
     LabelVocab,
@@ -31,31 +33,62 @@ from .tensor import Tensor, no_grad
 MAX_ORDER = 4
 
 
+def _pad_outputs(encs) -> EncoderOutput:
+    """Stack encoder outputs of different source lengths into one batch,
+    zero-padded to the longest, with ``mask`` False on the padding."""
+    length = max(e.states.shape[1] for e in encs)
+    states = np.concatenate([np.pad(e.states.data,
+                                    ((0, 0), (0, length - e.states.shape[1]), (0, 0)))
+                             for e in encs])
+    mask = np.concatenate([np.pad(e.mask, ((0, 0), (0, length - e.mask.shape[1])))
+                           for e in encs])
+    return EncoderOutput(Tensor(states), mask)
+
+
 def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
                      train_cfg: TrainConfig):
     """Translate honoring the configured decoding mode (greedy or beam);
     returns detokenized word lists in input order.
 
-    The one corpus-translation loop: sentences are encoded in length
-    buckets of ``train_cfg.batch_size`` with no length limit, each bucket is
-    greedy-decoded as a batch or beam-searched sentence by sentence.
+    The one corpus-translation loop: sentences are encoded in exact-length
+    buckets of at most ``train_cfg.batch_size`` with no length limit, since
+    the base encoders have no mask. Greedy decoding gathers consecutive
+    buckets into groups of at most ``batch_size`` sentences that may mix
+    source lengths: each group is zero-padded to its longest source, and the
+    decoder masks the padding in attention and in its initial state. A group
+    is decoded as soon as the next bucket would overflow it. Beam search
+    runs sentence by sentence.
     """
     cfg = model.config
     hyps = [None] * len(pairs)
+
+    def emit(idx, outs):
+        for i, ids in zip(idx, outs):
+            pieces = [tgt_vocab.token(t) for t in ids]
+            hyps[i] = rejoin_bpe(pieces) if bpe is not None else pieces
+
+    def decode_group(group, encs):
+        emit(group, greedy_decode_batch(_pad_outputs(encs), model.decoder,
+                                        cfg.max_decode_len))
+
+    group, encs = [], []
     for idx in bucket_indices(pairs, train_cfg.batch_size):
         batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
         with no_grad():
             enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
-        if cfg.decode == "greedy":
-            outs = greedy_decode_batch(enc, model.decoder, cfg.max_decode_len)
-        else:
-            outs = [beam_decode(EncoderOutput(Tensor(enc.states.data[j]), enc.mask[j]),
-                                model.decoder, cfg.beam_size,
-                                cfg.max_decode_len).translation()
-                    for j in range(len(idx))]
-        for i, ids in zip(idx, outs):
-            pieces = [tgt_vocab.token(t) for t in ids]
-            hyps[i] = rejoin_bpe(pieces) if bpe is not None else pieces
+        if cfg.decode != "greedy":
+            emit(idx, [beam_decode(EncoderOutput(Tensor(enc.states.data[j]), enc.mask[j]),
+                                   model.decoder, cfg.beam_size,
+                                   cfg.max_decode_len).translation()
+                       for j in range(len(idx))])
+            continue
+        if len(group) + len(idx) > train_cfg.batch_size:
+            decode_group(group, encs)
+            group, encs = [], []
+        group += idx
+        encs.append(enc)
+    if group:
+        decode_group(group, encs)
     return hyps
 
 

@@ -164,6 +164,61 @@ def test_greedy_batch_matches_per_sentence():
         assert batched[i] == single
 
 
+def _reference_greedy_batch(enc, params, max_len):
+    """Per-row bookkeeping loop: append each row's token until its EOS."""
+    with T.no_grad():
+        keys = D.attention_keys(enc, params.attn)
+        s = D.init_state(enc, params)
+        B = enc.states.shape[0]
+        prev = np.full(B, BOS)
+        done = [False] * B
+        outs = [[] for _ in range(B)]
+        for _ in range(max_len):
+            s, logits = D.decoder_step(prev, s, enc, params, keys)
+            toks = np.argmax(logits.data, axis=-1)
+            for i in range(B):
+                if not done[i]:
+                    if toks[i] == EOS:
+                        done[i] = True
+                    else:
+                        outs[i].append(int(toks[i]))
+            prev = np.where(done, EOS, toks)
+            if all(done):
+                break
+    return outs
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 6])
+def test_greedy_batch_rows_finishing_at_different_steps(max_len):
+    params = _decoder(vocab=6, seed=7, scale=3.0)
+    states = np.random.default_rng(6).uniform(-1, 1, (8, 4, 4))
+    enc = _enc(states)
+    batched = D.greedy_decode_batch(enc, params, max_len=max_len)
+    assert batched == _reference_greedy_batch(enc, params, max_len)
+    assert all(type(t) is int for ids in batched for t in ids)
+    # rows end at steps 1 and 2, and others run to max_len
+    full = D.greedy_decode_batch(enc, params, max_len=6)
+    assert {0, 1, 6} <= {len(ids) for ids in full}
+
+
+def test_greedy_batch_padding_is_inert():
+    # padded rows hold large finite values, not zeros: only the mask may
+    # keep them out of attention and of the initial state
+    params = _decoder(vocab=8, seed=6, scale=3.0)
+    rng = np.random.default_rng(9)
+    lengths = [4, 1, 3, 2, 4]
+    sents = [rng.uniform(-1, 1, (n, 4)) for n in lengths]
+    states = np.full((len(lengths), 4, 4), 1e3)
+    mask = np.zeros((len(lengths), 4), dtype=bool)
+    for i, (n, x) in enumerate(zip(lengths, sents)):
+        states[i, :n] = x
+        mask[i, :n] = True
+    batched = D.greedy_decode_batch(_enc(states, mask), params, max_len=6)
+    singles = [D.greedy_decode(_enc(x), params, max_len=6) for x in sents]
+    assert batched == singles
+    assert len({len(ids) for ids in singles}) > 1
+
+
 def test_beam1_identical_to_greedy():
     rng = np.random.default_rng(8)
     for seed in range(5):

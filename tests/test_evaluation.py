@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from gcnmt import cli
 from gcnmt import config as CFG
 from gcnmt import evaluation as E
-from gcnmt.corpus import AnnotatedSentence, make_batch, serialize_conll
-from gcnmt.decoder import greedy_decode
+from gcnmt.corpus import AnnotatedSentence, bucket_indices, make_batch, serialize_conll
+from gcnmt.decoder import greedy_decode, greedy_decode_batch
 from gcnmt.encoders import EncoderOutput, encode_pipeline
 from gcnmt.model import build_model
-from gcnmt.tensor import Tensor
+from gcnmt.tensor import Tensor, no_grad
+from gcnmt.training import train
 
 
 def test_bleu_identical_corpus_is_100():
@@ -379,6 +380,75 @@ def test_translate_corpus_encodes_without_a_tape(monkeypatch):
     assert hyps == expected
 
 
+def _mixed_length_corpus(counts, seed):
+    """Copy task pairs with ``counts[n - 1]`` sources of length n, shuffled."""
+    rng = np.random.default_rng(seed)
+    words = ["a", "b", "c", "d", "e", "f"]
+    pairs = []
+    for n, count in enumerate(counts, start=1):
+        for _ in range(count):
+            toks = [words[i] for i in rng.choice(len(words), size=n)]
+            pairs.append((AnnotatedSentence(
+                tokens=toks, sem_edges=[(0, n - 1, "A0")] if n > 1 else [],
+                syn_edges=[]), [w.upper() for w in toks]))
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+@pytest.mark.parametrize("batch_size,group_sizes", [
+    (1, [1] * 15),
+    (3, [3, 2, 3, 2, 3, 2]),
+    (5, [5, 5, 5]),
+    (64, [15]),
+])
+def test_translate_corpus_groups_buckets_and_matches_per_sentence_greedy(
+        monkeypatch, batch_size, group_sizes):
+    # lengths 1..6 with 3, 2, 4, 1, 3, 2 sentences: size 3 splits the
+    # length-3 bucket, size 5 packs groups that straddle lengths, size 64
+    # decodes every sentence in one group
+    pairs = _mixed_length_corpus([3, 2, 4, 1, 3, 2], seed=4)
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=8, hidden_size=8,
+                               attn_size=8, max_decode_len=8, bpe_merges=0)
+    trn = CFG.TrainConfig(epochs=8, batch_size=8, learning_rate=0.05,
+                          min_count=1, rng_seed=2, word_retain=1.0,
+                          edge_retain=1.0)
+    prep = E.preprocess(pairs, exp, trn)
+    model = train(trn, exp, pairs, pairs, prep.src_vocab, prep.tgt_vocab,
+                  None, prep.label_vocabs, out_dir="").model
+    expected = []
+    for pair in pairs:
+        batch = make_batch([pair], prep.src_vocab, prep.tgt_vocab)
+        with no_grad():
+            enc = encode_pipeline(batch, exp, model.encoder, mode="infer")
+        one = EncoderOutput(Tensor(enc.states.data[0]), enc.mask[0])
+        ids = greedy_decode(one, model.decoder, exp.max_decode_len)
+        expected.append([prep.tgt_vocab.token(t) for t in ids])
+    # trained enough that rows reach EOS at different steps
+    assert len({len(h) for h in expected}) > 2
+
+    encoded, decoded = [], []
+
+    def encode_spy(batch, *args, **kwargs):
+        enc = encode_pipeline(batch, *args, **kwargs)
+        encoded.append((set(batch.src_mask.sum(axis=1).tolist()),
+                        enc.states.requires_grad))
+        return enc
+
+    def decode_spy(enc, *args, **kwargs):
+        decoded.append(enc.states.shape[0])
+        return greedy_decode_batch(enc, *args, **kwargs)
+
+    monkeypatch.setattr(E, "encode_pipeline", encode_spy)
+    monkeypatch.setattr(E, "greedy_decode_batch", decode_spy)
+    small = CFG.TrainConfig(batch_size=batch_size, min_count=1)
+    hyps = E.translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
+                              None, small)
+    assert hyps == expected
+    buckets = bucket_indices(pairs, batch_size)
+    assert len(encoded) == len(buckets)
+    assert all(len(lengths) == 1 and not taped for lengths, taped in encoded)
+    assert decoded == group_sizes
+
+
 def test_cli_rejects_invalid_recipe(capsys):
     rc = cli.main(["train", "--recipe", "sem:9", "--train-conll", "x",
                    "--train-tgt", "y"])
@@ -461,3 +531,20 @@ def test_run_grid_paper_small_produces_four_rows(tmp_path):
     assert len({s.out_dir for s in summaries}) == 4
     with pytest.raises(CFG.ConfigError):
         cli.run_grid("nope", exp, trn, paths)
+
+
+def test_run_grid_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    conll, tgt = _write_tiny_dataset(data, n=8)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    monkeypatch.setitem(CFG.GRIDS, "two", ["none", "sem:1"])
+    exp = CFG.ExperimentConfig(emb_size=8, hidden_size=8, attn_size=8,
+                               max_decode_len=5, bpe_merges=0)
+    trn = CFG.TrainConfig(epochs=1, batch_size=4, min_count=1)
+    paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt), out_dir="")
+    summaries = cli.run_grid("two", exp, trn, paths)
+    assert [s.out_dir for s in summaries] == ["", ""]
+    assert list(work.iterdir()) == []
