@@ -165,6 +165,9 @@ def run_grid(grid_name: str, exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
 
 def cmd_preprocess(args) -> int:
     exp, trn, paths = _load_configs(args)
+    if not paths.out_dir:
+        raise ConfigError("--out-dir must name a directory: preprocess writes "
+                          "its vocabularies there")
     pairs = _read_pairs(paths.train_conll, paths.train_tgt)
     prep = preprocess(pairs, exp, trn)
     _save_prep(prep, paths.out_dir)
@@ -179,7 +182,8 @@ def cmd_train(args) -> int:
     val_pairs = (_read_pairs(paths.val_conll, paths.val_tgt)
                  if paths.val_conll else pairs)
     prep = preprocess(pairs, exp, trn)
-    _save_prep(prep, paths.out_dir)
+    if paths.out_dir:  # empty: train and report, write no files
+        _save_prep(prep, paths.out_dir)
     result = train(trn, exp, pairs, val_pairs, prep.src_vocab, prep.tgt_vocab,
                    prep.bpe, prep.label_vocabs, out_dir=paths.out_dir)
     print(f"train: best epoch {result.best_epoch}, "

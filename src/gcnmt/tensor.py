@@ -3,14 +3,19 @@
 Values live in row-major numpy arrays. Every operation on tensors that
 require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
-gradients additively. One compute graph is single-threaded; separate
-graphs are independent.
+gradients additively. An adjoint may hand back its incoming gradient, a
+view of it or a forward value, so ``backward`` adds in place only into
+arrays it allocated itself. ``gather_rows`` and ``slice_rows`` hand back
+row-sparse adjoints that ``backward`` adds into the parent's rows without
+building a dense zero gradient per use. One compute graph is
+single-threaded; separate graphs are independent.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -281,18 +286,21 @@ def stack0(tensors) -> Tensor:
     return _node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
 
 
+class _RowGrad(NamedTuple):
+    """Row-sparse adjoint: ``rows`` add into ``idx`` (an index array of any
+    shape, or a slice) of the parent's leading axis. Only ``backward`` sees
+    it; it adds the rows into the parent's gradient buffer."""
+
+    idx: object
+    rows: np.ndarray
+
+
 def gather_rows(a, idx) -> Tensor:
     """Index the leading axis with an integer array of any shape."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
-
-    def bwd(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx, g)
-        return (out,)
-
-    return _node(data, (a,), bwd)
+    return _node(data, (a,), lambda g: (_RowGrad(idx, g),))
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -307,13 +315,7 @@ def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     data = a.data[start:stop].copy()
-
-    def bwd(g):
-        out = np.zeros_like(a.data)
-        out[start:stop] = g
-        return (out,)
-
-    return _node(data, (a,), bwd)
+    return _node(data, (a,), lambda g: (_RowGrad(slice(start, stop), g),))
 
 
 def reshape(a, shape) -> Tensor:
@@ -333,7 +335,17 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor that
     requires gradients, that is one created directly rather than by an
     operation. Gradients of intermediate nodes are passed on to their
-    parents and not kept: their ``.grad`` stays None."""
+    parents and not kept: their ``.grad`` stays None.
+
+    The first gradient that reaches a node is kept as it is and borrowed:
+    it may be the child's gradient, a view of it or a forward value. The
+    second is added into a new array that ``backward`` owns, and every later
+    one is added into that array in place. A row-sparse adjoint is added
+    into an owned array too: a zero array, or a copy of the borrowed one,
+    on its first use. So no forward value and no array a caller holds is
+    ever written. A leaf takes an owned gradient as its ``.grad`` and copies
+    a borrowed one; a leaf that already has a ``.grad`` gets the sum in a
+    new array."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     seen = set()
@@ -352,19 +364,42 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
     pending = {id(loss): np.ones_like(loss.data)}
+    owned = {id(loss)}
     for node in reversed(topo):
-        g = pending.pop(id(node), None)
+        key = id(node)
+        g = pending.pop(key, None)
         if g is None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                if node.grad is not None:
+                    node.grad = node.grad + g
+                else:
+                    node.grad = g if key in owned else g.copy()
             continue
         for p, pg in zip(node._parents, node._backward(g)):
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
-            pending[key] = pg if key not in pending else pending[key] + pg
+            acc = pending.get(key)
+            if isinstance(pg, _RowGrad):
+                if acc is None:
+                    acc = np.zeros_like(p.data)
+                elif key not in owned:
+                    acc = acc.copy()
+                if isinstance(pg.idx, slice) or pg.idx.ndim == 0:
+                    acc[pg.idx] += pg.rows  # a slice or one row: no repeats
+                else:
+                    np.add.at(acc, pg.idx, pg.rows)  # repeated rows add up
+            elif acc is None:
+                pending[key] = pg
+                continue
+            elif key in owned:
+                acc += pg
+            else:
+                acc = acc + pg
+            pending[key] = acc
+            owned.add(key)
 
 
 def zero_grads(params) -> None:

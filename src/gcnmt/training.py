@@ -70,31 +70,65 @@ class AdamState:
     moments: dict = field(default_factory=dict)
 
 
+# Elements per block of the Adam pass: a block of the parameter, its
+# moments, its gradient and two scratch arrays stay in cache together.
+_ADAM_BLOCK = 8192
+
+
 def adam_step(params: dict, state: AdamState, lr: float, l2: float = 0.0) -> None:
     """Bias-corrected Adam update in place; L2 is added to the gradients.
 
     Every gradient is checked before anything changes, so a non-finite one
     leaves the parameters, the moments and ``state.step`` as they were.
+    Each parameter is updated in one pass over blocks of ``_ADAM_BLOCK``
+    elements, through two scratch blocks. Per element the operations and
+    their order are those of the whole-array formula, so the result is
+    bit-identical to it::
+
+        g = grad + l2 * p
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+
     The moments and each ``p.data`` are updated in place.
     """
-    for name, p in params.items():
-        if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
+    # one sum per gradient is the fast test; the elementwise one decides only
+    # when the sum is not finite, since finite values can overflow the sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, p in params.items():
+            g = p.grad
+            if g is not None and not np.isfinite(g.sum()) and not np.isfinite(g).all():
+                raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, eps = state.beta1, state.beta2, state.eps
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    scratch_g, scratch_u = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        g = g + l2 * p.data
         if name not in state.moments:
-            state.moments[name] = (np.zeros_like(p.data), np.zeros_like(p.data))
-        m, v = state.moments[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+            state.moments[name] = (np.zeros(p.shape), np.zeros(p.shape))
+        m, v = (x.reshape(-1) for x in state.moments[name])
+        data = p.data.reshape(-1)  # a copy only if p.data is not C-contiguous
+        grad = None if p.grad is None else p.grad.reshape(-1)
+        for lo in range(0, data.size, _ADAM_BLOCK):
+            blk = slice(lo, lo + _ADAM_BLOCK)
+            x, mb, vb = data[blk], m[blk], v[blk]
+            g, u = scratch_g[:x.size], scratch_u[:x.size]
+            np.multiply(x, l2, out=g)  # g
+            np.add(0.0 if grad is None else grad[blk], g, out=g)
+            mb *= b1  # m
+            mb += np.multiply(g, 1.0 - b1, out=u)
+            np.multiply(g, 1.0 - b2, out=u)  # v
+            vb *= b2
+            vb += np.multiply(u, g, out=u)
+            np.divide(mb, c1, out=g)  # p; g is no longer needed
+            g *= lr
+            np.divide(vb, c2, out=u)
+            np.sqrt(u, out=u)
+            u += eps
+            x -= np.divide(g, u, out=g)
+        if not p.data.flags.c_contiguous:
+            p.data[...] = data.reshape(p.shape)
 
 
 def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: TrainConfig,

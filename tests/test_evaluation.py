@@ -548,3 +548,33 @@ def test_run_grid_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch):
     summaries = cli.run_grid("two", exp, trn, paths)
     assert [s.out_dir for s in summaries] == ["", ""]
     assert list(work.iterdir()) == []
+
+
+def test_cli_train_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    conll, tgt = _write_tiny_dataset(data, n=8)
+    (data / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\n")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    rc = cli.main(["train", "--config", str(data / "small.cfg")]
+                  + _tiny_flags(conll, tgt, ""))
+    assert rc == 0, capsys.readouterr().err
+    assert "checkpoint None" in capsys.readouterr().out
+    assert list(work.iterdir()) == []
+
+
+def test_cli_preprocess_rejects_empty_out_dir(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    conll, tgt = _write_tiny_dataset(data, n=8)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert cli.main(["preprocess"] + _tiny_flags(conll, tgt, "")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("gcnmt preprocess: ") and "--out-dir" in err
+    assert list(work.iterdir()) == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -271,3 +272,187 @@ def test_backward_keeps_gradients_on_leaves_only():
     # a second backward still accumulates into the leaves
     T.backward(T.tsum(T.matmul(x, w) * T.Tensor(const.data)))
     npt.assert_allclose(w.grad, x.data.T @ dh + x.data.T @ const.data, rtol=1e-14)
+
+
+# -- in-place accumulation in backward: a node's first gradient is borrowed
+#    (it may be a view of another gradient), later ones add into an owned
+#    array. Integer and dyadic values keep every sum exact, so the closed
+#    forms hold bit for bit whatever order the gradients arrive in.
+
+def _tape(loss):
+    seen, stack, nodes = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_backward_operands_of_one_add_receive_the_same_array():
+    a = T.Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True)
+    b = T.Tensor([[4.0, 0.25], [-1.0, 2.0]], requires_grad=True)
+    c = T.Tensor([[3.0, -1.0], [2.0, 0.5]])
+    d = T.Tensor(a.data * 2.0, requires_grad=True)
+    e = T.Tensor(b.data * 2.0, requires_grad=True)
+    s = a + b
+    T.backward(T.tsum(s * c) + T.tsum(a) + T.tsum((d + e) * c))
+    npt.assert_array_equal(b.grad, c.data)
+    npt.assert_array_equal(a.grad, c.data + 1.0)
+    npt.assert_array_equal(d.grad, c.data)
+    npt.assert_array_equal(e.grad, c.data)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert not np.shares_memory(d.grad, e.grad)
+    npt.assert_array_equal(c.data, [[3.0, -1.0], [2.0, 0.5]])
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("second_use", ["dense", "gather"])
+def test_second_gradient_never_writes_a_shared_first_one(order, second_use):
+    # a and the intermediate h first receive the same array from one add;
+    # a's second gradient must not be added into it while h still reads it
+    a = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    w = T.Tensor(np.arange(4.0).reshape(2, 2) / 4, requires_grad=True)
+    c = np.array([[3.0, -1.0], [2.0, 0.5]])
+    h = T.reshape(w, (2, 2))
+    second = T.gather_rows(a, [1, 0, 1]) if second_use == "gather" else a
+    terms = [T.tsum((a + h) * T.Tensor(c)), T.tsum(second),
+             T.tsum(T.reshape(T.reshape(h, (4,)), (2, 2)))]
+    terms = [terms[i] for i in order]
+    T.backward(terms[0] + terms[1] + terms[2])
+    npt.assert_array_equal(a.grad, c + ([[1.0, 1.0], [2.0, 2.0]]
+                                        if second_use == "gather" else 1.0))
+    npt.assert_array_equal(w.grad, c + 1.0)
+
+
+def test_backward_leaf_through_reshape_concat_stack0_views_and_direct_use():
+    x = T.Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
+    y = T.Tensor(np.ones((1, 3)), requires_grad=True)
+    c1 = np.arange(6.0).reshape(3, 2)
+    c2 = np.arange(9.0).reshape(3, 3) - 4.0
+    c3 = np.arange(12.0).reshape(2, 2, 3) * 0.5
+    c4 = np.full((2, 3), 2.0)
+    loss = (T.tsum(T.reshape(x, (3, 2)) * T.Tensor(c1))
+            + T.tsum(T.concat([x, y], axis=0) * T.Tensor(c2))
+            + T.tsum(T.stack0([x, x]) * T.Tensor(c3))
+            + T.tsum(x * T.Tensor(c4)))
+    T.backward(loss)
+    npt.assert_array_equal(x.grad, c1.reshape(2, 3) + c2[:2] + c3[0] + c3[1] + c4)
+    npt.assert_array_equal(y.grad, c2[2:])
+
+
+def test_backward_square_plus_identity_on_arrays():
+    x = T.Tensor([0.5, -1.25, 3.0, 0.0], requires_grad=True)
+    T.backward(T.tsum(x * x + x))
+    npt.assert_array_equal(x.grad, 2.0 * x.data + 1.0)
+
+
+@pytest.mark.parametrize("uses", [1, 2])
+def test_second_backward_leaves_the_callers_gradient_array_alone(uses):
+    # one use leaves the leaf a borrowed gradient, two an owned one
+    x = T.Tensor([1.0, 2.0, -3.0], requires_grad=True)
+    c = T.Tensor([0.5, -2.0, 4.0])
+
+    def loss():
+        return T.tsum(x * c) if uses == 1 else T.tsum(x * c) + T.tsum(x * c)
+
+    T.backward(loss())
+    kept = x.grad
+    T.backward(loss())
+    npt.assert_array_equal(kept, uses * c.data)
+    npt.assert_array_equal(x.grad, 2 * uses * c.data)
+    assert not np.shares_memory(kept, x.grad)
+
+
+def test_backward_writes_no_forward_value():
+    rng = np.random.default_rng(34)
+    x = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
+    h = T.tanh(T.matmul(x, w))
+    parts = [T.reshape(h, (3, 4)), T.transpose(h, (1, 0)),
+             T.concat([h, x], axis=0), T.stack0([h, x, h]),
+             T.gather_rows(h, [0, 0, 3]), T.slice_rows(x, 1, 3),
+             h + x, h - x, T.relu(h) * x, -x, T.sigmoid(h)]
+    loss = T.tsum(T.log_softmax(T.softmax(h + x)))
+    for part in parts:
+        loss = loss + T.tsum(part * part) + T.tsum(part)
+    nodes = _tape(loss)
+    before = [node.data.copy() for node in nodes]
+    T.backward(loss)
+    for node, data in zip(nodes, before):
+        npt.assert_array_equal(node.data, data)
+
+
+# -- row-sparse adjoints of gather_rows and slice_rows
+
+def _gather_oracle(shape, idx, g):
+    out = np.zeros(shape)
+    np.add.at(out, np.asarray(idx), g)
+    return out
+
+
+@pytest.mark.parametrize("idx", [[0, 2, 2, 2, 4], [[0, 2, 2], [4, 0, 0]], 3],
+                         ids=["repeats", "ids.T", "scalar"])
+def test_gather_rows_sparse_adjoint_matches_dense_oracle(idx):
+    rng = np.random.default_rng(35)
+    a = T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
+    G = rng.uniform(-1, 1, a.data[np.asarray(idx)].shape)
+    T.backward(T.tsum(T.gather_rows(a, idx) * T.Tensor(G)))
+    npt.assert_allclose(a.grad, _gather_oracle(a.shape, idx, G), rtol=0, atol=1e-15)
+    report = T.grad_check(lambda p: T.tsum(T.tanh(T.gather_rows(p["a"], idx))),
+                          {"a": a})
+    assert report["a"].ok
+
+
+@pytest.mark.parametrize("start,stop", [(0, 2), (3, 5), (0, 5), (2, 3)])
+def test_slice_rows_sparse_adjoint_matches_dense_oracle(start, stop):
+    rng = np.random.default_rng(36)
+    a = T.Tensor(rng.uniform(-1, 1, (5, 2, 3)), requires_grad=True)
+    G = rng.uniform(-1, 1, (stop - start, 2, 3))
+    T.backward(T.tsum(T.slice_rows(a, start, stop) * T.Tensor(G)))
+    want = np.zeros(a.shape)
+    want[start:stop] = G
+    npt.assert_array_equal(a.grad, want)
+    report = T.grad_check(
+        lambda p: T.tsum(T.tanh(T.slice_rows(p["a"], start, stop))), {"a": a})
+    assert report["a"].ok
+
+
+@pytest.mark.parametrize("gather_first", [True, False])
+def test_leaf_reached_by_gather_and_dense_op(gather_first):
+    rng = np.random.default_rng(37)
+    params = {k: T.Tensor(rng.uniform(-1, 1, (6, 4)), requires_grad=True) for k in "ab"}
+    idx = np.array([[1, 5], [5, 0], [1, 1]])
+    G = rng.uniform(-1, 1, (3, 2, 4))
+    C = rng.uniform(-1, 1, (6, 4))
+
+    def f(p):
+        sparse = T.tsum(T.gather_rows(p["a"], idx) * T.Tensor(G))
+        tail = T.tsum(T.slice_rows(p["a"], 4, 6))
+        # a and b first receive the same array from the add
+        dense = T.tsum((p["a"] + p["b"]) * T.Tensor(C))
+        return (sparse + tail) + dense if gather_first else dense + (tail + sparse)
+
+    T.backward(f(params))
+    want = _gather_oracle((6, 4), idx, G) + C
+    want[4:6] += 1.0
+    npt.assert_allclose(params["a"].grad, want, rtol=0, atol=1e-15)
+    npt.assert_array_equal(params["b"].grad, C)
+    assert all(e.ok for e in T.grad_check(f, params).values())
+
+
+def test_row_sparse_adjoint_reaches_adjoints_as_a_dense_array():
+    a = T.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    seen = []
+
+    def doubled_bwd(g):
+        seen.append(g)
+        return (2.0 * g,)
+
+    h = T._node(2.0 * a.data, (a,), doubled_bwd)
+    loss = T.tsum(T.gather_rows(h, [3, 3, 0])) + T.tsum(T.slice_rows(h, 1, 2))
+    T.backward(loss)
+    assert len(seen) == 1 and type(seen[0]) is np.ndarray
+    npt.assert_array_equal(seen[0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
+    npt.assert_array_equal(a.grad, 2.0 * seen[0])

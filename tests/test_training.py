@@ -11,6 +11,7 @@ from gcnmt.config import ExperimentConfig, TrainConfig
 from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence
 from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
+from adam_oracle import reference_adam_step
 from tf_oracle import reference_teacher_forcing_loss
 
 
@@ -246,6 +247,79 @@ def test_adam_non_finite_gradient_changes_nothing():
     assert fresh.step == 0 and fresh.moments == {}
     for k, p in params.items():
         npt.assert_array_equal(p.data, before[k][0])
+
+
+_BLOCK = TR._ADAM_BLOCK
+_BLOCK_SHAPES = {"one": (1,), "below": (_BLOCK - 1,), "block": (_BLOCK,),
+                 "above": (_BLOCK + 1,), "three": (3 * _BLOCK + 5,),
+                 "w_out": (896, 1952)}
+
+
+def _twin_params(rng, shapes, fortran=()):
+    """Two equal dicts of parameters, one for adam_step and one for the oracle."""
+    params = {}
+    for k, s in shapes.items():
+        x = rng.normal(size=s)
+        params[k] = np.asfortranarray(x) if k in fortran else x
+    return ({k: T.Tensor(x.copy(order="K"), requires_grad=True) for k, x in params.items()},
+            {k: T.Tensor(x.copy(order="K"), requires_grad=True) for k, x in params.items()})
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.5])
+def test_adam_blocks_are_bit_identical_to_whole_array_update(l2):
+    rng = np.random.default_rng(24)
+    shapes = dict(_BLOCK_SHAPES, fortran=(3, 5))
+    params, ref = _twin_params(rng, shapes, fortran=("fortran",))
+    bound = {k: p.data for k, p in params.items()}
+    state, ref_state = TR.AdamState(), TR.AdamState()
+    for t in range(5):
+        for i, (k, s) in enumerate(shapes.items()):
+            # every tensor sees steps with and without a gradient, and half
+            # of them start without one
+            g = None if (t + i) % 2 else rng.normal(size=s)
+            params[k].grad, ref[k].grad = g, g
+        TR.adam_step(params, state, lr=0.01, l2=l2)
+        reference_adam_step(ref, ref_state, lr=0.01, l2=l2)
+        assert state.step == ref_state.step == t + 1
+        for k, p in params.items():
+            assert p.data is bound[k]
+            npt.assert_array_equal(p.data, ref[k].data)
+            for got, want in zip(state.moments[k], ref_state.moments[k]):
+                npt.assert_array_equal(got, want)
+
+
+def test_adam_nan_in_last_block_of_last_tensor_changes_nothing():
+    rng = np.random.default_rng(25)
+    shapes = {k: _BLOCK_SHAPES[k] for k in ("one", "block", "three")}
+    params, _ = _twin_params(rng, shapes)
+    state = TR.AdamState()
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    TR.adam_step(params, state, lr=0.1, l2=0.5)
+    before = {k: (p.data.copy(), [x.copy() for x in state.moments[k]])
+              for k, p in params.items()}
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    params["three"].grad[-1] = np.nan
+    with pytest.raises(FloatingPointError, match="for three"):
+        TR.adam_step(params, state, lr=0.1, l2=0.5)
+    assert state.step == 1
+    for k, p in params.items():
+        npt.assert_array_equal(p.data, before[k][0])
+        for got, want in zip(state.moments[k], before[k][1]):
+            npt.assert_array_equal(got, want)
+
+
+def test_adam_accepts_finite_gradient_whose_sum_overflows():
+    p = T.Tensor(np.array([1.0, -1.0]), requires_grad=True)
+    ref = T.Tensor(p.data.copy(), requires_grad=True)
+    p.grad = ref.grad = np.array([1e308, 1e308])
+    state, ref_state = TR.AdamState(), TR.AdamState()
+    with np.errstate(over="ignore"):  # v = (1 - b2) * g * g overflows
+        TR.adam_step({"p": p}, state, lr=0.01)
+        reference_adam_step({"p": ref}, ref_state, lr=0.01)
+    assert state.step == 1
+    npt.assert_array_equal(p.data, ref.data)
 
 
 def _toy_setup(recipe="none", seed=0):
