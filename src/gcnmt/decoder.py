@@ -1,7 +1,10 @@
 """Attention-based GRU decoder with greedy and beam search.
 
 Scoring is additive attention over encoder states; the attention keys
-``states @ v_enc`` are computed once per encode and passed to every step.
+``states @ v_enc`` are computed once per encode and passed to every step,
+and the context is ``tensor.weighted_sum`` of the weights over the states,
+so no (batch, len, width) product is formed per step. The GRU update is
+``encoders.gru_cell``, one tape node per step.
 The GRU consumes the previous target embedding concatenated with the
 context vector, and the output projection reads [state; context; previous
 embedding]. A step is the recurrence (``recurrence_step``) followed by the
@@ -38,6 +41,7 @@ from .tensor import (
     softmax,
     tanh,
     tsum,
+    weighted_sum,
 )
 
 
@@ -128,8 +132,7 @@ def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(keys + proj_s), params.score_v)
     weights = softmax(scores, mask=enc.mask, axis=-1)
-    context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
-    return weights, context
+    return weights, weighted_sum(weights, states)
 
 
 def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:

@@ -3,7 +3,11 @@
 Values live in row-major numpy arrays. Every operation on tensors that
 require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
-gradients additively. An adjoint may hand back its incoming gradient, a
+gradients additively. ``node`` is the constructor every operation uses,
+and a layer may call it too: the GRU cell and the GCN layer
+(``encoders``) and the NLL loss (``training``) compute their forward
+pass in numpy and record one node with a hand-derived adjoint that keeps
+only the arrays it needs. An adjoint may hand back its incoming gradient, a
 view of it or a forward value, so ``backward`` adds in place only into
 arrays it allocated itself. ``gather_rows`` and ``slice_rows`` hand back
 row-sparse adjoints that ``backward`` adds into the parent's rows without
@@ -23,6 +27,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "no_grad",
+    "node",
     "matmul",
     "add",
     "sub",
@@ -36,6 +41,7 @@ __all__ = [
     "tsum",
     "concat",
     "stack0",
+    "weighted_sum",
     "gather_rows",
     "scatter_add_rows",
     "slice_rows",
@@ -126,7 +132,15 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, backward_fn) -> Tensor:
+def node(data, parents, backward_fn) -> Tensor:
+    """A tensor holding ``data``; it records ``parents`` and its adjoint when
+    gradients are enabled and some parent requires them.
+
+    ``backward_fn(g)`` takes the gradient of the output and returns one
+    gradient per parent, in order, with that parent's shape (or None). It
+    may return ``g``, a view of it or a forward value: ``backward`` never
+    writes them.
+    """
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -155,7 +169,7 @@ def add(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _node(data, (a, b), bwd)
+    return node(data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -168,7 +182,7 @@ def sub(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _node(data, (a, b), bwd)
+    return node(data, (a, b), bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -181,12 +195,12 @@ def mul(a, b) -> Tensor:
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _node(data, (a, b), bwd)
+    return node(data, (a, b), bwd)
 
 
 def neg(a) -> Tensor:
     a = _as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
+    return node(-a.data, (a,), lambda g: (-g,))
 
 
 def matmul(a, b) -> Tensor:
@@ -206,25 +220,25 @@ def matmul(a, b) -> Tensor:
         G2 = g.reshape(A2.shape[0], B2.shape[1])
         return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
 
-    return _node(data, (a, b), bwd)
+    return node(data, (a, b), bwd)
 
 
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
-    return _node(data, (a,), lambda g: (g * (a.data > 0.0),))
+    return node(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
-    return _node(data, (a,), lambda g: (g * data * (1.0 - data),))
+    return node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def tanh(a) -> Tensor:
     a = _as_tensor(a)
     data = np.tanh(a.data)
-    return _node(data, (a,), lambda g: (g * (1.0 - data * data),))
+    return node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
 def softmax(a, mask=None, axis: int = -1) -> Tensor:
@@ -244,7 +258,7 @@ def softmax(a, mask=None, axis: int = -1) -> Tensor:
     def bwd(g):
         return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
 
-    return _node(y, (a,), bwd)
+    return node(y, (a,), bwd)
 
 
 def log_softmax(a, axis: int = -1) -> Tensor:
@@ -255,7 +269,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     def bwd(g):
         return (g - np.exp(lsm) * g.sum(axis=axis, keepdims=True),)
 
-    return _node(lsm, (a,), bwd)
+    return node(lsm, (a,), bwd)
 
 
 def tsum(a, axis=None) -> Tensor:
@@ -266,7 +280,7 @@ def tsum(a, axis=None) -> Tensor:
         gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
-    return _node(data, (a,), bwd)
+    return node(data, (a,), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -277,13 +291,35 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def bwd(g):
         return tuple(np.split(g, sizes, axis=axis))
 
-    return _node(data, tuple(ts), bwd)
+    return node(data, tuple(ts), bwd)
 
 
 def stack0(tensors) -> Tensor:
     """Stack same-shaped tensors along a new leading axis."""
     ts = [_as_tensor(t) for t in tensors]
-    return _node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
+    return node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
+
+
+def weighted_sum(w, a) -> Tensor:
+    """``sum_i w[..., i] * a[..., i, :]``: weights ``w`` (..., n) over rows
+    ``a`` (..., n, d), or over one ``(n, d)`` shared by every leading index,
+    give (..., d). One ``np.matmul``; no (..., n, d) product is kept."""
+    w, a = _as_tensor(w), _as_tensor(a)
+    if w.ndim == 0 or a.ndim < 2:
+        raise ShapeError(f"weighted_sum needs a >=1-d w and a >=2-d a, "
+                         f"got {w.shape} and {a.shape}")
+    try:
+        data = np.matmul(w.data[..., None, :], a.data)[..., 0, :]
+    except ValueError as e:
+        raise ShapeError(f"weighted_sum shapes {w.shape} and {a.shape} "
+                         f"are incompatible") from e
+
+    def bwd(g):
+        gw = np.matmul(a.data, g[..., :, None])[..., 0]
+        ga = w.data[..., :, None] * g[..., None, :]
+        return _unbroadcast(gw, w.shape), _unbroadcast(ga, a.shape)
+
+    return node(data, (w, a), bwd)
 
 
 class _RowGrad(NamedTuple):
@@ -300,7 +336,7 @@ def gather_rows(a, idx) -> Tensor:
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
-    return _node(data, (a,), lambda g: (_RowGrad(idx, g),))
+    return node(data, (a,), lambda g: (_RowGrad(idx, g),))
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -309,26 +345,26 @@ def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
     idx = np.asarray(idx, dtype=np.intp)
     out = np.zeros((num_rows,) + a.shape[1:])
     np.add.at(out, idx, a.data)
-    return _node(out, (a,), lambda g: (g[idx],))
+    return node(out, (a,), lambda g: (g[idx],))
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     data = a.data[start:stop].copy()
-    return _node(data, (a,), lambda g: (_RowGrad(slice(start, stop), g),))
+    return node(data, (a,), lambda g: (_RowGrad(slice(start, stop), g),))
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
-    return _node(data, (a,), lambda g: (g.reshape(a.shape),))
+    return node(data, (a,), lambda g: (g.reshape(a.shape),))
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     data = np.transpose(a.data, axes)
     inv = np.argsort(axes)
-    return _node(data, (a,), lambda g: (np.transpose(g, inv),))
+    return node(data, (a,), lambda g: (np.transpose(g, inv),))
 
 
 def backward(loss: Tensor) -> None:

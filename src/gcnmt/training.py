@@ -3,7 +3,8 @@
 Batches are bucketed by exact source length, so a batched forward pass is
 numerically identical to encoding each sentence alone. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
-draw from one generator in a fixed order.
+draw from one generator in a fixed order. The loss (``nll_loss``) is one
+tape node over the logits of every step of a batch.
 """
 
 from __future__ import annotations
@@ -20,15 +21,17 @@ from .decoder import attention_keys, init_state, output_logits, recurrence_step
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
-from .tensor import (Tensor, backward, concat, gather_rows, log_softmax, reshape, tsum,
-                     zero_grads)
+from .tensor import Tensor, backward, concat, node, zero_grads
 
 
 def nll_loss(logits, targets, mask):
     """Mean negative log-likelihood over unmasked steps.
 
     ``logits`` has vocabulary on the last axis; ``targets`` and ``mask``
-    match the leading axes.
+    match the leading axes. One tape node: log-softmax, the pick of each
+    target and the masked mean, with the adjoint
+    ``(exp(log_softmax) - onehot) * mask * g / total``, so no dense zero
+    gradient of the log-probabilities is built for the picks.
     """
     logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
     targets = np.asarray(targets, dtype=np.intp)
@@ -41,10 +44,19 @@ def nll_loss(logits, targets, mask):
     if total == 0:
         raise ValueError("nll_loss: all target steps masked")
     vocab = logits_t.shape[-1]
-    lsm = log_softmax(logits_t, axis=-1)
-    flat = reshape(lsm, (-1,))
-    picks = gather_rows(flat, np.arange(targets.size) * vocab + targets.ravel())
-    return -tsum(picks * Tensor(mask.ravel())) / total
+    z = logits_t.data - logits_t.data.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows, cols = np.arange(targets.size), targets.ravel()
+    picks = lsm.reshape(-1, vocab)[rows, cols]
+    loss = -(picks * mask.ravel()).sum() * (1.0 / total)
+
+    def bwd(g):
+        d = np.exp(lsm)
+        d.reshape(-1, vocab)[rows, cols] -= 1.0
+        d *= (g * (1.0 / total) * mask)[..., None]
+        return (d,)
+
+    return node(np.asarray(loss), (logits_t,), bwd)
 
 
 def word_dropout(ids, retain: float, rng, mode: str = "train"):

@@ -1,0 +1,157 @@
+"""Reference layers composed of tape operations, one node per operation.
+
+These are the original bodies of ``gcnmt.encoders.gru_cell``,
+``gcnmt.decoder.attention``, ``gcnmt.encoders.gcn_layer`` and
+``gcnmt.training.nll_loss``, kept verbatim as the oracle that the
+one-node implementations must match in value and in every gradient;
+``assert_matches_reference`` makes that comparison.
+"""
+
+import numpy as np
+import numpy.testing as npt
+
+from gcnmt.decoder import AttentionParams, attention_keys
+from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
+from gcnmt.tensor import (
+    Tensor,
+    backward,
+    gather_rows,
+    log_softmax,
+    matmul,
+    relu,
+    reshape,
+    scatter_add_rows,
+    sigmoid,
+    softmax,
+    tanh,
+    tsum,
+)
+
+
+def reference_gru_cell(x_t, h_prev, params: GruParams):
+    """One GRU step; accepts a single vector or a (batch, dim) matrix."""
+    z = sigmoid(matmul(x_t, params.w_z) + matmul(h_prev, params.u_z) + params.b_z)
+    r = sigmoid(matmul(x_t, params.w_r) + matmul(h_prev, params.u_r) + params.b_r)
+    cand = tanh(matmul(x_t, params.w_h) + matmul(r * h_prev, params.u_h) + params.b_h)
+    return z * h_prev + (1.0 - z) * cand
+
+
+def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
+                        keys: Tensor | None = None):
+    """Masked additive attention; returns (weights, context).
+
+    Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
+    Batched: s_prev (B, h), states (B, len, d) -> (B, len), (B, d).
+    Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
+    ``keys`` is ``attention_keys(enc, params)``, computed here when omitted.
+    """
+    states = enc.states
+    if not bool(np.asarray(enc.mask).any(axis=-1).all()):
+        raise ValueError("attention: all source positions masked")
+    if keys is None:
+        keys = attention_keys(enc, params)
+    proj_s = matmul(s_prev, params.u_dec)
+    proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
+    scores = matmul(tanh(keys + proj_s), params.score_v)
+    weights = softmax(scores, mask=enc.mask, axis=-1)
+    context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
+    return weights, context
+
+
+def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0,
+                        rng=None):
+    """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
+
+    ``edges`` maps graph name -> list of (head, dep, label_id); a bare list
+    is accepted when the layer reads a single graph. During training each
+    annotated-edge message is dropped independently with probability
+    1 - edge_retain; self-loop messages are never dropped.
+    """
+    H = H if isinstance(H, Tensor) else Tensor(H)
+    n = H.shape[0]
+    if not isinstance(edges, dict):
+        if len(params.graphs) > 1:
+            raise ValueError("gcn_layer: dict of edge lists required for fused layers")
+        name = next(iter(params.graphs)) if params.graphs else "sem"
+        edges = {name: edges}
+
+    loop_gate = sigmoid(matmul(H, reshape(params.gate_w_loop, (-1, 1)))
+                        + params.gate_b_loop)
+    total = loop_gate * (matmul(H, params.w_loop) + params.b_loop)
+
+    for name, gp in params.graphs.items():
+        edge_list = edges.get(name, [])
+        if not edge_list:
+            continue
+        heads = np.asarray([e[0] for e in edge_list], dtype=np.intp)
+        deps = np.asarray([e[1] for e in edge_list], dtype=np.intp)
+        labs = np.asarray([e[2] for e in edge_list], dtype=np.intp)
+        if heads.max(initial=-1) >= n or deps.max(initial=-1) >= n \
+                or heads.min(initial=0) < 0 or deps.min(initial=0) < 0:
+            raise ValueError(f"gcn_layer: edge endpoint out of range for {n} nodes")
+        # in: dependent v receives from head u; out: head u receives from v
+        for src, dst, w, b, gw, gb in (
+            (heads, deps, gp.w_in, gp.b_in, gp.gate_w_in, gp.gate_b_in),
+            (deps, heads, gp.w_out, gp.b_out, gp.gate_w_out, gp.gate_b_out),
+        ):
+            h_src = gather_rows(H, src)
+            msg = matmul(h_src, w) + gather_rows(b, labs)
+            g = sigmoid(matmul(h_src, reshape(gw, (-1, 1)))
+                        + reshape(gather_rows(gb, labs), (-1, 1)))
+            msg = g * msg
+            if edge_retain < 1.0:
+                if rng is None:
+                    raise ValueError("gcn_layer: edge dropout requires an rng")
+                keep = (rng.random(len(src)) < edge_retain).astype(np.float64)
+                msg = msg * Tensor(keep[:, None])
+            total = total + scatter_add_rows(msg, dst, n)
+    return relu(total)
+
+
+def reference_nll_loss(logits, targets, mask):
+    """Mean negative log-likelihood over unmasked steps.
+
+    ``logits`` has vocabulary on the last axis; ``targets`` and ``mask``
+    match the leading axes.
+    """
+    logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
+    targets = np.asarray(targets, dtype=np.intp)
+    mask = np.asarray(mask, dtype=np.float64)
+    if logits_t.shape[:-1] != targets.shape or targets.shape != mask.shape:
+        raise ValueError(
+            f"nll_loss shapes disagree: logits {logits_t.shape}, "
+            f"targets {targets.shape}, mask {mask.shape}")
+    total = mask.sum()
+    if total == 0:
+        raise ValueError("nll_loss: all target steps masked")
+    vocab = logits_t.shape[-1]
+    lsm = log_softmax(logits_t, axis=-1)
+    flat = reshape(lsm, (-1,))
+    picks = gather_rows(flat, np.arange(targets.size) * vocab + targets.ravel())
+    return -tsum(picks * Tensor(mask.ravel())) / total
+
+
+def _outputs_and_grads(layer, leaves: dict):
+    """The forward arrays of ``layer()`` (one tensor or a tuple) and each
+    leaf's gradient of a fixed random weighting of them."""
+    for t in leaves.values():
+        t.grad = None
+    outs = layer()
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    rng = np.random.default_rng(0)
+    backward(sum(tsum(o * Tensor(rng.uniform(-1, 1, o.shape))) for o in outs))
+    return [o.data for o in outs], {k: t.grad for k, t in leaves.items()}
+
+
+def assert_matches_reference(layer, reference, leaves: dict, atol=1e-12):
+    """``layer()`` and ``reference()`` agree within ``atol`` in every output
+    and in the gradient of every leaf (None on both sides or arrays)."""
+    got, got_grads = _outputs_and_grads(layer, leaves)
+    want, want_grads = _outputs_and_grads(reference, leaves)
+    for g, w in zip(got, want, strict=True):
+        npt.assert_allclose(g, w, rtol=0, atol=atol)
+    for name in leaves:
+        g, w = got_grads[name], want_grads[name]
+        assert (g is None) == (w is None), name
+        if g is not None:
+            npt.assert_allclose(g, w, rtol=0, atol=atol, err_msg=name)

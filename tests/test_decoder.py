@@ -10,6 +10,7 @@ from gcnmt import decoder as D
 from gcnmt import tensor as T
 from gcnmt.corpus import BOS, EOS
 from gcnmt.encoders import EncoderOutput
+from layer_oracle import assert_matches_reference, reference_attention
 
 
 def _enc(states, mask=None):
@@ -375,3 +376,28 @@ def test_attention_with_precomputed_keys_equals_uncached(batched):
     s_b, logits_b = D.decoder_step(np.array([4, 2]) if batched else 4, s, enc, params)
     npt.assert_array_equal(s_a.data, s_b.data)
     npt.assert_array_equal(logits_a.data, logits_b.data)
+
+
+@pytest.mark.parametrize("s_shape, states_shape, mask", [
+    ((4,), (5, 4), [True, False, True, True, True]),
+    ((3, 4), (3, 5, 4), [[True] * 5, [True, True, True, False, False],
+                         [False, True, True, True, True]]),
+    ((6, 4), (5, 4), [True, True, False, True, True]),   # beam: k over shared states
+], ids=["sentence", "batched", "beam-broadcast"])
+def test_attention_matches_composed_oracle(s_shape, states_shape, mask):
+    params = _decoder(width=4, hid=4, attn=3, seed=8).attn
+    rng = np.random.default_rng(9)
+    s = T.Tensor(rng.uniform(-1, 1, s_shape), requires_grad=True)
+    states = T.Tensor(rng.uniform(-1, 1, states_shape), requires_grad=True)
+    enc = EncoderOutput(states=states, mask=np.asarray(mask))
+    leaves = {"s": s, "states": states, **params.named("attn")}
+    assert_matches_reference(lambda: D.attention(s, enc, params),
+                             lambda: reference_attention(s, enc, params), leaves)
+
+
+def test_attention_context_is_one_node_over_weights_and_states():
+    params = _decoder(width=4, hid=4, attn=3, seed=10).attn
+    rng = np.random.default_rng(11)
+    enc = _enc(rng.uniform(-1, 1, (2, 5, 4)))
+    weights, context = D.attention(T.Tensor(rng.uniform(-1, 1, (2, 4))), enc, params)
+    assert context._parents == (weights, enc.states)

@@ -9,6 +9,7 @@ from gcnmt import tensor as T
 from gcnmt.config import ExperimentConfig
 from gcnmt.corpus import AnnotatedSentence, LabelVocab, Vocabulary, make_batch
 from gcnmt.model import build_model
+from layer_oracle import assert_matches_reference, reference_gcn_layer, reference_gru_cell
 
 
 def zero_gru(in_dim, hidden):
@@ -59,6 +60,40 @@ def test_gru_gradients_vs_finite_differences():
 
     def f(_):
         return T.tsum(E.gru_cell(x, E.gru_cell(x, h0, p), p))
+
+    report = T.grad_check(f, params)
+    assert all(e.ok for e in report.values())
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_gru_cell_matches_composed_oracle(lead):
+    rng = np.random.default_rng(30)
+    p = E.init_gru(rng, 3, 5)
+    x = T.Tensor(rng.uniform(-1, 1, lead + (3,)), requires_grad=True)
+    h = T.Tensor(rng.uniform(-1, 1, lead + (5,)), requires_grad=True)
+    leaves = {"x": x, "h": h, **p.named("gru")}
+    assert_matches_reference(lambda: E.gru_cell(x, h, p),
+                             lambda: reference_gru_cell(x, h, p), leaves)
+
+
+def test_gru_cell_records_one_node():
+    rng = np.random.default_rng(31)
+    p = E.init_gru(rng, 3, 2)
+    out = E.gru_cell(T.Tensor(rng.uniform(-1, 1, (2, 3))), T.Tensor(np.zeros((2, 2))), p)
+    assert out._backward is not None
+    assert all(t._backward is None for t in out._parents)
+
+
+def test_gru_batch_gradients_vs_finite_differences():
+    rng = np.random.default_rng(32)
+    p = E.init_gru(rng, 3, 2)
+    params = p.named("gru")
+    params["x"] = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    params["h0"] = T.Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
+
+    def f(q):
+        h = E.gru_cell(q["x"], q["h0"], p)
+        return T.tsum(E.gru_cell(q["x"], h, p) * h)
 
     report = T.grad_check(f, params)
     assert all(e.ok for e in report.values())
@@ -345,6 +380,84 @@ def test_gcn_full_layer_gradients():
 
     report = T.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
+
+
+# edges with repeated heads and dependents, so rows add into one row twice
+_REPEATS = [(0, 1, 1), (2, 1, 0), (0, 3, 2), (0, 1, 0), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("graphs, edges", [
+    (("sem",), [(0, 1, 1), (2, 0, 0), (1, 2, 2)]),
+    (("syn",), {"syn": [(1, 0, 0), (3, 2, 2)]}),
+    (("sem", "syn"), {"sem": [(0, 1, 1), (2, 3, 0)], "syn": _REPEATS}),
+    (("sem",), []),
+    (("sem", "syn"), {"sem": _REPEATS}),
+], ids=["sem", "syn", "semsyn", "no-edges", "repeated-destinations"])
+def test_gcn_layer_matches_composed_oracle(graphs, edges):
+    rng = np.random.default_rng(33)
+    layer = _layer(rng, 4, graphs=graphs)
+    H = T.Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
+    leaves = {"H": H, **layer.named("gcn")}
+    assert_matches_reference(lambda: E.gcn_layer(H, edges, layer),
+                             lambda: reference_gcn_layer(H, edges, layer), leaves)
+
+
+def test_gcn_edge_dropout_matches_oracle_and_draws_alike():
+    rng = np.random.default_rng(34)
+    layer = _layer(rng, 3, graphs=("sem", "syn"))
+    H = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    edges = {"sem": [(0, 1, 1), (2, 3, 0)], "syn": _REPEATS}
+    rngs = [np.random.default_rng(35), np.random.default_rng(35)]
+    assert_matches_reference(
+        lambda: E.gcn_layer(H, edges, layer, edge_retain=0.5, rng=rngs[0]),
+        lambda: reference_gcn_layer(H, edges, layer, edge_retain=0.5, rng=rngs[1]),
+        {"H": H, **layer.named("gcn")})
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("edges", [{"syn": [(0, 1, 0), (4, 1, 0)]},
+                                   {"sem": [(-1, 1, 0)]}])
+def test_gcn_fused_layer_rejects_out_of_range_edges(edges):
+    layer = _layer(np.random.default_rng(0), 2, graphs=("sem", "syn"))
+    with pytest.raises(ValueError, match="out of range"):
+        E.gcn_layer(T.Tensor(np.zeros((4, 2))), edges, layer)
+
+
+def test_gcn_layer_records_one_node():
+    rng = np.random.default_rng(36)
+    layer = _layer(rng, 3, graphs=("sem", "syn"))
+    out = E.gcn_layer(T.Tensor(rng.uniform(-1, 1, (4, 3))),
+                      {"sem": [(0, 1, 1)], "syn": _REPEATS}, layer,
+                      edge_retain=0.5, rng=rng)
+    assert out._backward is not None
+    assert all(t._backward is None for t in out._parents)
+
+
+def test_gcn_fused_layer_gradients_with_edge_dropout():
+    rng = np.random.default_rng(37)
+    layer = _layer(rng, 3, graphs=("sem", "syn"))
+    params = layer.named("gcn")
+    params["H"] = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    edges = {"sem": [(0, 1, 1), (2, 3, 0)], "syn": _REPEATS}
+
+    def f(q):
+        out = E.gcn_layer(q["H"], edges, layer, edge_retain=0.7,
+                          rng=np.random.default_rng(38))
+        return T.tsum(out * out)
+
+    report = T.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
+    assert all(e.ok for e in report.values())
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (6,)])
+def test_add_rows_is_bit_identical_to_add_at(shape):
+    rng = np.random.default_rng(39)
+    idx = np.array([3, 0, 3, 5, 3, 0, 1], dtype=np.intp)
+    rows = rng.uniform(-1, 1, (len(idx),) + shape[1:])
+    acc = rng.uniform(-1, 1, shape)
+    want = acc.copy()
+    np.add.at(want, idx, rows)
+    npt.assert_array_equal(E._add_rows(acc, idx, rows), want)
 
 
 def test_gcn_locality_on_path_graph():

@@ -126,7 +126,7 @@ def test_grad_check_flags_corrupted_adjoint():
 
     def broken_double(t):
         # deliberately wrong adjoint (forward is 2t, backward claims d/dt = 5)
-        return T._node(2.0 * t.data, (t,), lambda g: (5.0 * g,))
+        return T.node(2.0 * t.data, (t,), lambda g: (5.0 * g,))
 
     report = T.grad_check(lambda p: T.tsum(broken_double(p["x"])), {"x": x})
     assert not report["x"].ok
@@ -450,9 +450,29 @@ def test_row_sparse_adjoint_reaches_adjoints_as_a_dense_array():
         seen.append(g)
         return (2.0 * g,)
 
-    h = T._node(2.0 * a.data, (a,), doubled_bwd)
+    h = T.node(2.0 * a.data, (a,), doubled_bwd)
     loss = T.tsum(T.gather_rows(h, [3, 3, 0])) + T.tsum(T.slice_rows(h, 1, 2))
     T.backward(loss)
     assert len(seen) == 1 and type(seen[0]) is np.ndarray
     npt.assert_array_equal(seen[0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
     npt.assert_array_equal(a.grad, 2.0 * seen[0])
+
+
+@pytest.mark.parametrize("w_shape, a_shape", [
+    ((4,), (4, 3)), ((2, 4), (2, 4, 3)), ((5, 4), (4, 3)), ((2, 5, 4), (4, 3)),
+])
+def test_weighted_sum_matches_broadcast_product_and_finite_differences(w_shape, a_shape):
+    rng = np.random.default_rng(13)
+    params = {"w": T.Tensor(rng.uniform(-1, 1, w_shape), requires_grad=True),
+              "a": T.Tensor(rng.uniform(-1, 1, a_shape), requires_grad=True)}
+    out = T.weighted_sum(params["w"], params["a"])
+    want = (params["w"].data[..., None] * params["a"].data).sum(axis=-2)
+    npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    assert out._parents == (params["w"], params["a"])
+    report = T.grad_check(lambda p: T.tsum(T.tanh(T.weighted_sum(p["w"], p["a"]))), params)
+    assert all(e.ok for e in report.values())
+
+
+def test_weighted_sum_shape_error_names_shapes():
+    with pytest.raises(T.ShapeError, match=r"\(3,\).*\(4, 2\)"):
+        T.weighted_sum(T.Tensor(np.ones(3)), T.Tensor(np.ones((4, 2))))

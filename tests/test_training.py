@@ -12,6 +12,7 @@ from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence
 from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
+from layer_oracle import assert_matches_reference, reference_nll_loss
 from tf_oracle import reference_teacher_forcing_loss
 
 
@@ -55,6 +56,18 @@ def test_nll_gradients():
         return TR.nll_loss(p["x"], [1, 3, 0], [1.0, 1.0, 0.0])
 
     assert T.grad_check(f, params)["x"].ok
+
+
+@pytest.mark.parametrize("lead", [(5,), (3, 2)])
+def test_nll_matches_composed_oracle_and_is_one_node(lead):
+    rng = np.random.default_rng(12)
+    x = T.Tensor(rng.uniform(-2, 2, lead + (7,)), requires_grad=True)
+    targets = rng.integers(0, 7, lead)
+    mask = (rng.random(lead) < 0.7).astype(float)
+    mask.flat[0] = 1.0
+    assert_matches_reference(lambda: TR.nll_loss(x, targets, mask),
+                             lambda: reference_nll_loss(x, targets, mask), {"x": x})
+    assert TR.nll_loss(x, targets, mask)._parents == (x,)
 
 
 def test_word_dropout_identity_outside_training():
