@@ -40,7 +40,6 @@ from .tensor import (
     reshape,
     softmax,
     tanh,
-    tsum,
     weighted_sum,
 )
 
@@ -136,10 +135,11 @@ def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
 
 
 def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
-    """tanh-affine of the masked average of encoder states."""
+    """tanh-affine of the masked average of encoder states, taken with one
+    ``weighted_sum`` of the weights ``mask / length``."""
     mask = np.asarray(enc.mask, dtype=np.float64)
     denom = mask.sum(axis=-1, keepdims=True)
-    avg = tsum(enc.states * Tensor(mask[..., None] / denom[..., None]), axis=-2)
+    avg = weighted_sum(mask / denom, enc.states)
     return tanh(matmul(avg, params.w_init) + params.b_init)
 
 

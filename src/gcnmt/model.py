@@ -41,16 +41,9 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model_params(path, model: Model) -> None:
-    """Load checkpointed values into an already-built model in place."""
-    stored = load_checkpoint(path)
-    params = model.parameters()
-    missing = set(params) - set(stored)
-    extra = set(stored) - set(params)
-    if missing or extra:
-        raise ValueError(f"checkpoint mismatch: missing={sorted(missing)}, "
-                         f"extra={sorted(extra)}")
-    for name, tensor in params.items():
-        if stored[name].shape != tensor.data.shape:
-            raise ValueError(f"checkpoint {name}: shape {stored[name].shape} "
-                             f"!= model {tensor.data.shape}")
-        tensor.data = stored[name]
+    """Load checkpointed values into an already-built model in place.
+
+    Each parameter's ``.data`` is rebound to its stored array as that array
+    is read, one at a time, so no second copy of the model is held; a
+    missing or extra name raises before any parameter changes."""
+    load_checkpoint(path, model.parameters())

@@ -11,13 +11,17 @@ only the arrays it needs. An adjoint may hand back its incoming gradient, a
 view of it or a forward value, so ``backward`` adds in place only into
 arrays it allocated itself. ``gather_rows`` and ``slice_rows`` hand back
 row-sparse adjoints that ``backward`` adds into the parent's rows without
-building a dense zero gradient per use. One compute graph is
-single-threaded; separate graphs are independent.
+building a dense zero gradient per use. ``backward`` consumes the graph it
+walks: each node drops its parents and its adjoint once the adjoint has
+run, so the tape is freed as it goes, and a second ``backward`` through the
+same nodes raises ``ValueError``. One compute graph is single-threaded;
+separate graphs are independent.
 """
 
 from __future__ import annotations
 
 import contextlib
+import zipfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,7 +47,6 @@ __all__ = [
     "stack0",
     "weighted_sum",
     "gather_rows",
-    "scatter_add_rows",
     "slice_rows",
     "reshape",
     "transpose",
@@ -339,15 +342,6 @@ def gather_rows(a, idx) -> Tensor:
     return node(data, (a,), lambda g: (_RowGrad(idx, g),))
 
 
-def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_rows`` output rows given by ``idx``."""
-    a = _as_tensor(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = np.zeros((num_rows,) + a.shape[1:])
-    np.add.at(out, idx, a.data)
-    return node(out, (a,), lambda g: (g[idx],))
-
-
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     data = a.data[start:stop].copy()
@@ -367,6 +361,11 @@ def transpose(a, axes) -> Tensor:
     return node(data, (a,), lambda g: (np.transpose(g, inv),))
 
 
+def _consumed(g):
+    raise ValueError("backward: the graph was consumed by an earlier backward; "
+                     "record it again")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into ``t.grad`` for every leaf tensor that
     requires gradients, that is one created directly rather than by an
@@ -381,7 +380,13 @@ def backward(loss: Tensor) -> None:
     on its first use. So no forward value and no array a caller holds is
     ever written. A leaf takes an owned gradient as its ``.grad`` and copies
     a borrowed one; a leaf that already has a ``.grad`` gets the sum in a
-    new array."""
+    new array.
+
+    The graph is consumed: as each node is reached it drops its parents and
+    its adjoint, so the forward values they kept are freed once its adjoint
+    has run, and a caller that still holds ``loss`` holds no tape. A later
+    ``backward`` that reaches a consumed node raises ``ValueError``; leaves
+    are untouched and take part in any new graph."""
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     seen = set()
@@ -401,19 +406,23 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
     pending = {id(loss): np.ones_like(loss.data)}
     owned = {id(loss)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()  # reverse topological order; drops topo's reference
         key = id(node)
         g = pending.pop(key, None)
+        parents, adjoint = node._parents, node._backward
+        if adjoint is not None:
+            node._parents, node._backward = (), _consumed
         if g is None:
             continue
-        if node._backward is None:
+        if adjoint is None:
             if node.requires_grad:
                 if node.grad is not None:
                     node.grad = node.grad + g
                 else:
                     node.grad = g if key in owned else g.copy()
             continue
-        for p, pg in zip(node._parents, node._backward(g)):
+        for p, pg in zip(parents, adjoint(g)):
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
@@ -504,6 +513,51 @@ def save_checkpoint(path, params: dict) -> None:
                       for name, p in params.items()})
 
 
-def load_checkpoint(path) -> dict:
-    with np.load(path) as z:
-        return {name: z[name].astype(np.float64) for name in z.files}
+def _read_npy(fh) -> np.ndarray:
+    """One ``.npy`` stream as a C-ordered float64 array that owns its memory:
+    the stream is read straight into the array, a chunk at a time."""
+    fmt = np.lib.format
+    version = fmt.read_magic(fh)
+    read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+    shape, fortran_order, dtype = read_header(fh)
+    if dtype.hasobject:
+        raise ValueError("checkpoint: object arrays are not supported")
+    arr = np.empty(shape, dtype, order="F" if fortran_order else "C")
+    raw = memoryview(arr.reshape(-1, order="A").view(np.uint8))
+    for i in range(0, len(raw), 1 << 18):
+        chunk = raw[i:i + (1 << 18)]
+        if fh.readinto(chunk) != len(chunk):
+            raise ValueError("checkpoint: truncated array data")
+    return np.asarray(arr, dtype=np.float64, order="C")  # no copy for C-ordered <f8
+
+
+def load_checkpoint(path, params: dict | None = None) -> dict:
+    """Read a ``save_checkpoint`` archive one array at a time; returns the
+    arrays by parameter path, each float64, C-contiguous, writeable and
+    owning its memory (stored ``<f8`` data is not copied again).
+
+    With ``params`` (path -> Tensor), the archive's names must be exactly
+    ``params``' names, checked before any array is read, and each tensor's
+    ``.data`` is rebound to its array as soon as that array is read, so the
+    old value can be freed before the next one is read. A shape mismatch
+    raises and names the parameter; tensors read before it keep their new
+    values.
+    """
+    with zipfile.ZipFile(path) as zf:
+        names = [m[:-len(".npy")] for m in zf.namelist() if m.endswith(".npy")]
+        if params is not None and set(names) != set(params):
+            raise ValueError(f"checkpoint mismatch: "
+                             f"missing={sorted(set(params) - set(names))}, "
+                             f"extra={sorted(set(names) - set(params))}")
+        out = {}
+        for name in names:
+            with zf.open(name + ".npy") as fh:
+                arr = _read_npy(fh)
+            if params is not None:
+                tensor = params[name]
+                if arr.shape != tensor.data.shape:
+                    raise ValueError(f"checkpoint {name}: shape {arr.shape} "
+                                     f"!= model {tensor.data.shape}")
+                tensor.data = arr
+            out[name] = arr
+        return out

@@ -1,16 +1,17 @@
 """Reference layers composed of tape operations, one node per operation.
 
 These are the original bodies of ``gcnmt.encoders.gru_cell``,
-``gcnmt.decoder.attention``, ``gcnmt.encoders.gcn_layer`` and
-``gcnmt.training.nll_loss``, kept verbatim as the oracle that the
-one-node implementations must match in value and in every gradient;
-``assert_matches_reference`` makes that comparison.
+``gcnmt.decoder.attention``, ``gcnmt.decoder.init_state``,
+``gcnmt.encoders.gcn_layer`` and ``gcnmt.training.nll_loss``, kept
+verbatim as the oracle that the one-node implementations must match in
+value and in every gradient; ``assert_matches_reference`` makes that
+comparison. ``scatter_add_rows`` is the tape op the composed GCN needs.
 """
 
 import numpy as np
 import numpy.testing as npt
 
-from gcnmt.decoder import AttentionParams, attention_keys
+from gcnmt.decoder import AttentionParams, DecoderParams, attention_keys
 from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
 from gcnmt.tensor import (
     Tensor,
@@ -18,14 +19,23 @@ from gcnmt.tensor import (
     gather_rows,
     log_softmax,
     matmul,
+    node,
     relu,
     reshape,
-    scatter_add_rows,
     sigmoid,
     softmax,
     tanh,
     tsum,
 )
+
+
+def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
+    """Sum rows of ``a`` into ``num_rows`` output rows given by ``idx``."""
+    a = a if isinstance(a, Tensor) else Tensor(a)
+    idx = np.asarray(idx, dtype=np.intp)
+    out = np.zeros((num_rows,) + a.shape[1:])
+    np.add.at(out, idx, a.data)
+    return node(out, (a,), lambda g: (g[idx],))
 
 
 def reference_gru_cell(x_t, h_prev, params: GruParams):
@@ -56,6 +66,14 @@ def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionPar
     weights = softmax(scores, mask=enc.mask, axis=-1)
     context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
     return weights, context
+
+
+def reference_init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
+    """tanh-affine of the masked average of encoder states."""
+    mask = np.asarray(enc.mask, dtype=np.float64)
+    denom = mask.sum(axis=-1, keepdims=True)
+    avg = tsum(enc.states * Tensor(mask[..., None] / denom[..., None]), axis=-2)
+    return tanh(matmul(avg, params.w_init) + params.b_init)
 
 
 def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0,

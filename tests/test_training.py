@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -235,6 +237,88 @@ def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
         assert p.data is loaded[k]
         npt.assert_allclose(p.data, ref[k], rtol=1e-15, atol=0)
         assert not np.array_equal(p.data, T.load_checkpoint(path)[k])
+
+
+def _model_and_checkpoint(tmp_path, widths=8):
+    """A builder of seed-``n`` models of one shape, and the path of a saved
+    seed-1 model of that shape."""
+    _, exp, _, prep = _toy_setup()
+    exp = dataclasses.replace(exp, emb_size=widths, hidden_size=widths, attn_size=widths)
+
+    def build(n):
+        return build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                           prep.label_vocabs, np.random.default_rng(n))
+
+    path = tmp_path / "model.npz"
+    save_model(path, build(1))
+    return build, path
+
+
+def test_load_model_params_holds_one_array_at_a_time(tmp_path):
+    build, path = _model_and_checkpoint(tmp_path, widths=64)
+    tracemalloc.start()
+    try:
+        model = build(2)  # traced, so the arrays that loading replaces count as freed
+        total = sum(p.data.nbytes for p in model.parameters().values())
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        load_model_params(path, model)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < total
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_load_model_params_name_mismatch_rebinds_nothing(tmp_path, change):
+    build, path = _model_and_checkpoint(tmp_path)
+    stored = T.load_checkpoint(path)
+    if change == "missing":
+        del stored["decoder.b_out"]
+    else:
+        stored["decoder.unknown"] = np.zeros(3)
+    np.savez(path, **stored)
+    model = build(2)
+    before = {k: p.data for k, p in model.parameters().items()}
+    with pytest.raises(ValueError, match=f"checkpoint mismatch: .*{change}="):
+        load_model_params(path, model)
+    assert all(p.data is before[k] for k, p in model.parameters().items())
+
+
+def test_loaded_parameters_are_owned_c_contiguous_float64(tmp_path):
+    build, path = _model_and_checkpoint(tmp_path)
+    saved = build(3)
+    emb = saved.parameters()["encoder.embedding"]
+    emb.data = np.asfortranarray(emb.data)  # written to the archive in Fortran order
+    save_model(path, saved)
+    model = build(2)
+    load_model_params(path, model)
+    for k, p in model.parameters().items():
+        assert p.data.dtype == np.float64, k
+        assert p.data.flags.c_contiguous and p.data.flags.writeable, k
+        assert p.data.flags.owndata, k
+        npt.assert_array_equal(p.data, saved.parameters()[k].data, err_msg=k)
+
+
+def test_train_frees_each_step_tape_before_the_next_forward(monkeypatch):
+    pairs, exp, _, prep = _toy_setup(recipe="sem:1")
+    tc = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=1, rng_seed=3, min_count=1)
+    logits_refs, alive_at_forward = [], []
+    nll_loss, teacher_forcing_loss = TR.nll_loss, TR.teacher_forcing_loss
+
+    def recording_nll_loss(logits, *args):
+        logits_refs.append(weakref.ref(logits.data))  # held by the tape only
+        return nll_loss(logits, *args)
+
+    def checking_teacher_forcing_loss(*args):
+        alive_at_forward.append(sum(ref() is not None for ref in logits_refs))
+        return teacher_forcing_loss(*args)
+
+    monkeypatch.setattr(TR, "nll_loss", recording_nll_loss)
+    monkeypatch.setattr(TR, "teacher_forcing_loss", checking_teacher_forcing_loss)
+    TR.train(tc, exp, pairs, [], prep.src_vocab, prep.tgt_vocab, None, prep.label_vocabs)
+    assert len(logits_refs) == 4
+    assert alive_at_forward == [0, 0, 0, 0]
 
 
 def test_adam_non_finite_gradient_changes_nothing():
