@@ -9,12 +9,12 @@ The GRU consumes the previous target embedding concatenated with the
 context vector, and the output projection reads [state; context; previous
 embedding]. A step is the recurrence (``recurrence_step``) followed by the
 projection (``output_logits``): decoding runs both per step, while teacher
-forcing runs the recurrence per step and the projection once per batch,
-over every step's features. A greedy batch may mix source lengths: its
-states are zero-padded to the longest source, and ``mask`` keeps the
-padding out of attention (masked softmax) and out of the initial state
-(masked mean). Beam search
-is length-unnormalized: finished hypotheses compete in a completed pool
+forcing runs the recurrence per step and projects every step's features
+once per batch, inside its loss node (``training.nll_loss``). A greedy
+batch may mix source lengths: its states are zero-padded to the longest
+source, and ``mask`` keeps the padding out of attention (masked softmax)
+and out of the initial state (masked mean). Beam search is
+length-unnormalized: finished hypotheses compete in a completed pool
 and the highest-scoring completed hypothesis wins (best live one at
 max_len if nothing finished). It batches the beam: the live hypotheses
 are the batch dimension of one ``decoder_step`` per time step, and the

@@ -121,7 +121,7 @@ def gru_cell(x_t, h_prev, params: GruParams):
                 X.T @ dc, RH.T @ dc, dc.sum(axis=0))
 
     return node(out, (x_t, h_prev, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
-                      p.w_h, p.u_h, p.b_h), bwd)
+                      p.w_h, p.u_h, p.b_h), bwd, fresh=True)
 
 
 def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
@@ -336,7 +336,7 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
                       _add_rows(np.zeros_like(gb.data), labs, d_pre[:, 0])]
         return grads
 
-    return node(out, parents, bwd)
+    return node(out, parents, bwd, fresh=True)
 
 
 @dataclass

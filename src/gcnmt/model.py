@@ -43,7 +43,10 @@ def save_model(path, model: Model) -> None:
 def load_model_params(path, model: Model) -> None:
     """Load checkpointed values into an already-built model in place.
 
-    Each parameter's ``.data`` is rebound to its stored array as that array
-    is read, one at a time, so no second copy of the model is held; a
-    missing or extra name raises before any parameter changes."""
+    Each stored array is read straight into its parameter's existing
+    ``.data``, one member at a time, so no second copy of any parameter is
+    held; a missing or extra name raises before any parameter changes, and
+    a shape mismatch before that parameter changes. Every failure raises
+    ``ValueError`` (see ``tensor.load_checkpoint``); after one, throw the
+    model away."""
     load_checkpoint(path, model.parameters())

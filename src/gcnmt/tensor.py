@@ -5,17 +5,18 @@ require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
 gradients additively. ``node`` is the constructor every operation uses,
 and a layer may call it too: the GRU cell and the GCN layer
-(``encoders``) and the NLL loss (``training``) compute their forward
-pass in numpy and record one node with a hand-derived adjoint that keeps
-only the arrays it needs. An adjoint may hand back its incoming gradient, a
-view of it or a forward value, so ``backward`` adds in place only into
-arrays it allocated itself. ``gather_rows`` and ``slice_rows`` hand back
-row-sparse adjoints that ``backward`` adds into the parent's rows without
-building a dense zero gradient per use. ``backward`` consumes the graph it
-walks: each node drops its parents and its adjoint once the adjoint has
-run, so the tape is freed as it goes, and a second ``backward`` through the
-same nodes raises ``ValueError``. One compute graph is single-threaded;
-separate graphs are independent.
+(``encoders``) and the projected NLL loss (``training``) compute their
+forward pass in numpy and record one node with a hand-derived adjoint that
+keeps only the arrays it needs. An adjoint may hand back its incoming
+gradient, a view of it or a forward value, so ``backward`` adds in place
+only into arrays it owns: those it allocated itself and those that an
+adjoint declared fresh (``node(..., fresh=True)``). ``gather_rows`` and
+``slice_rows`` hand back row-sparse adjoints that ``backward`` adds into
+the parent's rows without building a dense zero gradient per use.
+``backward`` consumes the graph it walks: each node drops its parents and
+its adjoint once the adjoint has run, so the tape is freed as it goes, and
+a second ``backward`` through the same nodes raises ``ValueError``. One
+compute graph is single-threaded; separate graphs are independent.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_fresh")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -87,6 +88,7 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
+        self._fresh = False
 
     @property
     def shape(self):
@@ -135,20 +137,24 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def node(data, parents, backward_fn) -> Tensor:
+def node(data, parents, backward_fn, fresh: bool = False) -> Tensor:
     """A tensor holding ``data``; it records ``parents`` and its adjoint when
     gradients are enabled and some parent requires them.
 
     ``backward_fn(g)`` takes the gradient of the output and returns one
     gradient per parent, in order, with that parent's shape (or None). It
     may return ``g``, a view of it or a forward value: ``backward`` never
-    writes them.
+    writes them. With ``fresh``, the adjoint declares that every dense array
+    it returns was allocated by that call, is returned once, and is read by
+    nothing else afterwards: ``backward`` then owns it, adds later
+    gradients into it in place and hands it to a leaf without a copy.
     """
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+        out._fresh = fresh
     return out
 
 
@@ -223,7 +229,7 @@ def matmul(a, b) -> Tensor:
         G2 = g.reshape(A2.shape[0], B2.shape[1])
         return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
 
-    return node(data, (a, b), bwd)
+    return node(data, (a, b), bwd, fresh=True)
 
 
 def relu(a) -> Tensor:
@@ -372,15 +378,17 @@ def backward(loss: Tensor) -> None:
     operation. Gradients of intermediate nodes are passed on to their
     parents and not kept: their ``.grad`` stays None.
 
-    The first gradient that reaches a node is kept as it is and borrowed:
-    it may be the child's gradient, a view of it or a forward value. The
-    second is added into a new array that ``backward`` owns, and every later
-    one is added into that array in place. A row-sparse adjoint is added
-    into an owned array too: a zero array, or a copy of the borrowed one,
-    on its first use. So no forward value and no array a caller holds is
-    ever written. A leaf takes an owned gradient as its ``.grad`` and copies
-    a borrowed one; a leaf that already has a ``.grad`` gets the sum in a
-    new array.
+    The first gradient that reaches a node is kept as it is. It is owned
+    when its adjoint declared it fresh (``node(..., fresh=True)``), and
+    borrowed otherwise: then it may be the child's gradient, a view of it or
+    a forward value. A later gradient is added in place into an owned one;
+    a borrowed one is first replaced by a sum that ``backward`` owns,
+    computed in the fresh second gradient when there is one and in a new
+    array otherwise. A row-sparse adjoint is added into an owned array too:
+    a zero array, or a copy of the borrowed one, on its first use. So no
+    forward value and no array a caller holds is ever written. A leaf takes
+    an owned gradient as its ``.grad`` without a copy and copies a borrowed
+    one; a leaf that already has a ``.grad`` gets the sum in a new array.
 
     The graph is consumed: as each node is reached it drops its parents and
     its adjoint, so the forward values they kept are freed once its adjoint
@@ -410,7 +418,7 @@ def backward(loss: Tensor) -> None:
         node = topo.pop()  # reverse topological order; drops topo's reference
         key = id(node)
         g = pending.pop(key, None)
-        parents, adjoint = node._parents, node._backward
+        parents, adjoint, fresh = node._parents, node._backward, node._fresh
         if adjoint is not None:
             node._parents, node._backward = (), _consumed
         if g is None:
@@ -438,9 +446,14 @@ def backward(loss: Tensor) -> None:
                     np.add.at(acc, pg.idx, pg.rows)  # repeated rows add up
             elif acc is None:
                 pending[key] = pg
+                if fresh:
+                    owned.add(key)
                 continue
             elif key in owned:
                 acc += pg
+            elif fresh:
+                pg += acc  # the same sum as acc + pg, bit for bit
+                acc = pg
             else:
                 acc = acc + pg
             pending[key] = acc
@@ -513,51 +526,96 @@ def save_checkpoint(path, params: dict) -> None:
                       for name, p in params.items()})
 
 
-def _read_npy(fh) -> np.ndarray:
-    """One ``.npy`` stream as a C-ordered float64 array that owns its memory:
-    the stream is read straight into the array, a chunk at a time."""
+_READ_BYTES = 1 << 18  # bytes per read from an archive member
+
+
+def _npy_header(fh):
+    """(shape, fortran_order, dtype) of a ``.npy`` stream, leaving ``fh`` at
+    the first byte of the data."""
     fmt = np.lib.format
     version = fmt.read_magic(fh)
     read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
     shape, fortran_order, dtype = read_header(fh)
     if dtype.hasobject:
-        raise ValueError("checkpoint: object arrays are not supported")
-    arr = np.empty(shape, dtype, order="F" if fortran_order else "C")
-    raw = memoryview(arr.reshape(-1, order="A").view(np.uint8))
-    for i in range(0, len(raw), 1 << 18):
-        chunk = raw[i:i + (1 << 18)]
+        raise ValueError("object arrays are not supported")
+    if dtype.kind not in "biuf":
+        raise ValueError(f"{dtype} arrays are not supported")
+    return shape, fortran_order, dtype
+
+
+def _read_npy_data(fh, fortran_order, dtype, dest: np.ndarray) -> None:
+    """Read the data of a ``.npy`` stream into ``dest``, whose shape is the
+    stream's, a chunk at a time. Data of ``dest``'s dtype in ``dest``'s own
+    order is read straight into its memory; any other dtype or order goes
+    through one chunk-sized buffer and is cast element by element."""
+    target = dest.T if fortran_order else dest  # stream order = C order of target
+    if dtype == dest.dtype and target.flags.c_contiguous:
+        raw = memoryview(target.reshape(-1).view(np.uint8))
+        for i in range(0, len(raw), _READ_BYTES):
+            chunk = raw[i:i + _READ_BYTES]
+            if fh.readinto(chunk) != len(chunk):
+                raise ValueError("truncated array data")
+        return
+    step = max(1, _READ_BYTES // dtype.itemsize)
+    buf = np.empty(min(step, target.size), dtype)
+    flat = target.flat
+    for lo in range(0, target.size, step):
+        part = buf[:min(step, target.size - lo)]
+        chunk = memoryview(part.view(np.uint8))
         if fh.readinto(chunk) != len(chunk):
-            raise ValueError("checkpoint: truncated array data")
-    return np.asarray(arr, dtype=np.float64, order="C")  # no copy for C-ordered <f8
+            raise ValueError("truncated array data")
+        flat[lo:lo + part.size] = part
 
 
 def load_checkpoint(path, params: dict | None = None) -> dict:
-    """Read a ``save_checkpoint`` archive one array at a time; returns the
-    arrays by parameter path, each float64, C-contiguous, writeable and
-    owning its memory (stored ``<f8`` data is not copied again).
+    """Read a ``save_checkpoint`` archive one member at a time; returns the
+    float64 arrays by parameter path.
 
+    Without ``params``, each array is new, C-contiguous and owns its memory.
     With ``params`` (path -> Tensor), the archive's names must be exactly
-    ``params``' names, checked before any array is read, and each tensor's
-    ``.data`` is rebound to its array as soon as that array is read, so the
-    old value can be freed before the next one is read. A shape mismatch
-    raises and names the parameter; tensors read before it keep their new
-    values.
+    ``params``' names, checked before any member is read, and each member is
+    read straight into that tensor's existing ``.data``, which keeps its
+    identity and layout; the returned arrays are those ``.data`` arrays.
+    Each member's header shape is checked against the tensor before any of
+    its bytes is written, and a mismatch raises and names the parameter.
+    Stored ``<f8`` data in the destination's order is read with no
+    intermediate copy; other numeric dtypes and Fortran order go through a
+    buffer of one read's size.
+
+    A file that is not a zip archive raises ``ValueError`` naming the file,
+    and a corrupt, truncated or unsupported member ``ValueError`` naming the
+    file and the member. A load that fails partway leaves the tensors
+    read before that member with their new values, and one that fails
+    partway through a member (a truncated member, or a checksum that only
+    fails at its end) leaves that parameter partly written: throw such a
+    model away.
     """
-    with zipfile.ZipFile(path) as zf:
-        names = [m[:-len(".npy")] for m in zf.namelist() if m.endswith(".npy")]
-        if params is not None and set(names) != set(params):
-            raise ValueError(f"checkpoint mismatch: "
-                             f"missing={sorted(set(params) - set(names))}, "
-                             f"extra={sorted(set(names) - set(params))}")
-        out = {}
-        for name in names:
-            with zf.open(name + ".npy") as fh:
-                arr = _read_npy(fh)
-            if params is not None:
-                tensor = params[name]
-                if arr.shape != tensor.data.shape:
-                    raise ValueError(f"checkpoint {name}: shape {arr.shape} "
-                                     f"!= model {tensor.data.shape}")
-                tensor.data = arr
-            out[name] = arr
-        return out
+    try:
+        with zipfile.ZipFile(path) as zf:
+            names = [m[:-len(".npy")] for m in zf.namelist() if m.endswith(".npy")]
+            if params is not None and set(names) != set(params):
+                raise ValueError(f"checkpoint mismatch: "
+                                 f"missing={sorted(set(params) - set(names))}, "
+                                 f"extra={sorted(set(names) - set(params))}")
+            out = {}
+            for name in names:
+                try:
+                    with zf.open(name + ".npy") as fh:
+                        shape, fortran_order, dtype = _npy_header(fh)
+                        if params is None:
+                            dest = np.empty(shape)
+                        else:
+                            dest = params[name].data
+                            if shape != dest.shape:
+                                raise ValueError(f"shape {shape} != model {dest.shape}")
+                        _read_npy_data(fh, fortran_order, dtype, dest)
+                except (zipfile.BadZipFile, NotImplementedError, OSError,
+                        RuntimeError, ValueError) as e:
+                    # besides BadZipFile, zipfile raises NotImplementedError or
+                    # RuntimeError (encrypted) for garbled member flags and
+                    # OSError for a garbled offset
+                    raise ValueError(f"checkpoint {path}, member {name}.npy: {e}") from e
+                out[name] = dest
+            return out
+    except zipfile.BadZipFile as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e

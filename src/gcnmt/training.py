@@ -3,8 +3,13 @@
 Batches are bucketed by exact source length, so a batched forward pass is
 numerically identical to encoding each sentence alone. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
-draw from one generator in a fixed order. The loss (``nll_loss``) is one
-tape node over the logits of every step of a batch.
+draw from one generator in a fixed order. Teacher forcing runs the decoder
+recurrence per step; the output projection, log-softmax, target picks and
+masked mean over every step of a batch are then one tape node
+(``nll_loss``) over the features, ``w_out`` and ``b_out``. A training step
+clears the gradients before its forward pass, so the previous step's
+gradients are freed before the new tape is recorded, and ``backward`` hands
+the fresh gradients of the fused nodes to the parameters without copying.
 """
 
 from __future__ import annotations
@@ -17,46 +22,55 @@ import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
 from .corpus import PAD, UNK, Batch, bucket_indices, make_batch
-from .decoder import attention_keys, init_state, output_logits, recurrence_step
+from .decoder import attention_keys, init_state, recurrence_step
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
 from .tensor import Tensor, backward, concat, node, zero_grads
 
 
-def nll_loss(logits, targets, mask):
-    """Mean negative log-likelihood over unmasked steps.
+def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
+    """Mean negative log-likelihood of the logits ``x @ w_out + b_out`` over
+    unmasked steps.
 
-    ``logits`` has vocabulary on the last axis; ``targets`` and ``mask``
-    match the leading axes. One tape node: log-softmax, the pick of each
-    target and the masked mean, with the adjoint
-    ``(exp(log_softmax) - onehot) * mask * g / total``, so no dense zero
-    gradient of the log-probabilities is built for the picks.
+    ``w_out`` is (F, vocab) and ``b_out`` (vocab,); ``targets`` and ``mask``
+    match the leading axes of ``x``. One tape node over ``x``, ``w_out`` and
+    ``b_out``: it keeps one logits-sized buffer, holding the log-softmax, and
+    its adjoint turns that buffer into the logit gradient
+    ``(exp(log_softmax) - onehot) * mask * g / total`` in place, so no other
+    logits-sized array is kept or built by the adjoint. The gradients it
+    returns are fresh (``tensor.node``). Each operation and its order are
+    those of the projection, the bias add and the log-softmax composed, so
+    the loss and every gradient are bit-identical to them for 2-d ``x``.
     """
-    logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
+    x_t = x if isinstance(x, Tensor) else Tensor(x)
     targets = np.asarray(targets, dtype=np.intp)
     mask = np.asarray(mask, dtype=np.float64)
-    if logits_t.shape[:-1] != targets.shape or targets.shape != mask.shape:
+    if x_t.shape[:-1] != targets.shape or targets.shape != mask.shape:
         raise ValueError(
-            f"nll_loss shapes disagree: logits {logits_t.shape}, "
+            f"nll_loss shapes disagree: x {x_t.shape}, "
             f"targets {targets.shape}, mask {mask.shape}")
     total = mask.sum()
     if total == 0:
         raise ValueError("nll_loss: all target steps masked")
-    vocab = logits_t.shape[-1]
-    z = logits_t.data - logits_t.data.max(axis=-1, keepdims=True)
-    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    buf = np.matmul(x_t.data, w_out.data)
+    buf += b_out.data
+    buf -= buf.max(axis=-1, keepdims=True)
+    buf -= np.log(np.exp(buf).sum(axis=-1, keepdims=True))  # log-softmax
+    vocab = buf.shape[-1]
     rows, cols = np.arange(targets.size), targets.ravel()
-    picks = lsm.reshape(-1, vocab)[rows, cols]
+    picks = buf.reshape(-1, vocab)[rows, cols]
     loss = -(picks * mask.ravel()).sum() * (1.0 / total)
 
     def bwd(g):
-        d = np.exp(lsm)
-        d.reshape(-1, vocab)[rows, cols] -= 1.0
+        d = np.exp(buf, out=buf)  # the log-softmax is not needed again
+        d2 = d.reshape(-1, vocab)
+        d2[rows, cols] -= 1.0
         d *= (g * (1.0 / total) * mask)[..., None]
-        return (d,)
+        x2 = x_t.data.reshape(-1, x_t.shape[-1])
+        return (d2 @ w_out.data.T).reshape(x_t.shape), x2.T @ d2, d2.sum(axis=0)
 
-    return node(np.asarray(loss), (logits_t,), bwd)
+    return node(np.asarray(loss), (x_t, w_out, b_out), bwd, fresh=True)
 
 
 def word_dropout(ids, retain: float, rng, mode: str = "train"):
@@ -164,9 +178,9 @@ def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: Train
     for t in range(tgt_in.shape[1]):
         s, f = recurrence_step(tgt_in[:, t], s, enc, dec, keys)
         features.append(f)
-    # one projection over every step: (T·B, F) rows in time-major order
-    logits = output_logits(concat(features, axis=0), dec)
-    return nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
+    # one projection and loss over every step: (T·B, F) rows in time-major order
+    return nll_loss(concat(features, axis=0), tgt_out.T.ravel(), mask.T.ravel(),
+                    dec.w_out, dec.b_out)
 
 
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):
@@ -233,6 +247,7 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
                                      train_cfg, rng=rng)
             total_loss, total_steps = 0.0, 0
             for batch in batches:
+                zero_grads(params)  # frees the last step's gradients before this forward
                 loss = teacher_forcing_loss(model, batch, "train", train_cfg, rng)
                 value = loss.item()
                 if not np.isfinite(value):
@@ -240,7 +255,6 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
                 n_steps = int((batch.tgt[:, 1:] != PAD).sum())
                 total_loss += value * n_steps
                 total_steps += n_steps
-                zero_grads(params)
                 backward(loss)
                 adam_step(params, state, train_cfg.learning_rate, train_cfg.l2_coeff)
             train_loss = total_loss / max(1, total_steps)

@@ -84,6 +84,31 @@ def test_gru_cell_records_one_node():
     assert all(t._backward is None for t in out._parents)
 
 
+def test_gru_steps_add_weight_gradients_in_place():
+    rng = np.random.default_rng(36)
+    p = E.init_gru(rng, 3, 4)
+    weights = [p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h]
+    returned = []  # per adjoint run: (its weight gradients, copies of them)
+
+    def recording(adjoint):
+        def run(g):
+            grads = adjoint(g)
+            returned.append((grads[2:], [x.copy() for x in grads[2:]]))
+            return grads
+        return run
+
+    h = T.Tensor(np.zeros((2, 4)))
+    for _ in range(3):
+        h = E.gru_cell(T.Tensor(rng.uniform(-1, 1, (2, 3))), h, p)
+        h._backward = recording(h._backward)
+    T.backward(T.tsum(h * T.Tensor(rng.uniform(-1, 1, (2, 4)))))
+    assert len(returned) == 3
+    (first, v0), (_, v1), (_, v2) = returned  # the last step's adjoint runs first
+    for i, w in enumerate(weights):
+        assert w.grad is first[i]  # owned from the first gradient on: no copy
+        npt.assert_array_equal(w.grad, v0[i] + v1[i] + v2[i])
+
+
 def test_gru_batch_gradients_vs_finite_differences():
     rng = np.random.default_rng(32)
     p = E.init_gru(rng, 3, 2)

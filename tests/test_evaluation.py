@@ -1,4 +1,6 @@
 import math
+import struct
+import zipfile
 
 import numpy as np
 import numpy.testing as npt
@@ -258,6 +260,44 @@ def test_cli_preprocess_train_translate_score_pipeline(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["score", "--hyp", str(hyp_path), "--ref", str(tgt)]) == 0
     assert capsys.readouterr().out.startswith("BLEU = ")
+
+
+def _flip_last_data_byte(path, member):
+    """Flip one bit of the last data byte of an uncompressed archive member."""
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(member)
+    start = info.header_offset
+    name_len, extra_len = struct.unpack("<HH", raw[start + 26:start + 30])
+    raw[start + 30 + name_len + extra_len + info.compress_size - 1] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("corruption", ["not-a-zip", "flipped-byte"])
+def test_cli_translate_rejects_a_corrupt_checkpoint_in_one_line(tmp_path, capsys,
+                                                                corruption):
+    conll, tgt = _write_tiny_dataset(tmp_path, n=5)
+    out = tmp_path / "run"
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\n")
+    base = _tiny_flags(conll, tgt, out) + ["--config", str(tmp_path / "small.cfg")]
+    assert cli.main(["train"] + base) == 0
+    ckpt = out / "best.npz"
+    if corruption == "not-a-zip":
+        ckpt.write_bytes(b"not a checkpoint\n")
+        detail = "File is not a zip file"
+    else:
+        _flip_last_data_byte(ckpt, "decoder.w_out.npy")
+        detail = "member decoder.w_out.npy: Bad CRC-32"
+    capsys.readouterr()
+    rc = cli.main(["translate"] + base + ["--checkpoint", str(ckpt),
+                                          "--input", str(conll)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"gcnmt translate: checkpoint {ckpt}")
+    assert detail in err[0]
 
 
 def test_cli_translate_beam1_matches_greedy(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import weakref
 import zipfile
 
@@ -218,6 +219,25 @@ def test_load_checkpoint_rejects_truncated_and_object_members(tmp_path):
         T.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("corruption", ["not-a-zip", "bad-crc", "encrypted-flag"])
+def test_load_checkpoint_reports_a_corrupt_archive_as_value_error(tmp_path, corruption):
+    path = tmp_path / "ckpt.npz"
+    T.save_checkpoint(path, {"w": T.Tensor(np.arange(6.0))})
+    raw = bytearray(path.read_bytes())
+    if corruption == "not-a-zip":
+        raw, where = b"not a checkpoint", f"checkpoint {path}: "
+    elif corruption == "bad-crc":
+        raw[raw.index(b"PK\x01\x02") - 1] ^= 0x01  # the last data byte
+        where = f"checkpoint {path}, member w.npy: Bad CRC-32"
+    else:
+        raw[raw.index(b"PK\x01\x02") + 8] |= 0x01  # central directory flag bits
+        where = f"checkpoint {path}, member w.npy: "
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError) as info:
+        T.load_checkpoint(path)
+    assert str(info.value).startswith(where)
+
+
 def test_backward_frees_the_tape_while_the_caller_holds_the_loss():
     x = T.Tensor(np.linspace(-1.0, 1.0, 6), requires_grad=True)
 
@@ -374,6 +394,23 @@ def test_second_gradient_never_writes_a_shared_first_one(order, second_use):
     npt.assert_array_equal(w.grad, c + 1.0)
 
 
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_fresh_gradient_never_writes_a_shared_borrowed_one(order):
+    # a and h first or second receive the same borrowed array from one add,
+    # and each also a fresh matmul gradient, which may take their sum
+    a = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+    w = T.Tensor(np.arange(4.0).reshape(2, 2) / 4, requires_grad=True)
+    c = np.array([[3.0, -1.0], [2.0, 0.5]])
+    h = T.reshape(w, (2, 2))
+    terms = [T.tsum((a + h) * T.Tensor(c)), T.tsum(T.matmul(a, T.Tensor(c))),
+             T.tsum(T.matmul(T.Tensor(c), h))]
+    terms = [terms[i] for i in order]
+    T.backward(terms[0] + terms[1] + terms[2])
+    ones = np.ones((2, 2))
+    npt.assert_array_equal(a.grad, c + ones @ c.T)
+    npt.assert_array_equal(w.grad, c + c.T @ ones)
+
+
 def test_backward_leaf_through_reshape_concat_stack0_views_and_direct_use():
     x = T.Tensor(np.arange(6.0).reshape(2, 3) - 2.5, requires_grad=True)
     y = T.Tensor(np.ones((1, 3)), requires_grad=True)
@@ -411,6 +448,23 @@ def test_second_backward_leaves_the_callers_gradient_array_alone(uses):
     npt.assert_array_equal(kept, uses * c.data)
     npt.assert_array_equal(x.grad, 2 * uses * c.data)
     assert not np.shares_memory(kept, x.grad)
+
+
+def test_leaf_takes_a_fresh_matmul_gradient_without_a_copy():
+    rng = np.random.default_rng(35)
+    x = T.Tensor(rng.uniform(-1, 1, (4, 512)))
+    w = T.Tensor(rng.uniform(-1, 1, (512, 512)), requires_grad=True)
+    loss = T.tsum(T.matmul(x, w))
+    tracemalloc.start()
+    try:
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (512, 512) gradient is allocated once, by the adjoint's GEMM
+    assert peak < 2 * w.data.nbytes
+    assert x.grad is None
+    npt.assert_array_equal(w.grad, x.data.T @ np.ones((4, 512)))
 
 
 def test_backward_writes_no_forward_value():

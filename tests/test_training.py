@@ -1,7 +1,10 @@
 import dataclasses
+import inspect
+import io
 import math
 import tracemalloc
 import weakref
+import zipfile
 
 import numpy as np
 import numpy.testing as npt
@@ -15,19 +18,31 @@ from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
 from layer_oracle import assert_matches_reference, reference_nll_loss
-from tf_oracle import reference_teacher_forcing_loss
+from tf_oracle import composed_teacher_forcing_loss, reference_teacher_forcing_loss
+
+
+def _identity_projection(vocab):
+    """``w_out`` and ``b_out`` that leave the logits as they are: for finite
+    ``x``, ``x @ I + 0 == x`` exactly."""
+    return (T.Tensor(np.eye(vocab), requires_grad=True),
+            T.Tensor(np.zeros(vocab), requires_grad=True))
+
+
+def _nll(logits, targets, mask):
+    logits = np.asarray(logits)
+    return TR.nll_loss(logits, targets, mask, *_identity_projection(logits.shape[-1]))
 
 
 def test_nll_certain_correct_prediction_is_zero():
     logits = np.array([[100.0, 0.0, 0.0]])
-    loss = TR.nll_loss(logits, [0], [1.0])
+    loss = _nll(logits, [0], [1.0])
     assert loss.item() < 1e-12
 
 
 def test_nll_uniform_logits_is_log_vocab():
     for vocab in (2, 5, 17):
         logits = np.zeros((3, vocab))
-        loss = TR.nll_loss(logits, [0] * 3, [1.0] * 3)
+        loss = _nll(logits, [0] * 3, [1.0] * 3)
         npt.assert_allclose(loss.item(), math.log(vocab), rtol=1e-12)
 
 
@@ -37,39 +52,46 @@ def test_nll_two_step_hand_case():
     p1 = math.exp(1) / (math.exp(1) + 2)
     p2 = 1 / (1 + math.exp(2) + 1)
     expected = -(math.log(p1) + math.log(p2)) / 2
-    loss = TR.nll_loss(logits, [0, 2], [1.0, 1.0])
+    loss = _nll(logits, [0, 2], [1.0, 1.0])
     npt.assert_allclose(loss.item(), expected, rtol=1e-12)
 
 
 def test_nll_mask_excludes_padding_steps():
     logits = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    masked = TR.nll_loss(logits, [0, 2], [1.0, 0.0])
-    alone = TR.nll_loss(logits[:1], [0], [1.0])
+    masked = _nll(logits, [0, 2], [1.0, 0.0])
+    alone = _nll(logits[:1], [0], [1.0])
     npt.assert_allclose(masked.item(), alone.item(), rtol=1e-12)
     with pytest.raises(ValueError):
-        TR.nll_loss(logits, [0, 2], [0.0, 0.0])
+        _nll(logits, [0, 2], [0.0, 0.0])
 
 
 def test_nll_gradients():
+    w, b = _identity_projection(4)
     params = {"x": T.Tensor(np.random.default_rng(0).uniform(-1, 1, (3, 4)),
-                            requires_grad=True)}
+                            requires_grad=True), "w": w, "b": b}
 
     def f(p):
-        return TR.nll_loss(p["x"], [1, 3, 0], [1.0, 1.0, 0.0])
+        return TR.nll_loss(p["x"], [1, 3, 0], [1.0, 1.0, 0.0], p["w"], p["b"])
 
-    assert T.grad_check(f, params)["x"].ok
+    report = T.grad_check(f, params)
+    for name in params:
+        assert report[name].ok, name
 
 
 @pytest.mark.parametrize("lead", [(5,), (3, 2)])
 def test_nll_matches_composed_oracle_and_is_one_node(lead):
     rng = np.random.default_rng(12)
-    x = T.Tensor(rng.uniform(-2, 2, lead + (7,)), requires_grad=True)
+    x = T.Tensor(rng.uniform(-2, 2, lead + (4,)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (4, 7)), requires_grad=True)
+    b = T.Tensor(rng.uniform(-1, 1, 7), requires_grad=True)
     targets = rng.integers(0, 7, lead)
     mask = (rng.random(lead) < 0.7).astype(float)
     mask.flat[0] = 1.0
-    assert_matches_reference(lambda: TR.nll_loss(x, targets, mask),
-                             lambda: reference_nll_loss(x, targets, mask), {"x": x})
-    assert TR.nll_loss(x, targets, mask)._parents == (x,)
+    assert_matches_reference(
+        lambda: TR.nll_loss(x, targets, mask, w, b),
+        lambda: reference_nll_loss(T.matmul(x, w) + b, targets, mask),
+        {"x": x, "w": w, "b": b})
+    assert TR.nll_loss(x, targets, mask, w, b)._parents == (x, w, b)
 
 
 def test_word_dropout_identity_outside_training():
@@ -224,7 +246,7 @@ def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
     TR.adam_step(params, state, lr=0.01)
     path = tmp_path / "model.npz"
     save_model(path, model)
-    load_model_params(path, model)  # rebinds every .data to a fresh array
+    load_model_params(path, model)  # reads every stored array into .data in place
     loaded = {k: p.data for k, p in params.items()}
     ref_moments = {k: (m.copy(), v.copy()) for k, (m, v) in state.moments.items()}
     grads = {k: rng.normal(size=p.shape) for k, p in params.items()}
@@ -269,6 +291,64 @@ def test_load_model_params_holds_one_array_at_a_time(tmp_path):
     assert 0 < peak < total
 
 
+def test_load_model_params_reads_into_each_parameter_in_place(tmp_path):
+    build, path = _model_and_checkpoint(tmp_path, widths=256)
+    model = build(2)
+    params = model.parameters()
+    before = {k: p.data for k, p in params.items()}
+    largest = max(p.data.nbytes for p in params.values())
+    tracemalloc.start()
+    try:
+        load_model_params(path, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < largest
+    for k, p in build(1).parameters().items():
+        assert params[k].data is before[k], k
+        npt.assert_array_equal(params[k].data, p.data, err_msg=k)
+
+
+def test_load_model_params_converts_fortran_and_non_f8_members(tmp_path):
+    build, path = _model_and_checkpoint(tmp_path)
+    stored = {k: p.data for k, p in build(3).parameters().items()}
+    stored["encoder.embedding"] = np.asfortranarray(stored["encoder.embedding"])
+    stored["decoder.w_out"] = stored["decoder.w_out"].astype(np.float32)
+    stored["decoder.w_init"] = np.asfortranarray(stored["decoder.w_init"], dtype=">f4")
+    stored["decoder.b_out"] = stored["decoder.b_out"].astype(">f8")
+    np.savez(path, **stored)
+    model = build(2)
+    before = {k: p.data for k, p in model.parameters().items()}
+    load_model_params(path, model)
+    fresh = T.load_checkpoint(path)
+    for k, p in model.parameters().items():
+        want = np.asarray(stored[k], dtype=np.float64)
+        assert p.data is before[k], k
+        npt.assert_array_equal(p.data, want, err_msg=k)
+        assert fresh[k].dtype == np.float64 and fresh[k].flags.c_contiguous, k
+        npt.assert_array_equal(fresh[k], want, err_msg=k)
+
+
+def test_load_model_params_checks_the_shape_before_reading_the_data(tmp_path):
+    build, path = _model_and_checkpoint(tmp_path)
+    stored = T.load_checkpoint(path)
+    w_out = stored.pop("decoder.w_out")
+    np.savez(path, **stored)
+    # a header of the wrong shape followed by no data at all
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, {"descr": "<f8", "fortran_order": False,
+                 "shape": (w_out.shape[0], w_out.shape[1] + 1)})
+    with zipfile.ZipFile(path, "a") as zf:
+        zf.writestr("decoder.w_out.npy", header.getvalue())
+    model = build(2)
+    kept = model.parameters()["decoder.w_out"].data.copy()
+    with pytest.raises(ValueError, match=r"decoder\.w_out\.npy: shape \(\d+, \d+\) "
+                                         r"!= model"):
+        load_model_params(path, model)
+    npt.assert_array_equal(model.parameters()["decoder.w_out"].data, kept)
+
+
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_load_model_params_name_mismatch_rebinds_nothing(tmp_path, change):
     build, path = _model_and_checkpoint(tmp_path)
@@ -304,20 +384,42 @@ def test_train_frees_each_step_tape_before_the_next_forward(monkeypatch):
     pairs, exp, _, prep = _toy_setup(recipe="sem:1")
     tc = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=1, rng_seed=3, min_count=1)
     logits_refs, alive_at_forward = [], []
-    nll_loss, teacher_forcing_loss = TR.nll_loss, TR.teacher_forcing_loss
-
-    def recording_nll_loss(logits, *args):
-        logits_refs.append(weakref.ref(logits.data))  # held by the tape only
-        return nll_loss(logits, *args)
+    teacher_forcing_loss = TR.teacher_forcing_loss
 
     def checking_teacher_forcing_loss(*args):
         alive_at_forward.append(sum(ref() is not None for ref in logits_refs))
-        return teacher_forcing_loss(*args)
+        loss = teacher_forcing_loss(*args)
+        # the loss node's logits-sized buffer, held by the tape only
+        buf = inspect.getclosurevars(loss._backward).nonlocals["buf"]
+        assert buf.shape == (3, len(prep.tgt_vocab))  # 2 tokens and EOS
+        logits_refs.append(weakref.ref(buf))
+        return loss
 
-    monkeypatch.setattr(TR, "nll_loss", recording_nll_loss)
     monkeypatch.setattr(TR, "teacher_forcing_loss", checking_teacher_forcing_loss)
     TR.train(tc, exp, pairs, [], prep.src_vocab, prep.tgt_vocab, None, prep.label_vocabs)
     assert len(logits_refs) == 4
+    assert alive_at_forward == [0, 0, 0, 0]
+
+
+def test_train_frees_each_step_gradients_before_the_next_forward(monkeypatch):
+    pairs, exp, _, prep = _toy_setup(recipe="sem:1")
+    tc = TrainConfig(learning_rate=5e-3, epochs=2, batch_size=1, rng_seed=3, min_count=1)
+    grad_refs, alive_at_forward = [], []
+    teacher_forcing_loss, adam_step = TR.teacher_forcing_loss, TR.adam_step
+
+    def checking_teacher_forcing_loss(*args):
+        alive_at_forward.append(sum(ref() is not None for ref in grad_refs))
+        return teacher_forcing_loss(*args)
+
+    def recording_adam_step(params, *args):
+        adam_step(params, *args)
+        grad_refs.extend(weakref.ref(p.grad) for p in params.values()
+                         if p.grad is not None)
+
+    monkeypatch.setattr(TR, "teacher_forcing_loss", checking_teacher_forcing_loss)
+    monkeypatch.setattr(TR, "adam_step", recording_adam_step)
+    TR.train(tc, exp, pairs, [], prep.src_vocab, prep.tgt_vocab, None, prep.label_vocabs)
+    assert len(alive_at_forward) == 4 and len(grad_refs) > 3 * 20
     assert alive_at_forward == [0, 0, 0, 0]
 
 
@@ -531,10 +633,25 @@ def test_teacher_forcing_projects_and_keys_once_per_batch():
             if id(p) in consumers:
                 consumers[id(p)].append(node)
         stack.extend(node._parents)
-    for nodes in consumers.values():
-        assert len(nodes) == 1
-        assert nodes[0]._backward.__qualname__.startswith("matmul.")
+    for key, op in ((id(model.decoder.w_out), "nll_loss."),
+                    (id(model.decoder.attn.v_enc), "matmul.")):
+        assert len(consumers[key]) == 1
+        assert consumers[key][0]._backward.__qualname__.startswith(op)
     assert batch.tgt.shape[1] - 1 > 1  # more than one decoder step was taken
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+@pytest.mark.parametrize("recipe", ["none", "sem:1", "syn:1+sem:1"])
+def test_fused_projection_loss_is_bit_identical_to_composed_oracle(encoder, recipe):
+    model, batch, tc = _mixed_target_setup(encoder, recipe)
+    want_loss, want = _loss_and_grads(composed_teacher_forcing_loss, model, batch, tc,
+                                      np.random.default_rng(98))
+    got_loss, got = _loss_and_grads(TR.teacher_forcing_loss, model, batch, tc,
+                                    np.random.default_rng(98))
+    assert got_loss == want_loss
+    assert set(got) == set(want)
+    for name in want:
+        npt.assert_array_equal(got[name], want[name], err_msg=name)
 
 
 def test_single_sentence_overfit_drives_loss_down():

@@ -1,21 +1,71 @@
-"""Reference teacher forcing: one ``decoder_step``, attention keys and
-output projection per time step, logits stacked to (T, B, vocab).
+"""Reference teacher forcing, in two forms that the fused loss must match.
 
-This is the original per-step body of
-``gcnmt.training.teacher_forcing_loss``, kept verbatim as the oracle that
-the batched-projection implementation must match in loss and in every
-parameter gradient.
+``reference_teacher_forcing_loss`` runs one ``decoder_step``, attention
+keys and output projection per time step and stacks the logits to
+(T, B, vocab): the original per-step body of
+``gcnmt.training.teacher_forcing_loss``, which the batched implementation
+must match in loss and in every parameter gradient.
+
+``composed_teacher_forcing_loss`` is the batched body as it was before the
+projection and the loss became one node: ``output_logits`` over every
+step's features, then ``logits_nll_loss``. It does the same arithmetic in
+the same order as ``gcnmt.training.nll_loss``, so the two must agree bit
+for bit.
+
+``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
 """
 
+import numpy as np
+
 from gcnmt.corpus import PAD
-from gcnmt.decoder import decoder_step, init_state
+from gcnmt.decoder import (
+    attention_keys,
+    decoder_step,
+    init_state,
+    output_logits,
+    recurrence_step,
+)
 from gcnmt.encoders import encode_pipeline
-from gcnmt.tensor import stack0
-from gcnmt.training import nll_loss, word_dropout
+from gcnmt.tensor import Tensor, concat, node, stack0
+from gcnmt.training import word_dropout
 
 
-def reference_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
-    """Cross-entropy of the batch under teacher forcing."""
+def logits_nll_loss(logits, targets, mask):
+    """Mean negative log-likelihood over unmasked steps.
+
+    ``logits`` has vocabulary on the last axis; ``targets`` and ``mask``
+    match the leading axes. One tape node: log-softmax, the pick of each
+    target and the masked mean, with the adjoint
+    ``(exp(log_softmax) - onehot) * mask * g / total``, so no dense zero
+    gradient of the log-probabilities is built for the picks.
+    """
+    logits_t = logits if isinstance(logits, Tensor) else Tensor(logits)
+    targets = np.asarray(targets, dtype=np.intp)
+    mask = np.asarray(mask, dtype=np.float64)
+    if logits_t.shape[:-1] != targets.shape or targets.shape != mask.shape:
+        raise ValueError(
+            f"nll_loss shapes disagree: logits {logits_t.shape}, "
+            f"targets {targets.shape}, mask {mask.shape}")
+    total = mask.sum()
+    if total == 0:
+        raise ValueError("nll_loss: all target steps masked")
+    vocab = logits_t.shape[-1]
+    z = logits_t.data - logits_t.data.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    rows, cols = np.arange(targets.size), targets.ravel()
+    picks = lsm.reshape(-1, vocab)[rows, cols]
+    loss = -(picks * mask.ravel()).sum() * (1.0 / total)
+
+    def bwd(g):
+        d = np.exp(lsm)
+        d.reshape(-1, vocab)[rows, cols] -= 1.0
+        d *= (g * (1.0 / total) * mask)[..., None]
+        return (d,)
+
+    return node(np.asarray(loss), (logits_t,), bwd)
+
+
+def _inputs(model, batch, mode, train_cfg, rng):
     if mode == "train":
         src_ids = word_dropout(batch.src, train_cfg.word_retain, rng, mode)
         tgt_in = word_dropout(batch.tgt[:, :-1], train_cfg.word_retain, rng, mode)
@@ -27,10 +77,31 @@ def reference_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
     enc = encode_pipeline(batch, model.config, model.encoder, mode=mode,
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
+    return enc, tgt_in, tgt_out, mask
+
+
+def reference_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
+    """Cross-entropy of the batch under teacher forcing, step by step."""
+    enc, tgt_in, tgt_out, mask = _inputs(model, batch, mode, train_cfg, rng)
     s = init_state(enc, model.decoder)
     step_logits = []
     for t in range(tgt_in.shape[1]):
         s, logits = decoder_step(tgt_in[:, t], s, enc, model.decoder)
         step_logits.append(logits)
     all_logits = stack0(step_logits)  # (T, B, vocab)
-    return nll_loss(all_logits, tgt_out.T, mask.T)
+    return logits_nll_loss(all_logits, tgt_out.T, mask.T)
+
+
+def composed_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
+    """Cross-entropy of the batch with one ``output_logits`` over every
+    step's features and a separate loss node."""
+    enc, tgt_in, tgt_out, mask = _inputs(model, batch, mode, train_cfg, rng)
+    dec = model.decoder
+    keys = attention_keys(enc, dec.attn)
+    s = init_state(enc, dec)
+    features = []
+    for t in range(tgt_in.shape[1]):
+        s, f = recurrence_step(tgt_in[:, t], s, enc, dec, keys)
+        features.append(f)
+    logits = output_logits(concat(features, axis=0), dec)
+    return logits_nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
