@@ -16,6 +16,9 @@ each (``tensor.node``) with a hand-derived adjoint, which keeps only the
 arrays it reads: the GRU's gates and candidate; the GCN's output, self-loop
 transform and gate, and each direction's pre-gate messages, gates and
 dropout mask. Source rows are gathered again from ``H`` in the adjoint.
+Every gradient an adjoint returns is a new array, which ``backward`` may
+write, and the GCN's adjoint reuses its incoming gradient as its first
+buffer (``tensor.node``).
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def gru_cell(x_t, h_prev, params: GruParams):
                 X.T @ dc, RH.T @ dc, dc.sum(axis=0))
 
     return node(out, (x_t, h_prev, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
-                      p.w_h, p.u_h, p.b_h), bwd, fresh=True)
+                      p.w_h, p.u_h, p.b_h), bwd)
 
 
 def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
@@ -319,7 +322,7 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
     out = np.maximum(total, 0.0)
 
     def bwd(grad):
-        dt = grad * (out > 0.0)
+        dt = np.multiply(grad, out > 0.0, out=grad)  # grad is ours (tensor.node)
         d_loop = dt * loop_gate
         d_gate = (dt * loop).sum(axis=1, keepdims=True) * loop_gate * (1.0 - loop_gate)
         dX = d_loop @ params.w_loop.data.T + d_gate * params.gate_w_loop.data
@@ -336,7 +339,7 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
                       _add_rows(np.zeros_like(gb.data), labs, d_pre[:, 0])]
         return grads
 
-    return node(out, parents, bwd, fresh=True)
+    return node(out, parents, bwd)
 
 
 @dataclass

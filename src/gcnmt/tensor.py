@@ -7,12 +7,12 @@ gradients additively. ``node`` is the constructor every operation uses,
 and a layer may call it too: the GRU cell and the GCN layer
 (``encoders``) and the projected NLL loss (``training``) compute their
 forward pass in numpy and record one node with a hand-derived adjoint that
-keeps only the arrays it needs. An adjoint may hand back its incoming
-gradient, a view of it or a forward value, so ``backward`` adds in place
-only into arrays it owns: those it allocated itself and those that an
-adjoint declared fresh (``node(..., fresh=True)``). ``gather_rows`` and
-``slice_rows`` hand back row-sparse adjoints that ``backward`` adds into
-the parent's rows without building a dense zero gradient per use.
+keeps only the arrays it needs. Every array an adjoint returns is
+``backward``'s to write (``node`` states the rule), so ``backward`` adds
+each later gradient in place into the first one to reach a node and hands
+a leaf its gradient without a copy. ``gather_rows`` and ``slice_rows`` hand
+back row-sparse adjoints that ``backward`` adds into the parent's rows
+without building a dense zero gradient per use.
 ``backward`` consumes the graph it walks: each node drops its parents and
 its adjoint once the adjoint has run, so the tape is freed as it goes, and
 a second ``backward`` through the same nodes raises ``ValueError``. One
@@ -80,7 +80,7 @@ def no_grad():
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_fresh")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -88,7 +88,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward = None
-        self._fresh = False
 
     @property
     def shape(self):
@@ -137,24 +136,22 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def node(data, parents, backward_fn, fresh: bool = False) -> Tensor:
+def node(data, parents, backward_fn) -> Tensor:
     """A tensor holding ``data``; it records ``parents`` and its adjoint when
     gradients are enabled and some parent requires them.
 
     ``backward_fn(g)`` takes the gradient of the output and returns one
-    gradient per parent, in order, with that parent's shape (or None). It
-    may return ``g``, a view of it or a forward value: ``backward`` never
-    writes them. With ``fresh``, the adjoint declares that every dense array
-    it returns was allocated by that call, is returned once, and is read by
-    nothing else afterwards: ``backward`` then owns it, adds later
-    gradients into it in place and hands it to a leaf without a copy.
+    gradient per parent, in order: None, a row-sparse ``_RowGrad``, or an
+    array of that parent's shape that ``backward`` may write. That array may
+    be ``g`` itself, a view of ``g`` or a new array; it is never a forward
+    value or an array the adjoint keeps, and no two returned arrays overlap.
+    ``g`` is ``backward``'s too, so the adjoint may overwrite it.
     """
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-        out._fresh = fresh
     return out
 
 
@@ -176,7 +173,8 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return ga, (gb.copy() if np.may_share_memory(ga, gb) else gb)
 
     return node(data, (a, b), bwd)
 
@@ -229,7 +227,7 @@ def matmul(a, b) -> Tensor:
         G2 = g.reshape(A2.shape[0], B2.shape[1])
         return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
 
-    return node(data, (a, b), bwd, fresh=True)
+    return node(data, (a, b), bwd)
 
 
 def relu(a) -> Tensor:
@@ -378,17 +376,15 @@ def backward(loss: Tensor) -> None:
     operation. Gradients of intermediate nodes are passed on to their
     parents and not kept: their ``.grad`` stays None.
 
-    The first gradient that reaches a node is kept as it is. It is owned
-    when its adjoint declared it fresh (``node(..., fresh=True)``), and
-    borrowed otherwise: then it may be the child's gradient, a view of it or
-    a forward value. A later gradient is added in place into an owned one;
-    a borrowed one is first replaced by a sum that ``backward`` owns,
-    computed in the fresh second gradient when there is one and in a new
-    array otherwise. A row-sparse adjoint is added into an owned array too:
-    a zero array, or a copy of the borrowed one, on its first use. So no
-    forward value and no array a caller holds is ever written. A leaf takes
-    an owned gradient as its ``.grad`` without a copy and copies a borrowed
-    one; a leaf that already has a ``.grad`` gets the sum in a new array.
+    Every array an adjoint returns is ``backward``'s to write (``node``),
+    so the first gradient that reaches a node becomes its accumulator and
+    each later one is added into it in place. An accumulator that is a view
+    takes the sum in a new array instead, so that the larger array it views
+    can be freed before the node is reached. A row-sparse adjoint is added
+    into the accumulator too, a zero array on its first use. A leaf takes
+    its gradient as its ``.grad`` without a copy; a leaf that already has a
+    ``.grad`` gets the sum in a new array, so no array a caller holds is
+    ever written.
 
     The graph is consumed: as each node is reached it drops its parents and
     its adjoint, so the forward values they kept are freed once its adjoint
@@ -413,51 +409,36 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
     pending = {id(loss): np.ones_like(loss.data)}
-    owned = {id(loss)}
     while topo:
         node = topo.pop()  # reverse topological order; drops topo's reference
-        key = id(node)
-        g = pending.pop(key, None)
-        parents, adjoint, fresh = node._parents, node._backward, node._fresh
+        g = pending.pop(id(node), None)
+        parents, adjoint = node._parents, node._backward
         if adjoint is not None:
             node._parents, node._backward = (), _consumed
         if g is None:
             continue
         if adjoint is None:
             if node.requires_grad:
-                if node.grad is not None:
-                    node.grad = node.grad + g
-                else:
-                    node.grad = g if key in owned else g.copy()
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for p, pg in zip(parents, adjoint(g)):
             if pg is None or not p.requires_grad:
                 continue
-            key = id(p)
-            acc = pending.get(key)
+            acc = pending.get(id(p))
             if isinstance(pg, _RowGrad):
                 if acc is None:
                     acc = np.zeros_like(p.data)
-                elif key not in owned:
-                    acc = acc.copy()
                 if isinstance(pg.idx, slice) or pg.idx.ndim == 0:
                     acc[pg.idx] += pg.rows  # a slice or one row: no repeats
                 else:
                     np.add.at(acc, pg.idx, pg.rows)  # repeated rows add up
             elif acc is None:
-                pending[key] = pg
-                if fresh:
-                    owned.add(key)
-                continue
-            elif key in owned:
-                acc += pg
-            elif fresh:
-                pg += acc  # the same sum as acc + pg, bit for bit
                 acc = pg
-            else:
+            elif acc.base is not None:  # a view: the sum frees the array it views
                 acc = acc + pg
-            pending[key] = acc
-            owned.add(key)
+            else:
+                acc += pg  # stored back: a shape-() gradient is a numpy scalar
+            pending[id(p)] = acc
 
 
 def zero_grads(params) -> None:
@@ -494,20 +475,19 @@ def grad_check(f, params: dict, epsilon: float = 1e-4, tolerance: float = 1e-4):
     report = {}
     with no_grad():
         for name, p in params.items():
-            flat = p.data.ravel()
-            ana = analytic[name].ravel()
+            ana = analytic[name]
             max_err = 0.0
             flagged = 0
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + epsilon
+            for i in np.ndindex(p.shape):  # in place: .data may be any layout
+                orig = p.data[i]
+                p.data[i] = orig + epsilon
                 lp = f(params).item()
-                flat[i] = orig - epsilon
+                p.data[i] = orig - epsilon
                 lm = f(params).item()
-                flat[i] = orig
+                p.data[i] = orig
                 numeric = (lp - lm) / (2.0 * epsilon)
                 if not (np.isfinite(numeric) and np.isfinite(ana[i])):
-                    raise ValueError(f"grad_check: non-finite value at {name}[{i}]")
+                    raise ValueError(f"grad_check: non-finite value at {name}{list(i)}")
                 err = abs(ana[i] - numeric) / max(1.0, abs(numeric))
                 max_err = max(max_err, err)
                 if err > tolerance:

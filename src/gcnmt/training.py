@@ -9,7 +9,7 @@ masked mean over every step of a batch are then one tape node
 (``nll_loss``) over the features, ``w_out`` and ``b_out``. A training step
 clears the gradients before its forward pass, so the previous step's
 gradients are freed before the new tape is recorded, and ``backward`` hands
-the fresh gradients of the fused nodes to the parameters without copying.
+the gradients the fused nodes return to the parameters without copying.
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
     its adjoint turns that buffer into the logit gradient
     ``(exp(log_softmax) - onehot) * mask * g / total`` in place, so no other
     logits-sized array is kept or built by the adjoint. The gradients it
-    returns are fresh (``tensor.node``). Each operation and its order are
-    those of the projection, the bias add and the log-softmax composed, so
-    the loss and every gradient are bit-identical to them for 2-d ``x``.
+    returns are new arrays (``tensor.node``). Each operation and its order
+    are those of the projection, the bias add and the log-softmax composed,
+    so the loss and every gradient are bit-identical to them for 2-d ``x``.
     """
     x_t = x if isinstance(x, Tensor) else Tensor(x)
     targets = np.asarray(targets, dtype=np.intp)
@@ -70,7 +70,7 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
         x2 = x_t.data.reshape(-1, x_t.shape[-1])
         return (d2 @ w_out.data.T).reshape(x_t.shape), x2.T @ d2, d2.sum(axis=0)
 
-    return node(np.asarray(loss), (x_t, w_out, b_out), bwd, fresh=True)
+    return node(np.asarray(loss), (x_t, w_out, b_out), bwd)
 
 
 def word_dropout(ids, retain: float, rng, mode: str = "train"):

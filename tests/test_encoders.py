@@ -105,7 +105,7 @@ def test_gru_steps_add_weight_gradients_in_place():
     assert len(returned) == 3
     (first, v0), (_, v1), (_, v2) = returned  # the last step's adjoint runs first
     for i, w in enumerate(weights):
-        assert w.grad is first[i]  # owned from the first gradient on: no copy
+        assert w.grad is first[i]  # later steps add into the first one: no copy
         npt.assert_array_equal(w.grad, v0[i] + v1[i] + v2[i])
 
 

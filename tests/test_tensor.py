@@ -1,5 +1,8 @@
+import ast
+import inspect
 import itertools
 import math
+import textwrap
 import tracemalloc
 import weakref
 import zipfile
@@ -11,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from layer_oracle import scatter_add_rows
 
+from gcnmt import decoder as D
+from gcnmt import encoders as E
 from gcnmt import tensor as T
+from gcnmt import training as TR
 
 
 def test_matmul_hand_case():
@@ -134,6 +140,20 @@ def test_grad_check_flags_corrupted_adjoint():
 
     report = T.grad_check(lambda p: T.tsum(broken_double(p["x"])), {"x": x})
     assert not report["x"].ok
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+def test_grad_check_perturbs_a_parameter_that_is_not_c_contiguous(layout):
+    rng = np.random.default_rng(38)
+    x = T.Tensor(rng.uniform(-1, 1, (4, 2)))
+    w = rng.uniform(-1, 1, (2, 3))
+    data = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
+    params = {"w": T.Tensor(data, requires_grad=True)}
+    assert not params["w"].data.flags.c_contiguous
+    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(x, p["w"]))), params)
+    assert report["w"].ok, report
+    assert params["w"].data is data
+    npt.assert_array_equal(data, w)
 
 
 def test_gather_scatter_roundtrip_gradients():
@@ -342,10 +362,11 @@ def test_backward_keeps_gradients_on_leaves_only():
     npt.assert_allclose(w.grad, x.data.T @ dh + x.data.T @ const.data, rtol=1e-14)
 
 
-# -- in-place accumulation in backward: a node's first gradient is borrowed
-#    (it may be a view of another gradient), later ones add into an owned
-#    array. Integer and dyadic values keep every sum exact, so the closed
-#    forms hold bit for bit whatever order the gradients arrive in.
+# -- in-place accumulation in backward: every array an adjoint returns is
+#    backward's to write, so a node's first gradient (which may be a view of
+#    its child's) takes the later ones in place. Integer and dyadic values
+#    keep every sum exact, so the closed forms hold bit for bit whatever
+#    order the gradients arrive in.
 
 def _tape(loss):
     seen, stack, nodes = set(), [loss], []
@@ -378,8 +399,8 @@ def test_backward_operands_of_one_add_receive_the_same_array():
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 @pytest.mark.parametrize("second_use", ["dense", "gather"])
 def test_second_gradient_never_writes_a_shared_first_one(order, second_use):
-    # a and the intermediate h first receive the same array from one add;
-    # a's second gradient must not be added into it while h still reads it
+    # a and the intermediate h receive their gradients from one same-shape
+    # add; a's second gradient must not reach the array h still reads
     a = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
     w = T.Tensor(np.arange(4.0).reshape(2, 2) / 4, requires_grad=True)
     c = np.array([[3.0, -1.0], [2.0, 0.5]])
@@ -396,8 +417,8 @@ def test_second_gradient_never_writes_a_shared_first_one(order, second_use):
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_fresh_gradient_never_writes_a_shared_borrowed_one(order):
-    # a and h first or second receive the same borrowed array from one add,
-    # and each also a fresh matmul gradient, which may take their sum
+    # a and h receive gradients from one same-shape add, first or second,
+    # and each also a matmul gradient; neither sum may reach the other's
     a = T.Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
     w = T.Tensor(np.arange(4.0).reshape(2, 2) / 4, requires_grad=True)
     c = np.array([[3.0, -1.0], [2.0, 0.5]])
@@ -435,7 +456,7 @@ def test_backward_square_plus_identity_on_arrays():
 
 @pytest.mark.parametrize("uses", [1, 2])
 def test_second_backward_leaves_the_callers_gradient_array_alone(uses):
-    # one use leaves the leaf a borrowed gradient, two an owned one
+    # one use leaves the leaf the adjoint's own array, two the sum built in it
     x = T.Tensor([1.0, 2.0, -3.0], requires_grad=True)
     c = T.Tensor([0.5, -2.0, 4.0])
 
@@ -465,6 +486,108 @@ def test_leaf_takes_a_fresh_matmul_gradient_without_a_copy():
     assert peak < 2 * w.data.nbytes
     assert x.grad is None
     npt.assert_array_equal(w.grad, x.data.T @ np.ones((4, 512)))
+
+
+def test_leaf_takes_the_array_an_adjoint_returns_without_a_copy():
+    x = T.Tensor([1.0, -2.0], requires_grad=True)
+    arr = np.array([0.5, 4.0])
+    T.backward(T.tsum(T.node(3.0 * x.data, (x,), lambda g: (arr,))))
+    assert x.grad is arr
+    # a 0-d leaf reached three times through broadcasting: its gradients are
+    # numpy scalars, which cannot be added in place, so each sum is stored
+    s = T.Tensor(0.5, requires_grad=True)
+    v = T.Tensor([1.0, 2.0, 3.0])
+    T.backward(T.tsum(s * v) + T.tsum(s * v * v) + T.tsum(v + s))
+    assert s.grad == 6.0 + 14.0 + 3.0
+
+
+@pytest.mark.parametrize("view_first", [True, False])
+def test_an_accumulator_that_is_a_view_takes_the_sum_in_a_new_array(view_first):
+    # a receives a view of the concat's gradient and a copy from tsum; the
+    # array its adjoint gets shares no memory with the concat's gradient,
+    # so that gradient need not live until a is reached
+    x = T.Tensor(np.arange(4.0), requires_grad=True)
+    cat_grads, shared = [], []
+    a = T.node(x.data * 1.0, (x,),
+               lambda g: (shared.append(np.shares_memory(g, cat_grads[0])) or g,))
+    cat = T.concat([a, T.Tensor(np.zeros(1000))])
+    adjoint = cat._backward
+    cat._backward = lambda g: (cat_grads.append(g) or adjoint(g))
+    terms = [T.tsum(cat * T.Tensor(np.full(1004, 2.0))), T.tsum(a)]
+    T.backward(terms[0] + terms[1] if view_first else terms[1] + terms[0])
+    assert shared == [False]
+    npt.assert_array_equal(x.grad, np.full(4, 3.0))
+
+
+def _calls_node(fn) -> bool:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "node"
+               for n in ast.walk(tree))
+
+
+def _recording_ops():
+    """Public functions of the layer modules that call ``tensor.node``."""
+    return {name: fn for mod in (T, E, D, TR) for name, fn in vars(mod).items()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+            and not name.startswith("_") and name != "node" and _calls_node(fn)}
+
+
+def _adjoint_cases(x, rng):
+    """Argument tuples per recording op; ``x(*shape)`` makes a leaf."""
+    s = x(2, 3)
+    gru = E.init_gru(rng, 3, 4)
+    gcn = E.init_gcn_layer(rng, 4, {"syn": 2, "sem": 3})
+    edges = {"syn": [(0, 1, 0), (1, 2, 1), (2, 0, 0)], "sem": [(0, 2, 2), (1, 1, 0)]}
+    return {
+        "add": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(3)), (x(1, 3), x(2, 1))],
+        "sub": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(1, 3))],
+        "mul": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x())],
+        "neg": [(x(2, 3),)],
+        "matmul": [(x(2, 3), x(3, 4)), (x(2, 2, 3), x(3)), (s, x(3, 3))],
+        "relu": [(x(2, 3),)],
+        "sigmoid": [(x(2, 3),)],
+        "tanh": [(x(2, 3),)],
+        "softmax": [(x(2, 3),), (x(2, 3), [[True, False, True], [False, True, True]])],
+        "log_softmax": [(x(2, 3),), (x(2, 3), 0)],
+        "tsum": [(x(2, 3),), (x(2, 3), 1)],
+        "concat": [([x(2, 3), x(1, 3)],), ([s, s], 1)],
+        "stack0": [([x(2, 3), x(2, 3)],), ([s, s],)],
+        "weighted_sum": [(x(2, 4), x(2, 4, 3)), (x(2, 4), x(4, 3))],
+        "gather_rows": [(x(4, 3), [0, 2, 2])],
+        "slice_rows": [(x(4, 3), 1, 3)],
+        "reshape": [(x(2, 3), (3, 2))],
+        "transpose": [(x(2, 3), (1, 0))],
+        "gru_cell": [(x(2, 3), x(2, 4), gru), (x(3), x(4), gru)],
+        "gcn_layer": [(x(3, 4), edges, gcn),
+                      (x(3, 4), edges, gcn, 0.5, np.random.default_rng(40))],
+        "nll_loss": [(x(3, 4), [1, 4, 0], [1.0, 1.0, 0.0], x(4, 5), x(5))],
+    }
+
+
+def test_every_recording_op_has_an_adjoint_case():
+    ops = set(_recording_ops())
+    assert {"add", "matmul", "gru_cell", "gcn_layer", "nll_loss"} <= ops
+    cases = _adjoint_cases(lambda *shape: T.Tensor(np.zeros(shape)), np.random.default_rng(0))
+    assert set(cases) == ops
+
+
+@pytest.mark.parametrize("name", sorted(_recording_ops()))
+def test_adjoint_returns_arrays_backward_may_write(name):
+    # each dense gradient is backward's to write: it overlaps no other one
+    # and no forward value (the node's or a parent's)
+    rng = np.random.default_rng(39)
+    cases = _adjoint_cases(
+        lambda *shape: T.Tensor(rng.uniform(-1, 1, shape), requires_grad=True), rng)
+    op = _recording_ops()[name]
+    for args in cases[name]:
+        out = op(*args)
+        forward = [out.data] + [p.data for p in out._parents]
+        dense = [a for a in out._backward(rng.uniform(-1, 1, out.shape))
+                 if isinstance(a, np.ndarray)]
+        assert dense or name in ("gather_rows", "slice_rows")
+        for i, a in enumerate(dense):
+            assert not any(np.shares_memory(a, f) for f in forward), (args, i)
+            assert not any(np.shares_memory(a, b) for b in dense[i + 1:]), (args, i)
 
 
 def test_backward_writes_no_forward_value():
