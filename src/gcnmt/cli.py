@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, FileNotFoundError, RuntimeError,
+    except (ConfigError, CorpusError, OSError, RuntimeError,
             ValueError) as e:
         print(f"gcnmt {args.command}: {e}", file=sys.stderr)
         return 1

@@ -267,10 +267,9 @@ def _add_rows(acc, idx, rows):
 def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=None):
     """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
 
-    ``edges`` maps graph name -> list of (head, dep, label_id); a bare list
-    is accepted when the layer reads a single graph. During training each
-    annotated-edge message is dropped independently with probability
-    1 - edge_retain; self-loop messages are never dropped.
+    ``edges`` maps graph name -> list of (head, dep, label_id). During
+    training each annotated-edge message is dropped independently with
+    probability 1 - edge_retain; self-loop messages are never dropped.
 
     One tape node over ``H``, the self-loop parameters and the parameters
     of each graph that has edges. Per graph, the ``in`` direction sends
@@ -279,12 +278,6 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
     """
     H = H if isinstance(H, Tensor) else Tensor(H)
     n = H.shape[0]
-    if not isinstance(edges, dict):
-        if len(params.graphs) > 1:
-            raise ValueError("gcn_layer: dict of edge lists required for fused layers")
-        name = next(iter(params.graphs)) if params.graphs else "sem"
-        edges = {name: edges}
-
     X = H.data
     loop_gate = _sigmoid(X @ params.gate_w_loop.data[:, None] + params.gate_b_loop.data)
     loop = X @ params.w_loop.data + params.b_loop.data

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import contextlib
 import zipfile
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,15 +34,10 @@ __all__ = [
     "node",
     "matmul",
     "add",
-    "sub",
-    "mul",
-    "neg",
     "relu",
-    "sigmoid",
     "tanh",
     "softmax",
     "log_softmax",
-    "tsum",
     "concat",
     "stack0",
     "weighted_sum",
@@ -53,8 +47,6 @@ __all__ = [
     "transpose",
     "backward",
     "zero_grads",
-    "grad_check",
-    "GradCheckEntry",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -111,26 +103,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        return mul(self, 1.0 / float(scalar))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -179,37 +151,6 @@ def add(a, b) -> Tensor:
     return node(data, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data - b.data
-    except ValueError as e:
-        raise ShapeError(f"sub shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
-
-    return node(data, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data * b.data
-    except ValueError as e:
-        raise ShapeError(f"mul shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return node(data, (a, b), bwd)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-    return node(-a.data, (a,), lambda g: (-g,))
-
-
 def matmul(a, b) -> Tensor:
     """``a`` (..., k) times ``b`` (k, m) or (k,); each gradient is one GEMM."""
     a, b = _as_tensor(a), _as_tensor(b)
@@ -234,12 +175,6 @@ def relu(a) -> Tensor:
     a = _as_tensor(a)
     data = np.maximum(a.data, 0.0)
     return node(data, (a,), lambda g: (g * (a.data > 0.0),))
-
-
-def sigmoid(a) -> Tensor:
-    a = _as_tensor(a)
-    data = 1.0 / (1.0 + np.exp(-a.data))
-    return node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
 def tanh(a) -> Tensor:
@@ -277,17 +212,6 @@ def log_softmax(a, axis: int = -1) -> Tensor:
         return (g - np.exp(lsm) * g.sum(axis=axis, keepdims=True),)
 
     return node(lsm, (a,), bwd)
-
-
-def tsum(a, axis=None) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data.sum(axis=axis)
-
-    def bwd(g):
-        gg = g if axis is None else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.shape).copy(),)
-
-    return node(data, (a,), bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -448,54 +372,6 @@ def zero_grads(params) -> None:
         p.grad = None
 
 
-@dataclass
-class GradCheckEntry:
-    max_rel_err: float
-    n_flagged: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_flagged == 0
-
-
-def grad_check(f, params: dict, epsilon: float = 1e-4, tolerance: float = 1e-4):
-    """Compare backward gradients of ``f(params)`` against central differences.
-
-    Returns ``{name: GradCheckEntry}`` where a coordinate is flagged when
-    |analytic - numeric| / max(1, |numeric|) exceeds ``tolerance``. ``f``
-    must be deterministic (fix any dropout masks and RNG up front).
-    """
-    zero_grads(params)
-    loss = f(params)
-    backward(loss)
-    analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.items()
-    }
-    report = {}
-    with no_grad():
-        for name, p in params.items():
-            ana = analytic[name]
-            max_err = 0.0
-            flagged = 0
-            for i in np.ndindex(p.shape):  # in place: .data may be any layout
-                orig = p.data[i]
-                p.data[i] = orig + epsilon
-                lp = f(params).item()
-                p.data[i] = orig - epsilon
-                lm = f(params).item()
-                p.data[i] = orig
-                numeric = (lp - lm) / (2.0 * epsilon)
-                if not (np.isfinite(numeric) and np.isfinite(ana[i])):
-                    raise ValueError(f"grad_check: non-finite value at {name}{list(i)}")
-                err = abs(ana[i] - numeric) / max(1.0, abs(numeric))
-                max_err = max(max_err, err)
-                if err > tolerance:
-                    flagged += 1
-            report[name] = GradCheckEntry(max_rel_err=max_err, n_flagged=flagged)
-    return report
-
-
 def save_checkpoint(path, params: dict) -> None:
     """Write a flat archive of parameter paths to little-endian float64 arrays.
 
@@ -547,20 +423,17 @@ def _read_npy_data(fh, fortran_order, dtype, dest: np.ndarray) -> None:
         flat[lo:lo + part.size] = part
 
 
-def load_checkpoint(path, params: dict | None = None) -> dict:
-    """Read a ``save_checkpoint`` archive one member at a time; returns the
-    float64 arrays by parameter path.
+def load_checkpoint(path, params: dict) -> None:
+    """Read a ``save_checkpoint`` archive one member at a time into
+    ``params`` (path -> Tensor).
 
-    Without ``params``, each array is new, C-contiguous and owns its memory.
-    With ``params`` (path -> Tensor), the archive's names must be exactly
-    ``params``' names, checked before any member is read, and each member is
-    read straight into that tensor's existing ``.data``, which keeps its
-    identity and layout; the returned arrays are those ``.data`` arrays.
-    Each member's header shape is checked against the tensor before any of
-    its bytes is written, and a mismatch raises and names the parameter.
-    Stored ``<f8`` data in the destination's order is read with no
-    intermediate copy; other numeric dtypes and Fortran order go through a
-    buffer of one read's size.
+    The archive's names must be exactly ``params``' names, checked before
+    any member is read, and each member is read straight into that tensor's
+    existing ``.data``, which keeps its identity and layout. Each member's
+    header shape is checked against the tensor before any of its bytes is
+    written, and a mismatch raises and names the parameter. Stored ``<f8``
+    data in the destination's order is read with no intermediate copy; other
+    numeric dtypes and Fortran order go through a buffer of one read's size.
 
     A file that is not a zip archive raises ``ValueError`` naming the file,
     and a corrupt, truncated or unsupported member ``ValueError`` naming the
@@ -573,21 +446,17 @@ def load_checkpoint(path, params: dict | None = None) -> dict:
     try:
         with zipfile.ZipFile(path) as zf:
             names = [m[:-len(".npy")] for m in zf.namelist() if m.endswith(".npy")]
-            if params is not None and set(names) != set(params):
+            if set(names) != set(params):
                 raise ValueError(f"checkpoint mismatch: "
                                  f"missing={sorted(set(params) - set(names))}, "
                                  f"extra={sorted(set(names) - set(params))}")
-            out = {}
             for name in names:
+                dest = params[name].data
                 try:
                     with zf.open(name + ".npy") as fh:
                         shape, fortran_order, dtype = _npy_header(fh)
-                        if params is None:
-                            dest = np.empty(shape)
-                        else:
-                            dest = params[name].data
-                            if shape != dest.shape:
-                                raise ValueError(f"shape {shape} != model {dest.shape}")
+                        if shape != dest.shape:
+                            raise ValueError(f"shape {shape} != model {dest.shape}")
                         _read_npy_data(fh, fortran_order, dtype, dest)
                 except (zipfile.BadZipFile, NotImplementedError, OSError,
                         RuntimeError, ValueError) as e:
@@ -595,7 +464,5 @@ def load_checkpoint(path, params: dict | None = None) -> dict:
                     # RuntimeError (encrypted) for garbled member flags and
                     # OSError for a garbled offset
                     raise ValueError(f"checkpoint {path}, member {name}.npy: {e}") from e
-                out[name] = dest
-            return out
     except zipfile.BadZipFile as e:
         raise ValueError(f"checkpoint {path}: {e}") from e

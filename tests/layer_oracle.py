@@ -6,6 +6,10 @@ These are the original bodies of ``gcnmt.encoders.gru_cell``,
 verbatim as the oracle that the one-node implementations must match in
 value and in every gradient; ``assert_matches_reference`` makes that
 comparison. ``scatter_add_rows`` is the tape op the composed GCN needs.
+The composed ops the package no longer records (``sub``, ``mul``, ``neg``,
+``sigmoid``, ``tsum``) come from ``tape_ops``, and each operator the bodies
+used on tensors is spelled as the call it made (``a * b`` is ``mul(a, b)``),
+so the oracles compute what they computed before, bit for bit.
 """
 
 import numpy as np
@@ -22,11 +26,10 @@ from gcnmt.tensor import (
     node,
     relu,
     reshape,
-    sigmoid,
     softmax,
     tanh,
-    tsum,
 )
+from tape_ops import mul, neg, sigmoid, sub, tsum
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -42,8 +45,8 @@ def reference_gru_cell(x_t, h_prev, params: GruParams):
     """One GRU step; accepts a single vector or a (batch, dim) matrix."""
     z = sigmoid(matmul(x_t, params.w_z) + matmul(h_prev, params.u_z) + params.b_z)
     r = sigmoid(matmul(x_t, params.w_r) + matmul(h_prev, params.u_r) + params.b_r)
-    cand = tanh(matmul(x_t, params.w_h) + matmul(r * h_prev, params.u_h) + params.b_h)
-    return z * h_prev + (1.0 - z) * cand
+    cand = tanh(matmul(x_t, params.w_h) + matmul(mul(r, h_prev), params.u_h) + params.b_h)
+    return mul(z, h_prev) + mul(sub(1.0, z), cand)
 
 
 def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
@@ -64,7 +67,7 @@ def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionPar
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(keys + proj_s), params.score_v)
     weights = softmax(scores, mask=enc.mask, axis=-1)
-    context = tsum(reshape(weights, weights.shape + (1,)) * states, axis=-2)
+    context = tsum(mul(reshape(weights, weights.shape + (1,)), states), axis=-2)
     return weights, context
 
 
@@ -72,7 +75,7 @@ def reference_init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
     """tanh-affine of the masked average of encoder states."""
     mask = np.asarray(enc.mask, dtype=np.float64)
     denom = mask.sum(axis=-1, keepdims=True)
-    avg = tsum(enc.states * Tensor(mask[..., None] / denom[..., None]), axis=-2)
+    avg = tsum(mul(enc.states, Tensor(mask[..., None] / denom[..., None])), axis=-2)
     return tanh(matmul(avg, params.w_init) + params.b_init)
 
 
@@ -95,7 +98,7 @@ def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1
 
     loop_gate = sigmoid(matmul(H, reshape(params.gate_w_loop, (-1, 1)))
                         + params.gate_b_loop)
-    total = loop_gate * (matmul(H, params.w_loop) + params.b_loop)
+    total = mul(loop_gate, matmul(H, params.w_loop) + params.b_loop)
 
     for name, gp in params.graphs.items():
         edge_list = edges.get(name, [])
@@ -116,12 +119,12 @@ def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1
             msg = matmul(h_src, w) + gather_rows(b, labs)
             g = sigmoid(matmul(h_src, reshape(gw, (-1, 1)))
                         + reshape(gather_rows(gb, labs), (-1, 1)))
-            msg = g * msg
+            msg = mul(g, msg)
             if edge_retain < 1.0:
                 if rng is None:
                     raise ValueError("gcn_layer: edge dropout requires an rng")
                 keep = (rng.random(len(src)) < edge_retain).astype(np.float64)
-                msg = msg * Tensor(keep[:, None])
+                msg = mul(msg, Tensor(keep[:, None]))
             total = total + scatter_add_rows(msg, dst, n)
     return relu(total)
 
@@ -146,7 +149,7 @@ def reference_nll_loss(logits, targets, mask):
     lsm = log_softmax(logits_t, axis=-1)
     flat = reshape(lsm, (-1,))
     picks = gather_rows(flat, np.arange(targets.size) * vocab + targets.ravel())
-    return -tsum(picks * Tensor(mask.ravel())) / total
+    return mul(neg(tsum(mul(picks, Tensor(mask.ravel())))), 1.0 / float(total))
 
 
 def _outputs_and_grads(layer, leaves: dict):
@@ -157,7 +160,7 @@ def _outputs_and_grads(layer, leaves: dict):
     outs = layer()
     outs = outs if isinstance(outs, tuple) else (outs,)
     rng = np.random.default_rng(0)
-    backward(sum(tsum(o * Tensor(rng.uniform(-1, 1, o.shape))) for o in outs))
+    backward(sum(tsum(mul(o, Tensor(rng.uniform(-1, 1, o.shape)))) for o in outs))
     return [o.data for o in outs], {k: t.grad for k, t in leaves.items()}
 
 

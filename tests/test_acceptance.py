@@ -26,6 +26,7 @@ from gcnmt.encoders import EncoderOutput, build_encoder, encode_pipeline, gcn_la
 from gcnmt.evaluation import bleu, preprocess
 from gcnmt.model import build_model
 from gcnmt.training import bucket_batches, teacher_forcing_loss, train, translate_pairs
+import tape_ops as TO
 
 
 def _report(num, name, ok):
@@ -56,7 +57,7 @@ def test_criterion_1_gradient_suite():
     def f(_):
         return teacher_forcing_loss(model, batch, "infer", tc, None)
 
-    report = T.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
     elapsed = time.time() - t0
     bad = [k for k, e in report.items() if not e.ok]
     _report(1, "gradient-suite", not bad and elapsed <= 60.0)
@@ -71,7 +72,7 @@ def test_criterion_2_selfloop_equivalence():
         n, d = int(rng.integers(1, 7)), int(rng.integers(1, 6))
         params = init_gcn_layer(rng, d, {"sem": 3})
         H = rng.uniform(-2, 2, (n, d))
-        out = gcn_layer(T.Tensor(H), [], params).data
+        out = gcn_layer(T.Tensor(H), {"sem": []}, params).data
         gate = 1.0 / (1.0 + np.exp(-(H @ params.gate_w_loop.data
                                      + params.gate_b_loop.data[0])))
         oracle = np.maximum(0.0, gate[:, None]
@@ -93,9 +94,9 @@ def test_criterion_3_permutation_equivariance():
                  for _ in range(int(rng.integers(0, 2 * n)))]
         perm = rng.permutation(n)
         inv = np.argsort(perm)
-        out = gcn_layer(T.Tensor(H), edges, params).data
+        out = gcn_layer(T.Tensor(H), {"sem": edges}, params).data
         perm_edges = [(int(inv[u]), int(inv[v]), lab) for u, v, lab in edges]
-        out_p = gcn_layer(T.Tensor(H[perm]), perm_edges, params).data
+        out_p = gcn_layer(T.Tensor(H[perm]), {"sem": perm_edges}, params).data
         worst = max(worst, float(np.abs(out_p - out[perm]).max()))
     _report(3, "permutation-equivariance", worst <= 1e-9)
 

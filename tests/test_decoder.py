@@ -11,6 +11,7 @@ from gcnmt import tensor as T
 from gcnmt.corpus import BOS, EOS
 from gcnmt.encoders import EncoderOutput
 from layer_oracle import assert_matches_reference, reference_attention, reference_init_state
+import tape_ops as TO
 
 
 def _enc(states, mask=None):
@@ -130,9 +131,9 @@ def test_decoder_step_gradients():
         s = D.init_state(enc, params)
         s, logits = D.decoder_step(BOS, s, enc, params)
         s, logits2 = D.decoder_step(2, s, enc, params)
-        return T.tsum(T.log_softmax(logits2) * T.Tensor(np.eye(5)[3]))
+        return TO.tsum(TO.mul(T.log_softmax(logits2), T.Tensor(np.eye(5)[3])))
 
-    report = T.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
 
 
@@ -436,7 +437,7 @@ def test_init_state_gradients_on_a_padded_batch():
 
     def f(_):
         s = D.init_state(EncoderOutput(states=states, mask=mask), params)
-        return T.tsum(s * T.Tensor(np.arange(12.0).reshape(3, 4) - 5.0))
+        return TO.tsum(TO.mul(s, T.Tensor(np.arange(12.0).reshape(3, 4) - 5.0)))
 
-    report = T.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())

@@ -10,6 +10,7 @@ from gcnmt.config import ExperimentConfig
 from gcnmt.corpus import AnnotatedSentence, LabelVocab, Vocabulary, make_batch
 from gcnmt.model import build_model
 from layer_oracle import assert_matches_reference, reference_gcn_layer, reference_gru_cell
+import tape_ops as TO
 
 
 def zero_gru(in_dim, hidden):
@@ -59,9 +60,9 @@ def test_gru_gradients_vs_finite_differences():
     h0 = T.Tensor(rng.uniform(-1, 1, 2))
 
     def f(_):
-        return T.tsum(E.gru_cell(x, E.gru_cell(x, h0, p), p))
+        return TO.tsum(E.gru_cell(x, E.gru_cell(x, h0, p), p))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values())
 
 
@@ -101,7 +102,7 @@ def test_gru_steps_add_weight_gradients_in_place():
     for _ in range(3):
         h = E.gru_cell(T.Tensor(rng.uniform(-1, 1, (2, 3))), h, p)
         h._backward = recording(h._backward)
-    T.backward(T.tsum(h * T.Tensor(rng.uniform(-1, 1, (2, 4)))))
+    T.backward(TO.tsum(TO.mul(h, T.Tensor(rng.uniform(-1, 1, (2, 4))))))
     assert len(returned) == 3
     (first, v0), (_, v1), (_, v2) = returned  # the last step's adjoint runs first
     for i, w in enumerate(weights):
@@ -118,9 +119,9 @@ def test_gru_batch_gradients_vs_finite_differences():
 
     def f(q):
         h = E.gru_cell(q["x"], q["h0"], p)
-        return T.tsum(E.gru_cell(q["x"], h, p) * h)
+        return TO.tsum(TO.mul(E.gru_cell(q["x"], h, p), h))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values())
 
 
@@ -234,9 +235,9 @@ def test_cnn_matches_padded_window_oracle_and_finite_differences(window, lead, n
 
     def f(p):
         y = E.cnn_encode(p["emb"], p["w"], p["b"], window)
-        return T.tsum(y * y)
+        return TO.tsum(TO.mul(y, y))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values()), report
 
 
@@ -248,9 +249,9 @@ def test_birnn_batch_gradients_vs_finite_differences():
     weights = T.Tensor(rng.uniform(-1, 1, (3, 2, 4)))
 
     def f(p):
-        return T.tsum(E.birnn_encode(p["emb"], fwd, bwd) * weights)
+        return TO.tsum(TO.mul(E.birnn_encode(p["emb"], fwd, bwd), weights))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values()), report
 
 
@@ -276,11 +277,11 @@ def _gate_through_layer(layer, h_u, direction, label_id):
     H = np.zeros((2, h_u.size))
     if direction == "loop":
         H[0] = h_u
-        return E.gcn_layer(T.Tensor(H), [], layer).data[0, 0]
+        return E.gcn_layer(T.Tensor(H), {"sem": []}, layer).data[0, 0]
     layer.b_loop.data[...] = 0.0  # silence the self-loop message
     node = 1 if direction == "in" else 0
     H[1 - node] = h_u
-    out = E.gcn_layer(T.Tensor(H), [(0, 1, label_id)], layer).data
+    out = E.gcn_layer(T.Tensor(H), {"sem": [(0, 1, label_id)]}, layer).data
     assert np.all(out[node] == out[node, 0])
     return out[node, 0]
 
@@ -327,7 +328,7 @@ def test_gcn_selfloop_identity():
     layer.gate_w_loop.data[...] = 0.0
     layer.gate_b_loop.data[...] = 40.0  # gate saturates to 1
     H = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
-    out = E.gcn_layer(T.Tensor(H), [], layer)
+    out = E.gcn_layer(T.Tensor(H), {"sem": []}, layer)
     npt.assert_allclose(out.data, np.maximum(H, 0.0), atol=1e-9)
 
 
@@ -353,7 +354,7 @@ def test_gcn_chain_matches_per_edge_oracle():
     layer = _layer(rng, 2)
     H = rng.uniform(-1, 1, (3, 2))
     edges = [(0, 1, 1), (1, 2, 0)]
-    out = E.gcn_layer(T.Tensor(H), edges, layer)
+    out = E.gcn_layer(T.Tensor(H), {"sem": edges}, layer)
     npt.assert_allclose(out.data, manual_gcn(H, edges, layer), rtol=1e-10)
 
 
@@ -362,32 +363,32 @@ def test_gcn_permutation_equivariance():
     layer = _layer(rng, 3)
     H = rng.uniform(-1, 1, (5, 3))
     edges = [(0, 2, 1), (3, 1, 0), (4, 0, 2)]
-    out = E.gcn_layer(T.Tensor(H), edges, layer).data
+    out = E.gcn_layer(T.Tensor(H), {"sem": edges}, layer).data
     perm = rng.permutation(5)
     inv = np.argsort(perm)
     H_p = H[perm]
     edges_p = [(int(inv[u]), int(inv[v]), lab) for u, v, lab in edges]
-    out_p = E.gcn_layer(T.Tensor(H_p), edges_p, layer).data
+    out_p = E.gcn_layer(T.Tensor(H_p), {"sem": edges_p}, layer).data
     npt.assert_allclose(out_p, out[perm], atol=1e-9)
 
 
 def test_gcn_out_of_range_edge():
     layer = _layer(np.random.default_rng(0), 2)
     with pytest.raises(ValueError, match="out of range"):
-        E.gcn_layer(T.Tensor(np.zeros((2, 2))), [(0, 5, 0)], layer)
+        E.gcn_layer(T.Tensor(np.zeros((2, 2))), {"sem": [(0, 5, 0)]}, layer)
 
 
 def test_gcn_edge_dropout_needs_rng_and_drops():
     rng = np.random.default_rng(14)
     layer = _layer(rng, 2)
     H = rng.uniform(-1, 1, (3, 2))
-    edges = [(0, 1, 0), (1, 2, 1)]
+    edges = {"sem": [(0, 1, 0), (1, 2, 1)]}
     with pytest.raises(ValueError):
         E.gcn_layer(T.Tensor(H), edges, layer, edge_retain=0.5)
     # retain ~ 0 removes all annotated messages but keeps self-loops
     out = E.gcn_layer(T.Tensor(H), edges, layer, edge_retain=1e-12,
                       rng=np.random.default_rng(0))
-    no_edges = E.gcn_layer(T.Tensor(H), [], layer)
+    no_edges = E.gcn_layer(T.Tensor(H), {"sem": []}, layer)
     npt.assert_allclose(out.data, no_edges.data, rtol=1e-12)
 
 
@@ -397,13 +398,13 @@ def test_gcn_full_layer_gradients():
     params = layer.named("gcn")
     H = T.Tensor(rng.uniform(-1, 1, (3, 4)), requires_grad=True)
     params["H"] = H
-    edges = [(0, 1, 1), (2, 0, 0), (1, 2, 2)]
+    edges = {"sem": [(0, 1, 1), (2, 0, 0), (1, 2, 2)]}
 
     def f(_):
         out = E.gcn_layer(H, edges, layer)
-        return T.tsum(out * out)
+        return TO.tsum(TO.mul(out, out))
 
-    report = T.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
 
 
@@ -412,10 +413,10 @@ _REPEATS = [(0, 1, 1), (2, 1, 0), (0, 3, 2), (0, 1, 0), (3, 3, 1)]
 
 
 @pytest.mark.parametrize("graphs, edges", [
-    (("sem",), [(0, 1, 1), (2, 0, 0), (1, 2, 2)]),
+    (("sem",), {"sem": [(0, 1, 1), (2, 0, 0), (1, 2, 2)]}),
     (("syn",), {"syn": [(1, 0, 0), (3, 2, 2)]}),
     (("sem", "syn"), {"sem": [(0, 1, 1), (2, 3, 0)], "syn": _REPEATS}),
-    (("sem",), []),
+    (("sem",), {"sem": []}),
     (("sem", "syn"), {"sem": _REPEATS}),
 ], ids=["sem", "syn", "semsyn", "no-edges", "repeated-destinations"])
 def test_gcn_layer_matches_composed_oracle(graphs, edges):
@@ -468,9 +469,9 @@ def test_gcn_fused_layer_gradients_with_edge_dropout():
     def f(q):
         out = E.gcn_layer(q["H"], edges, layer, edge_retain=0.7,
                           rng=np.random.default_rng(38))
-        return T.tsum(out * out)
+        return TO.tsum(TO.mul(out, out))
 
-    report = T.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
 
 
@@ -489,7 +490,7 @@ def test_gcn_locality_on_path_graph():
     rng = np.random.default_rng(16)
     n, d = 5, 3
     H = rng.uniform(-1, 1, (n, d))
-    edges = [(i, i + 1, 0) for i in range(n - 1)]
+    edges = {"sem": [(i, i + 1, 0) for i in range(n - 1)]}
     for k in (1, 2):
         layers = [_layer(np.random.default_rng(20 + j), d) for j in range(k)]
 

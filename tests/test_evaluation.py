@@ -300,6 +300,35 @@ def test_cli_translate_rejects_a_corrupt_checkpoint_in_one_line(tmp_path, capsys
     assert detail in err[0]
 
 
+@pytest.mark.parametrize("case", ["translate-output", "translate-checkpoint",
+                                  "score-hyp", "train-out-dir"])
+def test_cli_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, case):
+    # a directory where a file is read or written, or a file where the run
+    # directory goes: an OSError, reported like every other input error
+    conll, tgt = _write_tiny_dataset(tmp_path, n=5)
+    out = tmp_path / "run"
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\n")
+    config = ["--config", str(tmp_path / "small.cfg")]
+    if case == "score-hyp":
+        argv = ["score", "--hyp", str(tmp_path), "--ref", str(tgt)]
+    elif case == "train-out-dir":
+        argv = ["train"] + _tiny_flags(conll, tgt, tgt) + config
+    else:
+        base = _tiny_flags(conll, tgt, out) + config
+        assert cli.main(["train"] + base) == 0
+        ckpt, output = ((out / "best.npz", tmp_path) if case == "translate-output"
+                        else (out, tmp_path / "hyp.txt"))
+        argv = ["translate"] + base + ["--checkpoint", str(ckpt), "--input", str(conll),
+                                       "--output", str(output)]
+    command = argv[0]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"gcnmt {command}: "), err
+
+
 def test_cli_translate_beam1_matches_greedy(tmp_path):
     conll, tgt = _write_tiny_dataset(tmp_path, n=10)
     out = tmp_path / "run"

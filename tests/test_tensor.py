@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from layer_oracle import scatter_add_rows
+import tape_ops as TO
 
 from gcnmt import decoder as D
 from gcnmt import encoders as E
@@ -42,7 +43,7 @@ def test_matmul_shape_error_names_shapes():
 
 def test_elementwise_trivial():
     assert T.relu(T.Tensor(-3.0)).item() == 0.0
-    assert T.sigmoid(T.Tensor(0.0)).item() == 0.5
+    assert TO.sigmoid(T.Tensor(0.0)).item() == 0.5
     # reference value for tanh(1), independent of numpy
     assert abs(T.tanh(T.Tensor(1.0)).item() - 0.7615941559557649) < 1e-12
 
@@ -85,7 +86,7 @@ def test_softmax_sums_to_one_and_shift_invariant(logits, shift):
 def test_backward_scalar_product():
     x = T.Tensor(3.0, requires_grad=True)
     y = T.Tensor(4.0, requires_grad=True)
-    T.backward(x * y)
+    T.backward(TO.mul(x, y))
     assert x.grad == 4.0 and y.grad == 3.0
 
 
@@ -97,7 +98,7 @@ def test_backward_relu_negative_input():
 
 def test_backward_accumulates_across_uses():
     x = T.Tensor(2.0, requires_grad=True)
-    T.backward(x * x + x)  # d/dx = 2x + 1
+    T.backward(TO.mul(x, x) + x)  # d/dx = 2x + 1
     assert x.grad == 5.0
 
 
@@ -116,18 +117,27 @@ def test_random_chain_matches_finite_differences():
     }
 
     def f(p):
-        return T.tsum(T.tanh(T.matmul(p["x"], p["w"]) + p["b"])
-                      * T.sigmoid(p["x"]))
+        return TO.tsum(TO.mul(T.tanh(T.matmul(p["x"], p["w"]) + p["b"]),
+                              TO.sigmoid(p["x"])))
 
-    report = T.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, params, epsilon=1e-4, tolerance=1e-4)
     assert all(entry.ok for entry in report.values())
     assert max(e.max_rel_err for e in report.values()) < 1e-4
 
 
+def test_sub_and_neg_match_finite_differences():
+    rng = np.random.default_rng(41)
+    params = {"a": T.Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True),
+              "b": T.Tensor(rng.uniform(-1, 1, (3,)), requires_grad=True)}
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(TO.sub(TO.neg(p["a"]), p["b"]))),
+                           params)
+    assert all(e.ok for e in report.values())
+
+
 def test_grad_check_linear_is_exact():
     params = {"x": T.Tensor([1.0, -2.0, 0.5], requires_grad=True)}
-    report = T.grad_check(lambda p: T.tsum(p["x"] * T.Tensor([2.0, 3.0, -1.0])),
-                          params)
+    report = TO.grad_check(lambda p: TO.tsum(TO.mul(p["x"], T.Tensor([2.0, 3.0, -1.0]))),
+                           params)
     assert report["x"].max_rel_err < 1e-9
 
 
@@ -138,7 +148,7 @@ def test_grad_check_flags_corrupted_adjoint():
         # deliberately wrong adjoint (forward is 2t, backward claims d/dt = 5)
         return T.node(2.0 * t.data, (t,), lambda g: (5.0 * g,))
 
-    report = T.grad_check(lambda p: T.tsum(broken_double(p["x"])), {"x": x})
+    report = TO.grad_check(lambda p: TO.tsum(broken_double(p["x"])), {"x": x})
     assert not report["x"].ok
 
 
@@ -150,7 +160,7 @@ def test_grad_check_perturbs_a_parameter_that_is_not_c_contiguous(layout):
     data = np.asfortranarray(w) if layout == "fortran" else np.ascontiguousarray(w.T).T
     params = {"w": T.Tensor(data, requires_grad=True)}
     assert not params["w"].data.flags.c_contiguous
-    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(x, p["w"]))), params)
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(T.matmul(x, p["w"]))), params)
     assert report["w"].ok, report
     assert params["w"].data is data
     npt.assert_array_equal(data, w)
@@ -163,9 +173,9 @@ def test_gather_scatter_roundtrip_gradients():
     def f(p):
         picked = T.gather_rows(p["h"], idx)
         spread = scatter_add_rows(picked, np.array([1, 1, 0, 2]), 4)
-        return T.tsum(spread * spread)
+        return TO.tsum(TO.mul(spread, spread))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert report["h"].ok
 
 
@@ -177,9 +187,9 @@ def test_concat_slice_transpose_gradients():
     def f(p):
         cat = T.concat([p["a"], p["b"]], axis=0)
         tr = T.transpose(cat, (1, 0))
-        return T.tsum(T.tanh(T.slice_rows(tr, 0, 2)))
+        return TO.tsum(T.tanh(T.slice_rows(tr, 0, 2)))
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values())
 
 
@@ -188,16 +198,16 @@ def test_log_softmax_gradients():
                             requires_grad=True)}
 
     def f(p):
-        return T.tsum(T.log_softmax(p["x"]) * T.Tensor([[1.0, 0, 0], [0, 1.0, 0]]))
+        return TO.tsum(TO.mul(T.log_softmax(p["x"]), T.Tensor([[1.0, 0, 0], [0, 1.0, 0]])))
 
-    assert T.grad_check(f, params)["x"].ok
+    assert TO.grad_check(f, params)["x"].ok
 
 
 def test_seeded_replay_is_bit_identical():
     def run():
         rng = np.random.default_rng(123)
         x = T.Tensor(rng.uniform(-1, 1, (4, 4)), requires_grad=True)
-        loss = T.tsum(T.tanh(T.matmul(x, x)) * T.sigmoid(x))
+        loss = TO.tsum(TO.mul(T.tanh(T.matmul(x, x)), TO.sigmoid(x)))
         T.backward(loss)
         return loss.data.copy(), x.grad.copy()
 
@@ -209,7 +219,7 @@ def test_seeded_replay_is_bit_identical():
 def test_no_grad_blocks_recording():
     x = T.Tensor(1.0, requires_grad=True)
     with T.no_grad():
-        y = x * 2.0
+        y = TO.mul(x, 2.0)
     assert not y.requires_grad and y._backward is None
 
 
@@ -218,11 +228,10 @@ def test_checkpoint_roundtrip(tmp_path):
               "gcn.0.0.w_loop": T.Tensor(np.eye(2))}
     path = tmp_path / "ckpt.npz"
     T.save_checkpoint(path, params)
-    loaded = T.load_checkpoint(path)
-    assert set(loaded) == set(params)
+    loaded = {k: T.Tensor(np.zeros(p.shape)) for k, p in params.items()}
+    T.load_checkpoint(path, loaded)
     for k in params:
-        npt.assert_array_equal(loaded[k], params[k].data)
-        assert loaded[k].dtype == np.float64
+        npt.assert_array_equal(loaded[k].data, params[k].data)
 
 
 def test_load_checkpoint_rejects_truncated_and_object_members(tmp_path):
@@ -233,10 +242,10 @@ def test_load_checkpoint_rejects_truncated_and_object_members(tmp_path):
     with zipfile.ZipFile(path, "w") as zf:
         zf.writestr("w.npy", member[:-8])
     with pytest.raises(ValueError, match="truncated array data"):
-        T.load_checkpoint(path)
+        T.load_checkpoint(path, {"w": T.Tensor(np.zeros(6))})
     np.savez(path, w=np.array([None, 1.0], dtype=object))
     with pytest.raises(ValueError, match="object arrays are not supported"):
-        T.load_checkpoint(path)
+        T.load_checkpoint(path, {"w": T.Tensor(np.zeros(2))})
 
 
 @pytest.mark.parametrize("corruption", ["not-a-zip", "bad-crc", "encrypted-flag"])
@@ -254,7 +263,7 @@ def test_load_checkpoint_reports_a_corrupt_archive_as_value_error(tmp_path, corr
         where = f"checkpoint {path}, member w.npy: "
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError) as info:
-        T.load_checkpoint(path)
+        T.load_checkpoint(path, {"w": T.Tensor(np.zeros(6))})
     assert str(info.value).startswith(where)
 
 
@@ -263,7 +272,7 @@ def test_backward_frees_the_tape_while_the_caller_holds_the_loss():
 
     def record():
         hidden = T.tanh(x)  # only the tape keeps this node and its array
-        return T.tsum(hidden * hidden), weakref.ref(hidden.data)
+        return TO.tsum(TO.mul(hidden, hidden)), weakref.ref(hidden.data)
 
     loss, hidden_data = record()
     assert hidden_data() is not None
@@ -275,17 +284,17 @@ def test_backward_frees_the_tape_while_the_caller_holds_the_loss():
 
 def test_second_backward_through_a_consumed_graph_raises():
     x = T.Tensor(np.array([0.5, -2.0]), requires_grad=True)
-    hidden = x * x
-    loss = T.tsum(hidden)
+    hidden = TO.mul(x, x)
+    loss = TO.tsum(hidden)
     T.backward(loss)
     first = x.grad.copy()
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
         T.backward(loss)
     with pytest.raises(ValueError, match="consumed by an earlier backward"):
-        T.backward(T.tsum(hidden * 3.0))  # a new graph over a consumed node
+        T.backward(TO.tsum(TO.mul(hidden, 3.0)))  # a new graph over a consumed node
     assert x._backward is None and x._parents == ()
     x.grad = first
-    T.backward(T.tsum(x * x))  # a fresh graph over the same leaf
+    T.backward(TO.tsum(TO.mul(x, x)))  # a fresh graph over the same leaf
     npt.assert_allclose(x.grad, 2 * first, rtol=0, atol=0)
 
 
@@ -317,14 +326,14 @@ def test_matmul_folded_backward_matches_per_index_loop(a_shape, b_shape):
     a = T.Tensor(rng.uniform(-1, 1, a_shape), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, b_shape), requires_grad=True)
     G = rng.uniform(-1, 1, np.matmul(a.data, b.data).shape)
-    T.backward(T.tsum(T.matmul(a, b) * T.Tensor(G)))
+    T.backward(TO.tsum(TO.mul(T.matmul(a, b), T.Tensor(G))))
     gA, gB = _per_index_matmul_grads(a.data, b.data, G)
     npt.assert_allclose(a.grad, gA, rtol=0, atol=1e-12)
     npt.assert_allclose(b.grad, gB, rtol=0, atol=1e-12)
     assert a.grad.shape == a_shape and b.grad.shape == b_shape
 
-    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
-                          {"a": a, "b": b})
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
+                           {"a": a, "b": b})
     assert all(e.ok for e in report.values())
 
 
@@ -333,12 +342,12 @@ def test_matmul_vector_a_gradients():
     a = T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
     G = rng.uniform(-1, 1, 3)
-    T.backward(T.tsum(T.matmul(a, b) * T.Tensor(G)))
+    T.backward(TO.tsum(TO.mul(T.matmul(a, b), T.Tensor(G))))
     npt.assert_allclose(a.grad, b.data @ G, rtol=0, atol=1e-12)
     npt.assert_allclose(b.grad, np.outer(a.data, G), rtol=0, atol=1e-12)
 
-    report = T.grad_check(lambda p: T.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
-                          {"a": a, "b": b})
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(T.matmul(p["a"], p["b"]))),
+                           {"a": a, "b": b})
     assert all(e.ok for e in report.values())
 
 
@@ -349,7 +358,7 @@ def test_backward_keeps_gradients_on_leaves_only():
     const = T.Tensor(rng.uniform(-1, 1, (3, 2)))
     h = T.matmul(x, w)
     y = T.tanh(h)
-    loss = T.tsum(y * const)
+    loss = TO.tsum(TO.mul(y, const))
     T.backward(loss)
     for node in (h, y, loss):
         assert node.requires_grad and node.grad is None
@@ -358,7 +367,7 @@ def test_backward_keeps_gradients_on_leaves_only():
     npt.assert_allclose(x.grad, dh @ w.data.T, rtol=1e-14)
     npt.assert_allclose(w.grad, x.data.T @ dh, rtol=1e-14)
     # a second backward still accumulates into the leaves
-    T.backward(T.tsum(T.matmul(x, w) * T.Tensor(const.data)))
+    T.backward(TO.tsum(TO.mul(T.matmul(x, w), T.Tensor(const.data))))
     npt.assert_allclose(w.grad, x.data.T @ dh + x.data.T @ const.data, rtol=1e-14)
 
 
@@ -386,7 +395,7 @@ def test_backward_operands_of_one_add_receive_the_same_array():
     d = T.Tensor(a.data * 2.0, requires_grad=True)
     e = T.Tensor(b.data * 2.0, requires_grad=True)
     s = a + b
-    T.backward(T.tsum(s * c) + T.tsum(a) + T.tsum((d + e) * c))
+    T.backward(TO.tsum(TO.mul(s, c)) + TO.tsum(a) + TO.tsum(TO.mul(d + e, c)))
     npt.assert_array_equal(b.grad, c.data)
     npt.assert_array_equal(a.grad, c.data + 1.0)
     npt.assert_array_equal(d.grad, c.data)
@@ -406,8 +415,8 @@ def test_second_gradient_never_writes_a_shared_first_one(order, second_use):
     c = np.array([[3.0, -1.0], [2.0, 0.5]])
     h = T.reshape(w, (2, 2))
     second = T.gather_rows(a, [1, 0, 1]) if second_use == "gather" else a
-    terms = [T.tsum((a + h) * T.Tensor(c)), T.tsum(second),
-             T.tsum(T.reshape(T.reshape(h, (4,)), (2, 2)))]
+    terms = [TO.tsum(TO.mul(a + h, T.Tensor(c))), TO.tsum(second),
+             TO.tsum(T.reshape(T.reshape(h, (4,)), (2, 2)))]
     terms = [terms[i] for i in order]
     T.backward(terms[0] + terms[1] + terms[2])
     npt.assert_array_equal(a.grad, c + ([[1.0, 1.0], [2.0, 2.0]]
@@ -423,8 +432,8 @@ def test_fresh_gradient_never_writes_a_shared_borrowed_one(order):
     w = T.Tensor(np.arange(4.0).reshape(2, 2) / 4, requires_grad=True)
     c = np.array([[3.0, -1.0], [2.0, 0.5]])
     h = T.reshape(w, (2, 2))
-    terms = [T.tsum((a + h) * T.Tensor(c)), T.tsum(T.matmul(a, T.Tensor(c))),
-             T.tsum(T.matmul(T.Tensor(c), h))]
+    terms = [TO.tsum(TO.mul(a + h, T.Tensor(c))), TO.tsum(T.matmul(a, T.Tensor(c))),
+             TO.tsum(T.matmul(T.Tensor(c), h))]
     terms = [terms[i] for i in order]
     T.backward(terms[0] + terms[1] + terms[2])
     ones = np.ones((2, 2))
@@ -439,10 +448,10 @@ def test_backward_leaf_through_reshape_concat_stack0_views_and_direct_use():
     c2 = np.arange(9.0).reshape(3, 3) - 4.0
     c3 = np.arange(12.0).reshape(2, 2, 3) * 0.5
     c4 = np.full((2, 3), 2.0)
-    loss = (T.tsum(T.reshape(x, (3, 2)) * T.Tensor(c1))
-            + T.tsum(T.concat([x, y], axis=0) * T.Tensor(c2))
-            + T.tsum(T.stack0([x, x]) * T.Tensor(c3))
-            + T.tsum(x * T.Tensor(c4)))
+    loss = (TO.tsum(TO.mul(T.reshape(x, (3, 2)), T.Tensor(c1)))
+            + TO.tsum(TO.mul(T.concat([x, y], axis=0), T.Tensor(c2)))
+            + TO.tsum(TO.mul(T.stack0([x, x]), T.Tensor(c3)))
+            + TO.tsum(TO.mul(x, T.Tensor(c4))))
     T.backward(loss)
     npt.assert_array_equal(x.grad, c1.reshape(2, 3) + c2[:2] + c3[0] + c3[1] + c4)
     npt.assert_array_equal(y.grad, c2[2:])
@@ -450,7 +459,7 @@ def test_backward_leaf_through_reshape_concat_stack0_views_and_direct_use():
 
 def test_backward_square_plus_identity_on_arrays():
     x = T.Tensor([0.5, -1.25, 3.0, 0.0], requires_grad=True)
-    T.backward(T.tsum(x * x + x))
+    T.backward(TO.tsum(TO.mul(x, x) + x))
     npt.assert_array_equal(x.grad, 2.0 * x.data + 1.0)
 
 
@@ -461,7 +470,7 @@ def test_second_backward_leaves_the_callers_gradient_array_alone(uses):
     c = T.Tensor([0.5, -2.0, 4.0])
 
     def loss():
-        return T.tsum(x * c) if uses == 1 else T.tsum(x * c) + T.tsum(x * c)
+        return TO.tsum(TO.mul(x, c)) if uses == 1 else TO.tsum(TO.mul(x, c)) + TO.tsum(TO.mul(x, c))
 
     T.backward(loss())
     kept = x.grad
@@ -475,7 +484,7 @@ def test_leaf_takes_a_fresh_matmul_gradient_without_a_copy():
     rng = np.random.default_rng(35)
     x = T.Tensor(rng.uniform(-1, 1, (4, 512)))
     w = T.Tensor(rng.uniform(-1, 1, (512, 512)), requires_grad=True)
-    loss = T.tsum(T.matmul(x, w))
+    loss = TO.tsum(T.matmul(x, w))
     tracemalloc.start()
     try:
         T.backward(loss)
@@ -491,13 +500,13 @@ def test_leaf_takes_a_fresh_matmul_gradient_without_a_copy():
 def test_leaf_takes_the_array_an_adjoint_returns_without_a_copy():
     x = T.Tensor([1.0, -2.0], requires_grad=True)
     arr = np.array([0.5, 4.0])
-    T.backward(T.tsum(T.node(3.0 * x.data, (x,), lambda g: (arr,))))
+    T.backward(TO.tsum(T.node(3.0 * x.data, (x,), lambda g: (arr,))))
     assert x.grad is arr
     # a 0-d leaf reached three times through broadcasting: its gradients are
     # numpy scalars, which cannot be added in place, so each sum is stored
     s = T.Tensor(0.5, requires_grad=True)
     v = T.Tensor([1.0, 2.0, 3.0])
-    T.backward(T.tsum(s * v) + T.tsum(s * v * v) + T.tsum(v + s))
+    T.backward(TO.tsum(TO.mul(s, v)) + TO.tsum(TO.mul(TO.mul(s, v), v)) + TO.tsum(v + s))
     assert s.grad == 6.0 + 14.0 + 3.0
 
 
@@ -513,7 +522,7 @@ def test_an_accumulator_that_is_a_view_takes_the_sum_in_a_new_array(view_first):
     cat = T.concat([a, T.Tensor(np.zeros(1000))])
     adjoint = cat._backward
     cat._backward = lambda g: (cat_grads.append(g) or adjoint(g))
-    terms = [T.tsum(cat * T.Tensor(np.full(1004, 2.0))), T.tsum(a)]
+    terms = [TO.tsum(TO.mul(cat, T.Tensor(np.full(1004, 2.0)))), TO.tsum(a)]
     T.backward(terms[0] + terms[1] if view_first else terms[1] + terms[0])
     assert shared == [False]
     npt.assert_array_equal(x.grad, np.full(4, 3.0))
@@ -526,8 +535,9 @@ def _calls_node(fn) -> bool:
 
 
 def _recording_ops():
-    """Public functions of the layer modules that call ``tensor.node``."""
-    return {name: fn for mod in (T, E, D, TR) for name, fn in vars(mod).items()
+    """Public functions of the layer modules and of ``tape_ops`` that call
+    ``tensor.node``."""
+    return {name: fn for mod in (T, TO, E, D, TR) for name, fn in vars(mod).items()
             if inspect.isfunction(fn) and fn.__module__ == mod.__name__
             and not name.startswith("_") and name != "node" and _calls_node(fn)}
 
@@ -598,10 +608,10 @@ def test_backward_writes_no_forward_value():
     parts = [T.reshape(h, (3, 4)), T.transpose(h, (1, 0)),
              T.concat([h, x], axis=0), T.stack0([h, x, h]),
              T.gather_rows(h, [0, 0, 3]), T.slice_rows(x, 1, 3),
-             h + x, h - x, T.relu(h) * x, -x, T.sigmoid(h)]
-    loss = T.tsum(T.log_softmax(T.softmax(h + x)))
+             h + x, TO.sub(h, x), TO.mul(T.relu(h), x), TO.neg(x), TO.sigmoid(h)]
+    loss = TO.tsum(T.log_softmax(T.softmax(h + x)))
     for part in parts:
-        loss = loss + T.tsum(part * part) + T.tsum(part)
+        loss = loss + TO.tsum(TO.mul(part, part)) + TO.tsum(part)
     nodes = _tape(loss)
     before = [node.data.copy() for node in nodes]
     T.backward(loss)
@@ -623,10 +633,10 @@ def test_gather_rows_sparse_adjoint_matches_dense_oracle(idx):
     rng = np.random.default_rng(35)
     a = T.Tensor(rng.uniform(-1, 1, (5, 3)), requires_grad=True)
     G = rng.uniform(-1, 1, a.data[np.asarray(idx)].shape)
-    T.backward(T.tsum(T.gather_rows(a, idx) * T.Tensor(G)))
+    T.backward(TO.tsum(TO.mul(T.gather_rows(a, idx), T.Tensor(G))))
     npt.assert_allclose(a.grad, _gather_oracle(a.shape, idx, G), rtol=0, atol=1e-15)
-    report = T.grad_check(lambda p: T.tsum(T.tanh(T.gather_rows(p["a"], idx))),
-                          {"a": a})
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(T.gather_rows(p["a"], idx))),
+                           {"a": a})
     assert report["a"].ok
 
 
@@ -635,12 +645,12 @@ def test_slice_rows_sparse_adjoint_matches_dense_oracle(start, stop):
     rng = np.random.default_rng(36)
     a = T.Tensor(rng.uniform(-1, 1, (5, 2, 3)), requires_grad=True)
     G = rng.uniform(-1, 1, (stop - start, 2, 3))
-    T.backward(T.tsum(T.slice_rows(a, start, stop) * T.Tensor(G)))
+    T.backward(TO.tsum(TO.mul(T.slice_rows(a, start, stop), T.Tensor(G))))
     want = np.zeros(a.shape)
     want[start:stop] = G
     npt.assert_array_equal(a.grad, want)
-    report = T.grad_check(
-        lambda p: T.tsum(T.tanh(T.slice_rows(p["a"], start, stop))), {"a": a})
+    report = TO.grad_check(
+        lambda p: TO.tsum(T.tanh(T.slice_rows(p["a"], start, stop))), {"a": a})
     assert report["a"].ok
 
 
@@ -653,10 +663,10 @@ def test_leaf_reached_by_gather_and_dense_op(gather_first):
     C = rng.uniform(-1, 1, (6, 4))
 
     def f(p):
-        sparse = T.tsum(T.gather_rows(p["a"], idx) * T.Tensor(G))
-        tail = T.tsum(T.slice_rows(p["a"], 4, 6))
+        sparse = TO.tsum(TO.mul(T.gather_rows(p["a"], idx), T.Tensor(G)))
+        tail = TO.tsum(T.slice_rows(p["a"], 4, 6))
         # a and b first receive the same array from the add
-        dense = T.tsum((p["a"] + p["b"]) * T.Tensor(C))
+        dense = TO.tsum(TO.mul(p["a"] + p["b"], T.Tensor(C)))
         return (sparse + tail) + dense if gather_first else dense + (tail + sparse)
 
     T.backward(f(params))
@@ -664,7 +674,7 @@ def test_leaf_reached_by_gather_and_dense_op(gather_first):
     want[4:6] += 1.0
     npt.assert_allclose(params["a"].grad, want, rtol=0, atol=1e-15)
     npt.assert_array_equal(params["b"].grad, C)
-    assert all(e.ok for e in T.grad_check(f, params).values())
+    assert all(e.ok for e in TO.grad_check(f, params).values())
 
 
 def test_row_sparse_adjoint_reaches_adjoints_as_a_dense_array():
@@ -676,7 +686,7 @@ def test_row_sparse_adjoint_reaches_adjoints_as_a_dense_array():
         return (2.0 * g,)
 
     h = T.node(2.0 * a.data, (a,), doubled_bwd)
-    loss = T.tsum(T.gather_rows(h, [3, 3, 0])) + T.tsum(T.slice_rows(h, 1, 2))
+    loss = TO.tsum(T.gather_rows(h, [3, 3, 0])) + TO.tsum(T.slice_rows(h, 1, 2))
     T.backward(loss)
     assert len(seen) == 1 and type(seen[0]) is np.ndarray
     npt.assert_array_equal(seen[0], [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
@@ -694,7 +704,7 @@ def test_weighted_sum_matches_broadcast_product_and_finite_differences(w_shape, 
     want = (params["w"].data[..., None] * params["a"].data).sum(axis=-2)
     npt.assert_allclose(out.data, want, rtol=0, atol=1e-12)
     assert out._parents == (params["w"], params["a"])
-    report = T.grad_check(lambda p: T.tsum(T.tanh(T.weighted_sum(p["w"], p["a"]))), params)
+    report = TO.grad_check(lambda p: TO.tsum(T.tanh(T.weighted_sum(p["w"], p["a"]))), params)
     assert all(e.ok for e in report.values())
 
 

@@ -18,6 +18,7 @@ from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
 from layer_oracle import assert_matches_reference, reference_nll_loss
+import tape_ops as TO
 from tf_oracle import composed_teacher_forcing_loss, reference_teacher_forcing_loss
 
 
@@ -73,7 +74,7 @@ def test_nll_gradients():
     def f(p):
         return TR.nll_loss(p["x"], [1, 3, 0], [1.0, 1.0, 0.0], p["w"], p["b"])
 
-    report = T.grad_check(f, params)
+    report = TO.grad_check(f, params)
     for name in params:
         assert report[name].ok, name
 
@@ -234,6 +235,12 @@ def test_adam_moments_never_alias_parameters():
             assert not np.shares_memory(m, p.grad) and not np.shares_memory(v, p.grad)
 
 
+def _archive(path):
+    """The arrays of a checkpoint archive by parameter path."""
+    with np.load(path) as npz:
+        return dict(npz)
+
+
 def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
     _, exp, _, prep = _toy_setup()
     rng = np.random.default_rng(23)
@@ -255,10 +262,11 @@ def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
     ref = _out_of_place_adam({k: x.copy() for k, x in loaded.items()}, grads,
                              ref_moments, 2, lr=0.01, l2=0.0)
     TR.adam_step(params, state, lr=0.01)
+    stored = _archive(path)
     for k, p in model.parameters().items():
         assert p.data is loaded[k]
         npt.assert_allclose(p.data, ref[k], rtol=1e-15, atol=0)
-        assert not np.array_equal(p.data, T.load_checkpoint(path)[k])
+        assert not np.array_equal(p.data, stored[k])
 
 
 def _model_and_checkpoint(tmp_path, widths=8):
@@ -320,18 +328,15 @@ def test_load_model_params_converts_fortran_and_non_f8_members(tmp_path):
     model = build(2)
     before = {k: p.data for k, p in model.parameters().items()}
     load_model_params(path, model)
-    fresh = T.load_checkpoint(path)
     for k, p in model.parameters().items():
         want = np.asarray(stored[k], dtype=np.float64)
         assert p.data is before[k], k
         npt.assert_array_equal(p.data, want, err_msg=k)
-        assert fresh[k].dtype == np.float64 and fresh[k].flags.c_contiguous, k
-        npt.assert_array_equal(fresh[k], want, err_msg=k)
 
 
 def test_load_model_params_checks_the_shape_before_reading_the_data(tmp_path):
     build, path = _model_and_checkpoint(tmp_path)
-    stored = T.load_checkpoint(path)
+    stored = _archive(path)
     w_out = stored.pop("decoder.w_out")
     np.savez(path, **stored)
     # a header of the wrong shape followed by no data at all
@@ -352,7 +357,7 @@ def test_load_model_params_checks_the_shape_before_reading_the_data(tmp_path):
 @pytest.mark.parametrize("change", ["missing", "extra"])
 def test_load_model_params_name_mismatch_rebinds_nothing(tmp_path, change):
     build, path = _model_and_checkpoint(tmp_path)
-    stored = T.load_checkpoint(path)
+    stored = _archive(path)
     if change == "missing":
         del stored["decoder.b_out"]
     else:
@@ -706,8 +711,8 @@ def test_train_writes_metrics_and_checkpoints(tmp_path):
     assert first[0] == "1" and float(first[1]) > 0
     assert len(res.history) == 2
     # best checkpoint is a copy of the best epoch's checkpoint
-    best = T.load_checkpoint(tmp_path / "best.npz")
-    epoch_ckpt = T.load_checkpoint(tmp_path / f"epoch_{res.best_epoch:04d}.npz")
+    best = _archive(tmp_path / "best.npz")
+    epoch_ckpt = _archive(tmp_path / f"epoch_{res.best_epoch:04d}.npz")
     assert set(best) == set(epoch_ckpt)
     for k in best:
         npt.assert_array_equal(best[k], epoch_ckpt[k])
@@ -733,7 +738,7 @@ def test_full_model_gradcheck_small():
     def f(_):
         return TR.teacher_forcing_loss(model, batch, "infer", tc, None)
 
-    report = T.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
+    report = TO.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
 
 

@@ -13,6 +13,9 @@ the same order as ``gcnmt.training.nll_loss``, so the two must agree bit
 for bit.
 
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
+Every tape op used here is one ``gcnmt`` records; the composed ops it does
+not record (``sub``, ``mul``, ``neg``, ``sigmoid``, ``tsum``) and
+``grad_check`` live in ``tape_ops``.
 """
 
 import numpy as np
