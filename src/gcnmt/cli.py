@@ -4,6 +4,7 @@ experiment runs over one configuration or a named grid."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .corpus import (
     Vocabulary,
     ingest_conll,
     read_lines,
+    segment,
 )
 from .evaluation import PreprocessResult, _read_pairs, bleu, preprocess, translate_corpus
 from .model import build_model, load_model_params
@@ -91,6 +93,22 @@ def _load_prep(out_dir: str):
     )
 
 
+def _trainable(pairs, prep, trn: TrainConfig, command: str):
+    """The training pairs that ``make_batch`` accepts at ``max_sentence_len``:
+    at most that many source tokens and target pieces. The others are left
+    out with one line on stderr; ``ConfigError`` if none is left."""
+    limit = trn.max_sentence_len
+    kept = [(s, t) for s, t in pairs
+            if len(s.tokens) <= limit and len(segment(prep.bpe, t)) <= limit]
+    if not kept:
+        raise ConfigError(f"every training pair is longer than "
+                          f"max_sentence_len = {limit}")
+    if len(kept) < len(pairs):
+        print(f"gcnmt {command}: left out {len(pairs) - len(kept)} of {len(pairs)} "
+              f"training pairs longer than max_sentence_len = {limit}", file=sys.stderr)
+    return kept
+
+
 @dataclass
 class ExperimentSummary:
     recipe: str
@@ -116,9 +134,12 @@ def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
         test_pairs = (_read_pairs(paths.test_conll, paths.test_tgt)
                       if paths.test_conll else val_pairs)
         prep = preprocess(train_pairs, exp_cfg, train_cfg)
+        if paths.out_dir:
+            _save_prep(prep, paths.out_dir)
+        fitting = _trainable(train_pairs, prep, train_cfg, "experiment")
 
         stage = "train"
-        result = train(train_cfg, exp_cfg, train_pairs, val_pairs,
+        result = train(train_cfg, exp_cfg, fitting, val_pairs,
                        prep.src_vocab, prep.tgt_vocab, prep.bpe,
                        prep.label_vocabs, out_dir=paths.out_dir)
 
@@ -128,7 +149,6 @@ def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
         hyps = translate_corpus(result.model, test_pairs, prep.src_vocab,
                                 prep.tgt_vocab, prep.bpe, train_cfg)
         if paths.out_dir:
-            _save_prep(prep, paths.out_dir)
             with open(os.path.join(paths.out_dir, "test.hyp.txt"), "w",
                       encoding="utf-8") as fh:
                 for words in hyps:
@@ -184,8 +204,9 @@ def cmd_train(args) -> int:
     prep = preprocess(pairs, exp, trn)
     if paths.out_dir:  # empty: train and report, write no files
         _save_prep(prep, paths.out_dir)
-    result = train(trn, exp, pairs, val_pairs, prep.src_vocab, prep.tgt_vocab,
-                   prep.bpe, prep.label_vocabs, out_dir=paths.out_dir)
+    result = train(trn, exp, _trainable(pairs, prep, trn, "train"), val_pairs,
+                   prep.src_vocab, prep.tgt_vocab, prep.bpe, prep.label_vocabs,
+                   out_dir=paths.out_dir)
     print(f"train: best epoch {result.best_epoch}, "
           f"val BLEU {result.best_val_bleu:.2f}, "
           f"checkpoint {result.best_checkpoint}")
@@ -203,15 +224,13 @@ def cmd_translate(args) -> int:
     if pairs is None:
         with open(args.input, encoding="utf-8") as fh:
             pairs = [(s, []) for s in ingest_conll(fh.read())]
-    hyps = translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
-                            prep.bpe, trn)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
-        for words in hyps:
+    # opened before the decode, so a bad output path fails at once, and after
+    # the checkpoint and input were read, so a bad one leaves the file as it is
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        for words in translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
+                                      prep.bpe, trn):
             out.write(" ".join(words) + "\n")
-    finally:
-        if args.output:
-            out.close()
     return 0
 
 

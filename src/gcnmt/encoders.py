@@ -9,7 +9,8 @@ loop. Direction-specific matrices, per-label bias vectors and per-edge
 scalar gates are all learned. Layers stack, each wrapped in a residual
 connection, and a layer may read the semantic graph, the syntactic graph,
 both at once (distinct W per graph, shared self-loop) or neither
-(self-loop ablation).
+(self-loop ablation). Each graph reaches the GCN as one ``(E, 3)`` array
+of (head, dependent, label id) rows, built once per batch.
 
 ``gru_cell`` and ``gcn_layer`` compute in numpy and record one tape node
 each (``tensor.node``) with a hand-derived adjoint, which keeps only the
@@ -267,9 +268,10 @@ def _add_rows(acc, idx, rows):
 def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=None):
     """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
 
-    ``edges`` maps graph name -> list of (head, dep, label_id). During
-    training each annotated-edge message is dropped independently with
-    probability 1 - edge_retain; self-loop messages are never dropped.
+    ``edges`` maps graph name -> an ``(E, 3)`` array (or a list) of
+    (head, dep, label_id) rows. During training each annotated-edge
+    message is dropped independently with probability 1 - edge_retain;
+    self-loop messages are never dropped.
 
     One tape node over ``H``, the self-loop parameters and the parameters
     of each graph that has edges. Per graph, the ``in`` direction sends
@@ -285,12 +287,10 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
     parents = [H, params.w_loop, params.b_loop, params.gate_w_loop, params.gate_b_loop]
     saved = []  # per direction: edges, parameters, pre-gate message, gate, keep
     for name, gp in params.graphs.items():
-        edge_list = edges.get(name, [])
-        if not edge_list:
+        rows = np.asarray(edges.get(name, ()), dtype=np.intp).reshape(-1, 3)
+        if not len(rows):
             continue
-        heads = np.asarray([e[0] for e in edge_list], dtype=np.intp)
-        deps = np.asarray([e[1] for e in edge_list], dtype=np.intp)
-        labs = np.asarray([e[2] for e in edge_list], dtype=np.intp)
+        heads, deps, labs = rows.T
         if heads.max(initial=-1) >= n or deps.max(initial=-1) >= n \
                 or heads.min(initial=0) < 0 or deps.min(initial=0) < 0:
             raise ValueError(f"gcn_layer: edge endpoint out of range for {n} nodes")
@@ -398,19 +398,17 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
     H = reshape(transpose(base, (1, 0, 2)), (B * L, d))
 
     retain = edge_retain if mode == "train" else 1.0
+    arrays = {}  # graph -> (E, 3) edges in sentence order, sentence i at i * L
+    for g in dict.fromkeys(g for graphs, _ in config.blocks for g in graphs):
+        per_sent = batch.sem_edges if g == "sem" else batch.syn_edges
+        if per_sent is None:
+            raise ValueError(f"recipe reads {g!r} graph absent from the batch")
+        vocab = params.label_vocabs[g]
+        arrays[g] = np.array([(i * L + u, i * L + v, vocab.id(lab))
+                              for i, sent_edges in enumerate(per_sent)
+                              for u, v, lab in sent_edges], dtype=np.intp).reshape(-1, 3)
     for layers, (graphs, _) in zip(params.blocks, config.blocks):
-        edges = {}
-        for g in graphs:
-            per_sent = batch.sem_edges if g == "sem" else batch.syn_edges
-            if per_sent is None:
-                raise ValueError(f"recipe reads {g!r} graph absent from the batch")
-            vocab = params.label_vocabs[g]
-            flat = []
-            for i, sent_edges in enumerate(per_sent):
-                off = i * L
-                flat.extend((off + u, off + v, vocab.id(lab))
-                            for u, v, lab in sent_edges)
-            edges[g] = flat
+        edges = {g: arrays[g] for g in graphs}
         for layer in layers:
             H = gcn_layer(H, edges, layer, edge_retain=retain, rng=rng) + H
     states = reshape(H, (B, L, d))

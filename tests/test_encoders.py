@@ -9,7 +9,12 @@ from gcnmt import tensor as T
 from gcnmt.config import ExperimentConfig
 from gcnmt.corpus import AnnotatedSentence, LabelVocab, Vocabulary, make_batch
 from gcnmt.model import build_model
-from layer_oracle import assert_matches_reference, reference_gcn_layer, reference_gru_cell
+from layer_oracle import (
+    _outputs_and_grads,
+    assert_matches_reference,
+    reference_gcn_layer,
+    reference_gru_cell,
+)
 import tape_ops as TO
 
 
@@ -475,6 +480,24 @@ def test_gcn_fused_layer_gradients_with_edge_dropout():
     assert all(e.ok for e in report.values())
 
 
+@pytest.mark.parametrize("edge_retain", [1.0, 0.7])
+def test_gcn_layer_reads_an_edge_array_as_its_list_of_triples(edge_retain):
+    rng = np.random.default_rng(40)
+    layer = _layer(rng, 3, graphs=("sem", "syn"))
+    H = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    leaves = {"H": H, **layer.named("gcn")}
+    as_list = {"sem": [(0, 1, 1), (2, 3, 0)], "syn": _REPEATS}
+    as_array = {g: np.array(e, dtype=np.intp) for g, e in as_list.items()}
+    runs = [_outputs_and_grads(
+        lambda: E.gcn_layer(H, edges, layer, edge_retain=edge_retain,
+                            rng=np.random.default_rng(41)), leaves)
+        for edges in (as_list, as_array)]
+    (out_l, grads_l), (out_a, grads_a) = runs
+    npt.assert_array_equal(out_a[0], out_l[0])
+    for name in leaves:
+        npt.assert_array_equal(grads_a[name], grads_l[name], err_msg=name)
+
+
 @pytest.mark.parametrize("shape", [(6, 5), (6,)])
 def test_add_rows_is_bit_identical_to_add_at(shape):
     rng = np.random.default_rng(39)
@@ -591,6 +614,26 @@ def test_pipeline_fused_layer_reads_both_graphs():
     semonly.sem_edges = [list(e) for e in batch.sem_edges]
     out2 = E.encode_pipeline(semonly, cfg, stack)
     assert not np.allclose(out.states.data, out2.states.data)
+
+
+def test_pipeline_maps_each_edge_label_once_per_batch(monkeypatch):
+    # sem:1+semsyn:1 reads the semantic graph in two blocks; its edge array
+    # is built once, so each sem label is looked up once
+    batch, _ = _toy_batch()
+    cfg, stack = _build("sem:1+semsyn:1")
+    looked_up = []
+    plain_id = LabelVocab.id
+
+    def spy(vocab, token):
+        looked_up.append((vocab, token))
+        return plain_id(vocab, token)
+
+    monkeypatch.setattr(LabelVocab, "id", spy)
+    E.encode_pipeline(batch, cfg, stack)
+    for g in ("sem", "syn"):
+        edges = batch.sem_edges if g == "sem" else batch.syn_edges
+        assert sorted(t for v, t in looked_up if v is stack.label_vocabs[g]) == \
+            sorted(lab for sent in edges for _, _, lab in sent), g
 
 
 def test_pipeline_missing_graph_errors():

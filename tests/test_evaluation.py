@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from gcnmt import cli
 from gcnmt import config as CFG
 from gcnmt import evaluation as E
-from gcnmt.corpus import AnnotatedSentence, bucket_indices, make_batch, serialize_conll
+from gcnmt.corpus import (AnnotatedSentence, bucket_indices, ingest_conll, make_batch,
+                          serialize_conll)
 from gcnmt.decoder import greedy_decode, greedy_decode_batch
 from gcnmt.encoders import EncoderOutput, encode_pipeline
 from gcnmt.model import build_model
@@ -302,9 +303,13 @@ def test_cli_translate_rejects_a_corrupt_checkpoint_in_one_line(tmp_path, capsys
 
 @pytest.mark.parametrize("case", ["translate-output", "translate-checkpoint",
                                   "score-hyp", "train-out-dir"])
-def test_cli_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, case):
+def test_cli_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, case,
+                                                          monkeypatch):
     # a directory where a file is read or written, or a file where the run
-    # directory goes: an OSError, reported like every other input error
+    # directory goes: an OSError, reported like every other input error,
+    # before any sentence is decoded
+    decoded = []
+    monkeypatch.setattr(cli, "translate_corpus", lambda *a, **k: decoded.append(a) or [])
     conll, tgt = _write_tiny_dataset(tmp_path, n=5)
     out = tmp_path / "run"
     (tmp_path / "small.cfg").write_text(
@@ -324,9 +329,46 @@ def test_cli_reports_a_path_of_the_wrong_kind_in_one_line(tmp_path, capsys, case
                                        "--output", str(output)]
     command = argv[0]
     capsys.readouterr()
+    assert cli.main(argv) == 1 and decoded == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"gcnmt {command}: "), err
+
+
+def _add_long_pair(conll, tgt, side, n=81):
+    """Append one pair whose source or target has ``n`` tokens."""
+    long = ["w%d" % (i % 6) for i in range(n)]
+    src, ref = (long, ["w0", "w1"]) if side == "source" else (["w0", "w1"], long)
+    sents = ingest_conll(conll.read_text())
+    sents.append(AnnotatedSentence(tokens=src, sem_edges=[], syn_edges=[]))
+    conll.write_text(serialize_conll(sents))
+    tgt.write_text(tgt.read_text() + " ".join(ref) + "\n")
+    return len(sents)
+
+
+@pytest.mark.parametrize("command,side", [("train", "source"),
+                                          ("experiment", "target")])
+def test_cli_training_leaves_out_pairs_over_max_sentence_len(tmp_path, capsys,
+                                                              command, side):
+    conll, tgt = _write_tiny_dataset(tmp_path, n=10)
+    n_pairs = _add_long_pair(conll, tgt, side)
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\nrecipe = sem:1\n")
+    argv = [command, "--config", str(tmp_path / "small.cfg")] + \
+        _tiny_flags(conll, tgt, tmp_path / "run")
+    capsys.readouterr()
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"gcnmt {command}: left out 1 of {n_pairs} training pairs "
+                   "longer than max_sentence_len = 80"]
+    assert (tmp_path / "run" / "best.npz").exists()
+
+    # nothing left to train on: one error line, exit 1
+    (tmp_path / "small.cfg").write_text("max_sentence_len = 2\nmin_count = 1\n")
     assert cli.main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"gcnmt {command}: "), err
+    assert "every training pair is longer than max_sentence_len = 2" in err[0]
 
 
 def test_cli_translate_beam1_matches_greedy(tmp_path):
@@ -559,6 +601,25 @@ def test_run_experiment_leaves_a_run_directory_for_translate(tmp_path):
     assert rc == 0
     assert hyp.read_text().splitlines() == \
         (cell / "test.hyp.txt").read_text().splitlines()
+
+
+def test_run_experiment_writes_vocabularies_before_training(tmp_path, monkeypatch):
+    # a run that fails in train keeps what translate needs beside its checkpoints
+    conll, tgt = _write_tiny_dataset(tmp_path, n=8)
+    cell = tmp_path / "cell"
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=8, hidden_size=8,
+                               attn_size=8, max_decode_len=5, bpe_merges=0)
+    trn = CFG.TrainConfig(epochs=1, batch_size=4, min_count=1)
+    paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt), out_dir=str(cell))
+
+    def failing_train(*args, **kwargs):
+        raise FloatingPointError("non-finite training loss at epoch 1")
+
+    monkeypatch.setattr(cli, "train", failing_train)
+    with pytest.raises(RuntimeError, match="experiment failed during train"):
+        cli.run_experiment(exp, trn, paths)
+    for name in ("src_vocab.txt", "tgt_vocab.txt", "sem_labels.txt", "syn_labels.txt"):
+        assert (cell / name).exists(), name
 
 
 def test_run_experiment_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch):
