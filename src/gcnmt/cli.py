@@ -26,6 +26,7 @@ from .corpus import (
     Vocabulary,
     ingest_conll,
     read_lines,
+    read_text,
     segment,
 )
 from .evaluation import PreprocessResult, _read_pairs, bleu, preprocess, translate_corpus
@@ -74,8 +75,11 @@ def _save_prep(prep, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     prep.src_vocab.save(os.path.join(out_dir, "src_vocab.txt"))
     prep.tgt_vocab.save(os.path.join(out_dir, "tgt_vocab.txt"))
+    bpe_path = os.path.join(out_dir, "bpe.txt")
     if prep.bpe is not None:
-        prep.bpe.save(os.path.join(out_dir, "bpe.txt"))
+        prep.bpe.save(bpe_path)
+    elif os.path.exists(bpe_path):  # an earlier run's model; _load_prep would read it
+        os.remove(bpe_path)
     prep.label_vocabs["sem"].save(os.path.join(out_dir, "sem_labels.txt"))
     prep.label_vocabs["syn"].save(os.path.join(out_dir, "syn_labels.txt"))
 
@@ -222,8 +226,7 @@ def cmd_translate(args) -> int:
     load_model_params(args.checkpoint, model)
     pairs = _read_pairs(args.input, args.input_tgt) if args.input_tgt else None
     if pairs is None:
-        with open(args.input, encoding="utf-8") as fh:
-            pairs = [(s, []) for s in ingest_conll(fh.read())]
+        pairs = [(s, []) for s in ingest_conll(read_text(args.input))]
     # opened before the decode, so a bad output path fails at once, and after
     # the checkpoint and input were read, so a bad one leaves the file as it is
     with (open(args.output, "w", encoding="utf-8") if args.output

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .corpus import read_text
+
 
 class ConfigError(ValueError):
     """Invalid configuration value or file."""
@@ -143,8 +145,7 @@ def _field_map():
 
 def load_config(path):
     """Read a config file into (ExperimentConfig, TrainConfig, DataPaths)."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read(), origin=str(path))
+    return parse_config(read_text(path), origin=str(path))
 
 
 def parse_config(text: str, origin: str = "<config>"):

@@ -151,15 +151,20 @@ def serialize_conll(sentences) -> str:
     return "\n".join(out) + ("\n" if out else "")
 
 
+def read_text(path) -> str:
+    r"""The text of a UTF-8 file, every input file's one reader: a leading
+    byte-order mark is dropped, and ``\r\n`` and ``\r`` read as ``\n``."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
 def read_lines(path):
-    r"""The lines of a UTF-8 text file, one entry per line.
+    r"""The lines of a UTF-8 text file (``read_text``), one entry per line.
 
     Lines end only at ``\n``, ``\r\n`` or ``\r``; a final line ending closes
     the last line instead of starting an empty one.
     """
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    lines = text.split("\n")
+    lines = read_text(path).split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 
@@ -393,12 +398,12 @@ class Batch:
     """Padded id matrices plus per-sentence edge lists.
 
     ``tgt`` rows read BOS, target ids, EOS, PAD...; slice [:, :-1] for
-    teacher-forcing inputs and [:, 1:] for prediction targets.
+    teacher-forcing inputs and [:, 1:] for prediction targets. ``src_mask``
+    is True on real source positions, so its row sums are the lengths.
     """
 
     src: np.ndarray
     tgt: np.ndarray
-    src_len: np.ndarray
     sem_edges: list
     syn_edges: list
     src_mask: np.ndarray
@@ -440,13 +445,12 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
     max_tgt = max(len(t) for t in tgt_ids)
     src = np.full((len(pairs), max_src), PAD, dtype=np.intp)
     tgt = np.full((len(pairs), max_tgt), PAD, dtype=np.intp)
-    src_len = np.zeros(len(pairs), dtype=np.intp)
+    src_mask = np.zeros((len(pairs), max_src), dtype=bool)
     for i, (s, t) in enumerate(zip(src_ids, tgt_ids)):
         src[i, : len(s)] = s
+        src_mask[i, : len(s)] = True
         tgt[i, : len(t)] = t
-        src_len[i] = len(s)
-    src_mask = np.arange(max_src)[None, :] < src_len[:, None]
-    return Batch(src=src, tgt=tgt, src_len=src_len, sem_edges=sem_edges,
+    return Batch(src=src, tgt=tgt, sem_edges=sem_edges,
                  syn_edges=syn_edges, src_mask=src_mask)
 
 

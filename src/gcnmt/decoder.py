@@ -114,23 +114,21 @@ def attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
 
 
 def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
-              keys: Tensor | None = None):
+              keys: Tensor):
     """Masked additive attention; returns (weights, context).
 
     Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
     Batched: s_prev (B, h), states (B, len, d) -> (B, len), (B, d).
     Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
-    ``keys`` is ``attention_keys(enc, params)``, computed here when omitted.
+    ``keys`` is ``attention_keys(enc, params)``.
     """
     states = enc.states
     if not bool(np.asarray(enc.mask).any(axis=-1).all()):
         raise ValueError("attention: all source positions masked")
-    if keys is None:
-        keys = attention_keys(enc, params)
     proj_s = matmul(s_prev, params.u_dec)
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(keys + proj_s), params.score_v)
-    weights = softmax(scores, mask=enc.mask, axis=-1)
+    weights = softmax(scores, mask=enc.mask)
     return weights, weighted_sum(weights, states)
 
 
@@ -144,9 +142,9 @@ def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
 
 
 def recurrence_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
-                    params: DecoderParams, keys: Tensor | None = None):
-    """Attention and GRU update; returns (new state, output features
-    ``[s_t; context; emb]``) for ``output_logits``."""
+                    params: DecoderParams, keys: Tensor):
+    """Attention (``keys`` from ``attention_keys``) and GRU update; returns
+    (new state, output features ``[s_t; context; emb]``) for ``output_logits``."""
     ids = np.asarray(y_prev_id, dtype=np.intp)
     emb = gather_rows(params.embedding, ids)
     _, context = attention(s_prev, enc, params.attn, keys)
@@ -162,7 +160,10 @@ def output_logits(features: Tensor, params: DecoderParams) -> Tensor:
 
 def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
                  params: DecoderParams, keys: Tensor | None = None):
-    """One decoding step; returns (new state, unnormalized vocab logits)."""
+    """One decoding step; returns (new state, unnormalized vocab logits).
+    ``keys`` is ``attention_keys(enc, params.attn)``, computed here when omitted."""
+    if keys is None:
+        keys = attention_keys(enc, params.attn)
     s_t, features = recurrence_step(y_prev_id, s_prev, enc, params, keys)
     return s_t, output_logits(features, params)
 

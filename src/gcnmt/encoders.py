@@ -46,8 +46,8 @@ from .tensor import (
 INIT_SCALE = 0.08
 
 
-def _uniform(rng, shape, scale=INIT_SCALE) -> Tensor:
-    return Tensor(rng.uniform(-scale, scale, size=shape), requires_grad=True)
+def _uniform(rng, shape) -> Tensor:
+    return Tensor(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape), requires_grad=True)
 
 
 @dataclass
@@ -154,12 +154,15 @@ def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
     return concat([stack0(forward), stack0(backward_states[::-1])], axis=-1)
 
 
-def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, window: int):
-    """Per-position affine over a zero-padded window of width ``window``, ReLU."""
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"cnn window must be odd and >= 1, got {window}")
+def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor):
+    """Per-position affine over a zero-padded window, ReLU. The window is
+    ``w_filter``'s row count over the embedding width, and must be odd."""
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     n = emb.shape[0]
+    window, rest = divmod(w_filter.shape[0], emb.shape[-1])
+    if rest or window % 2 == 0:
+        raise ValueError(f"cnn filter of {w_filter.shape[0]} rows is not an odd "
+                         f"window over embeddings of width {emb.shape[-1]}")
     pad = Tensor(np.zeros((window // 2,) + emb.shape[1:]))
     padded = concat([pad, emb, pad], axis=0)
     # shift k is emb moved by k - window // 2 rows, zeros past either end
@@ -186,17 +189,17 @@ class BiRNN:
 
 @dataclass
 class CNN:
-    """Zero-padded window of ``window`` positions, affine, ReLU (hidden)."""
+    """Zero-padded window, affine, ReLU (hidden); ``w`` is
+    (window * emb, hidden), so its shape holds the window."""
 
     w: Tensor
     b: Tensor
-    window: int
 
     def named(self, prefix: str):
         return {f"{prefix}.cnn.w": self.w, f"{prefix}.cnn.b": self.b}
 
     def __call__(self, embeddings):
-        return cnn_encode(embeddings, self.w, self.b, self.window)
+        return cnn_encode(embeddings, self.w, self.b)
 
 
 @dataclass
@@ -367,7 +370,7 @@ def build_encoder(cfg: ExperimentConfig, vocab_size: int, label_vocabs: dict,
                      init_gru(rng, cfg.emb_size, cfg.hidden_size))
     else:
         base = CNN(_uniform(rng, (cfg.cnn_window * cfg.emb_size, cfg.hidden_size)),
-                   _uniform(rng, (cfg.hidden_size,)), cfg.cnn_window)
+                   _uniform(rng, (cfg.hidden_size,)))
     d = cfg.enc_width
     blocks = []
     for graphs, k in cfg.blocks:

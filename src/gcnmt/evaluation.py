@@ -23,6 +23,7 @@ from .corpus import (
     learn_bpe,
     make_batch,
     read_lines,
+    read_text,
     rejoin_bpe,
     segment,
 )
@@ -73,7 +74,8 @@ def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
 
     group, encs = [], []
     for idx in bucket_indices(pairs, train_cfg.batch_size):
-        batch = make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe)
+        # targets are never read here: each row gets an empty one, unsegmented
+        batch = make_batch([(pairs[i][0], []) for i in idx], src_vocab, tgt_vocab)
         with no_grad():
             enc = encode_pipeline(batch, cfg, model.encoder, mode="infer")
         if cfg.decode != "greedy":
@@ -144,8 +146,7 @@ def bleu(hypotheses, references) -> BleuReport:
 
 
 def _read_pairs(conll_path, tgt_path):
-    with open(conll_path, encoding="utf-8") as fh:
-        sentences = ingest_conll(fh.read())
+    sentences = ingest_conll(read_text(conll_path))
     targets = [line.split() for line in read_lines(tgt_path)]
     if len(sentences) != len(targets):
         raise ValueError(f"{conll_path}: {len(sentences)} sentences but "

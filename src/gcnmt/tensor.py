@@ -183,33 +183,34 @@ def tanh(a) -> Tensor:
     return node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def softmax(a, mask=None, axis: int = -1) -> Tensor:
-    """Exp-normalize along ``axis``; ``mask`` (True = keep) zeroes entries exactly."""
+def softmax(a, mask=None) -> Tensor:
+    """Exp-normalize over the last axis; ``mask`` (True = keep) zeroes entries exactly."""
     a = _as_tensor(a)
     z = a.data
     if mask is not None:
         m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not m.any(axis=axis).all():
+        if not m.any(axis=-1).all():
             raise ValueError("softmax: at least one unmasked position required")
         z = np.where(m, z, -np.inf)
     with np.errstate(invalid="ignore"):
-        z = z - z.max(axis=axis, keepdims=True)
+        z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return node(y, (a,), bwd)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
+def log_softmax(a) -> Tensor:
+    """Log of ``softmax`` over the last axis."""
     a = _as_tensor(a)
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    lsm = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def bwd(g):
-        return (g - np.exp(lsm) * g.sum(axis=axis, keepdims=True),)
+        return (g - np.exp(lsm) * g.sum(axis=-1, keepdims=True),)
 
     return node(lsm, (a,), bwd)
 
@@ -365,10 +366,10 @@ def backward(loss: Tensor) -> None:
             pending[id(p)] = acc
 
 
-def zero_grads(params) -> None:
-    """Clear accumulated gradients; the training loop calls this between steps."""
-    values = params.values() if hasattr(params, "values") else params
-    for p in values:
+def zero_grads(params: dict) -> None:
+    """Clear the gradients of ``params`` (name -> Tensor); the training loop
+    calls this between steps."""
+    for p in params.values():
         p.grad = None
 
 

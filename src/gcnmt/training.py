@@ -73,12 +73,13 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
     return node(np.asarray(loss), (x_t, w_out, b_out), bwd)
 
 
-def word_dropout(ids, retain: float, rng, mode: str = "train"):
-    """Replace non-special tokens by UNK with probability 1 - retain."""
+def word_dropout(ids, retain: float, rng):
+    """Replace non-special tokens by UNK with probability 1 - retain; at
+    ``retain == 1`` a copy, with nothing drawn from ``rng``."""
     if not 0.0 < retain <= 1.0:
         raise ValueError(f"retain must lie in (0, 1], got {retain}")
     ids = np.asarray(ids, dtype=np.intp)
-    if mode != "train" or retain == 1.0:
+    if retain == 1.0:
         return ids.copy()
     drop = rng.random(ids.shape) >= retain
     drop &= ids >= 4  # PAD/UNK/BOS/EOS are exempt
@@ -87,11 +88,11 @@ def word_dropout(ids, retain: float, rng, mode: str = "train"):
     return out
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     moments: dict = field(default_factory=dict)
 
@@ -127,7 +128,7 @@ def adam_step(params: dict, state: AdamState, lr: float, l2: float = 0.0) -> Non
                 raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
     state.step += 1
     t = state.step
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     scratch_g, scratch_u = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for name, p in params.items():
@@ -157,18 +158,16 @@ def adam_step(params: dict, state: AdamState, lr: float, l2: float = 0.0) -> Non
             p.data[...] = data.reshape(p.shape)
 
 
-def teacher_forcing_loss(model: Model, batch: Batch, mode: str, train_cfg: TrainConfig,
+def teacher_forcing_loss(model: Model, batch: Batch, train_cfg: TrainConfig,
                          rng) -> Tensor:
-    """Cross-entropy of the batch under teacher forcing."""
-    if mode == "train":
-        src_ids = word_dropout(batch.src, train_cfg.word_retain, rng, mode)
-        tgt_in = word_dropout(batch.tgt[:, :-1], train_cfg.word_retain, rng, mode)
-    else:
-        src_ids = batch.src
-        tgt_in = batch.tgt[:, :-1]
+    """Cross-entropy of the batch under teacher forcing, with ``train_cfg``'s
+    word and edge dropout; at ``word_retain == edge_retain == 1`` nothing is
+    dropped or drawn from ``rng``, which may then be None."""
+    src_ids = word_dropout(batch.src, train_cfg.word_retain, rng)
+    tgt_in = word_dropout(batch.tgt[:, :-1], train_cfg.word_retain, rng)
     tgt_out = batch.tgt[:, 1:]
     mask = tgt_out != PAD
-    enc = encode_pipeline(batch, model.config, model.encoder, mode=mode,
+    enc = encode_pipeline(batch, model.config, model.encoder, mode="train",
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
     dec = model.decoder
@@ -248,7 +247,7 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
             total_loss, total_steps = 0.0, 0
             for batch in batches:
                 zero_grads(params)  # frees the last step's gradients before this forward
-                loss = teacher_forcing_loss(model, batch, "train", train_cfg, rng)
+                loss = teacher_forcing_loss(model, batch, train_cfg, rng)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise FloatingPointError(f"non-finite training loss at epoch {epoch}")

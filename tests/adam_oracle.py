@@ -7,6 +7,8 @@ update must match bit for bit on parameters and moments.
 
 import numpy as np
 
+from gcnmt.training import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+
 
 def reference_adam_step(params: dict, state, lr: float, l2: float = 0.0) -> None:
     """Bias-corrected Adam update in place; L2 is added to the gradients."""
@@ -15,7 +17,7 @@ def reference_adam_step(params: dict, state, lr: float, l2: float = 0.0) -> None
             raise FloatingPointError(f"adam_step: non-finite gradient for {name}")
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -27,4 +29,4 @@ def reference_adam_step(params: dict, state, lr: float, l2: float = 0.0) -> None
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)

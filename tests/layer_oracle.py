@@ -66,7 +66,7 @@ def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionPar
     proj_s = matmul(s_prev, params.u_dec)
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(keys + proj_s), params.score_v)
-    weights = softmax(scores, mask=enc.mask, axis=-1)
+    weights = softmax(scores, mask=enc.mask)
     context = tsum(mul(reshape(weights, weights.shape + (1,)), states), axis=-2)
     return weights, context
 
@@ -146,7 +146,7 @@ def reference_nll_loss(logits, targets, mask):
     if total == 0:
         raise ValueError("nll_loss: all target steps masked")
     vocab = logits_t.shape[-1]
-    lsm = log_softmax(logits_t, axis=-1)
+    lsm = log_softmax(logits_t)
     flat = reshape(lsm, (-1,))
     picks = gather_rows(flat, np.arange(targets.size) * vocab + targets.ravel())
     return mul(neg(tsum(mul(picks, Tensor(mask.ravel())))), 1.0 / float(total))

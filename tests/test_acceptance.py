@@ -55,7 +55,7 @@ def test_criterion_1_gradient_suite():
     (batch,) = bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
 
     def f(_):
-        return teacher_forcing_loss(model, batch, "infer", tc, None)
+        return teacher_forcing_loss(model, batch, tc, None)
 
     report = TO.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
     elapsed = time.time() - t0

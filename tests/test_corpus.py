@@ -105,6 +105,15 @@ def test_vocab_file_roundtrip(tmp_path):
     assert loaded.id_to_token == vocab.id_to_token
 
 
+def test_vocabulary_and_bpe_files_ignore_a_byte_order_mark(tmp_path):
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\ufeff<pad>\n<unk>\n<bos>\n<eos>\nx\n", encoding="utf-8")
+    assert C.Vocabulary.load(vocab).id_to_token[4:] == ["x"]
+    bpe = tmp_path / "bpe.txt"
+    bpe.write_text("\ufeffa b</w>\n", encoding="utf-8")
+    assert C.BpeModel.load(bpe).merges == [("a", "b</w>")]
+
+
 def test_learn_bpe_zero_merges_is_character_level():
     model = C.learn_bpe([["abc"]], num_merges=0)
     assert model.merges == []
@@ -308,12 +317,12 @@ def test_make_batch_pads_shorter_and_keeps_edges():
     vocab = C.build_vocab([s1.tokens, s2.tokens], min_count=1)
     batch = C.make_batch([(s1, ["x"]), (s2, ["y", "z"])], vocab, vocab)
     assert batch.src.shape == (2, 5)
-    assert list(batch.src_len) == [3, 5]
+    assert list(batch.src_mask.sum(axis=1)) == [3, 5]
     assert not batch.src_mask[0, 3:].any()
     assert batch.sem_edges[0] == [(1, 0, "A0")]
     # every edge endpoint below true length
     for i, edges in enumerate(batch.sem_edges + batch.syn_edges):
-        n = batch.src_len[i % 2]
+        n = batch.src_mask[i % 2].sum()
         assert all(u < n and v < n for u, v, _ in edges)
 
 

@@ -33,7 +33,8 @@ def _decoder(vocab=5, emb=3, hid=4, width=4, attn=3, seed=0, scale=1.0):
 def test_attention_single_position_gets_weight_one():
     params = _decoder(width=3).attn
     enc = _enc([[0.4, -0.2, 0.9]])
-    weights, context = D.attention(T.Tensor(np.zeros(4)), enc, params)
+    weights, context = D.attention(T.Tensor(np.zeros(4)), enc, params,
+                                   D.attention_keys(enc, params))
     npt.assert_allclose(weights.data, [1.0])
     npt.assert_allclose(context.data, enc.states.data[0])
 
@@ -42,7 +43,8 @@ def test_attention_weights_sum_to_one_and_respect_mask():
     params = _decoder(width=4).attn
     enc = _enc(np.random.default_rng(1).uniform(-1, 1, (5, 4)),
                mask=[True, True, False, True, False])
-    weights, _ = D.attention(T.Tensor(np.zeros(4)), enc, params)
+    weights, _ = D.attention(T.Tensor(np.zeros(4)), enc, params,
+                             D.attention_keys(enc, params))
     npt.assert_allclose(weights.data.sum(), 1.0, atol=1e-12)
     assert weights.data[2] == 0.0 and weights.data[4] == 0.0
     assert (weights.data[[0, 1, 3]] > 0).all()
@@ -59,7 +61,8 @@ def test_attention_two_position_hand_oracle():
               for i in range(2)]
     exps = np.exp(scores - max(scores))
     w_exp = exps / exps.sum()
-    weights, context = D.attention(T.Tensor(s), _enc(states), params)
+    enc = _enc(states)
+    weights, context = D.attention(T.Tensor(s), enc, params, D.attention_keys(enc, params))
     npt.assert_allclose(weights.data, w_exp, rtol=1e-12)
     npt.assert_allclose(context.data, w_exp @ states, rtol=1e-12)
 
@@ -68,7 +71,7 @@ def test_attention_all_masked_errors():
     params = _decoder(width=4).attn
     enc = _enc(np.zeros((3, 4)), mask=[False, False, False])
     with pytest.raises(ValueError):
-        D.attention(T.Tensor(np.zeros(4)), enc, params)
+        D.attention(T.Tensor(np.zeros(4)), enc, params, D.attention_keys(enc, params))
 
 
 def test_decoder_step_logit_shape_law():
@@ -370,9 +373,6 @@ def test_attention_with_precomputed_keys_equals_uncached(batched):
         enc = _enc(rng.uniform(-1, 1, (5, 4)), mask=[True, False, True, True, True])
         s = T.Tensor(rng.uniform(-1, 1, 4))
     keys = D.attention_keys(enc, params.attn)
-    for got, want in zip(D.attention(s, enc, params.attn, keys),
-                         D.attention(s, enc, params.attn)):
-        npt.assert_array_equal(got.data, want.data)
     s_a, logits_a = D.decoder_step(np.array([4, 2]) if batched else 4, s, enc, params, keys)
     s_b, logits_b = D.decoder_step(np.array([4, 2]) if batched else 4, s, enc, params)
     npt.assert_array_equal(s_a.data, s_b.data)
@@ -392,15 +392,17 @@ def test_attention_matches_composed_oracle(s_shape, states_shape, mask):
     states = T.Tensor(rng.uniform(-1, 1, states_shape), requires_grad=True)
     enc = EncoderOutput(states=states, mask=np.asarray(mask))
     leaves = {"s": s, "states": states, **params.named("attn")}
-    assert_matches_reference(lambda: D.attention(s, enc, params),
-                             lambda: reference_attention(s, enc, params), leaves)
+    assert_matches_reference(
+        lambda: D.attention(s, enc, params, D.attention_keys(enc, params)),
+        lambda: reference_attention(s, enc, params), leaves)
 
 
 def test_attention_context_is_one_node_over_weights_and_states():
     params = _decoder(width=4, hid=4, attn=3, seed=10).attn
     rng = np.random.default_rng(11)
     enc = _enc(rng.uniform(-1, 1, (2, 5, 4)))
-    weights, context = D.attention(T.Tensor(rng.uniform(-1, 1, (2, 4))), enc, params)
+    weights, context = D.attention(T.Tensor(rng.uniform(-1, 1, (2, 4))), enc, params,
+                                   D.attention_keys(enc, params))
     assert context._parents == (weights, enc.states)
 
 

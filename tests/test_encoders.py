@@ -180,7 +180,7 @@ def test_cnn_window1_is_positionwise():
     w = T.Tensor(rng.uniform(-1, 1, (3, 2)))
     b = T.Tensor(rng.uniform(-1, 1, 2))
     emb = rng.uniform(-1, 1, (4, 3))
-    out = E.cnn_encode(T.Tensor(emb), w, b, window=1)
+    out = E.cnn_encode(T.Tensor(emb), w, b)
     expected = np.maximum(emb @ w.data + b.data, 0.0)
     npt.assert_allclose(out.data, expected, rtol=1e-12)
 
@@ -190,7 +190,7 @@ def test_cnn_len2_window3_hand_computation():
     w = rng.uniform(-1, 1, (6, 2))
     b = rng.uniform(-1, 1, 2)
     emb = rng.uniform(-1, 1, (2, 2))
-    out = E.cnn_encode(T.Tensor(emb), T.Tensor(w), T.Tensor(b), window=3)
+    out = E.cnn_encode(T.Tensor(emb), T.Tensor(w), T.Tensor(b))
     win0 = np.concatenate([np.zeros(2), emb[0], emb[1]])  # left boundary pad
     win1 = np.concatenate([emb[0], emb[1], np.zeros(2)])  # right boundary pad
     expected = np.maximum(np.stack([win0, win1]) @ w + b, 0.0)
@@ -203,8 +203,8 @@ def test_cnn_translation_equivariance_away_from_boundaries():
     b = T.Tensor(rng.uniform(-1, 1, 4))
     emb = rng.uniform(-1, 1, (6, 3))
     shifted = np.vstack([np.zeros((1, 3)), emb[:-1]])
-    out = E.cnn_encode(T.Tensor(emb), w, b, window=3).data
-    out_shift = E.cnn_encode(T.Tensor(shifted), w, b, window=3).data
+    out = E.cnn_encode(T.Tensor(emb), w, b).data
+    out_shift = E.cnn_encode(T.Tensor(shifted), w, b).data
     # interior rows only: both boundaries see zero padding
     npt.assert_allclose(out_shift[2:-1], out[1:-2], rtol=1e-12)
 
@@ -212,7 +212,14 @@ def test_cnn_translation_equivariance_away_from_boundaries():
 def test_cnn_rejects_even_window():
     with pytest.raises(ValueError):
         E.cnn_encode(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((4, 2))),
-                     T.Tensor(np.zeros(2)), window=2)
+                     T.Tensor(np.zeros(2)))
+
+
+def test_cnn_rejects_a_filter_of_no_whole_window():
+    # 5 filter rows over embeddings of width 2 are no whole window
+    with pytest.raises(ValueError):
+        E.cnn_encode(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((5, 2))),
+                     T.Tensor(np.zeros(2)))
 
 
 def _cnn_oracle(emb, w, b, window):
@@ -234,12 +241,12 @@ def test_cnn_matches_padded_window_oracle_and_finite_differences(window, lead, n
     params = {"emb": T.Tensor(rng.uniform(-1, 1, (n,) + lead + (2,)), requires_grad=True),
               "w": T.Tensor(rng.uniform(-1, 1, (window * 2, 3)), requires_grad=True),
               "b": T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)}
-    out = E.cnn_encode(params["emb"], params["w"], params["b"], window)
+    out = E.cnn_encode(params["emb"], params["w"], params["b"])
     expected = _cnn_oracle(params["emb"].data, params["w"].data, params["b"].data, window)
     npt.assert_allclose(out.data, expected, rtol=0, atol=1e-12)
 
     def f(p):
-        y = E.cnn_encode(p["emb"], p["w"], p["b"], window)
+        y = E.cnn_encode(p["emb"], p["w"], p["b"])
         return TO.tsum(TO.mul(y, y))
 
     report = TO.grad_check(f, params)
@@ -657,7 +664,7 @@ def test_pipeline_cnn_baseline_equals_cnn_encode():
     cfg, stack = _build("none", encoder="cnn")
     out = E.encode_pipeline(batch, cfg, stack)
     emb = T.gather_rows(stack.embedding, batch.src.T)
-    base = E.cnn_encode(emb, stack.base.w, stack.base.b, cfg.cnn_window)
+    base = E.cnn_encode(emb, stack.base.w, stack.base.b)
     npt.assert_array_equal(out.states.data, np.transpose(base.data, (1, 0, 2)))
 
 

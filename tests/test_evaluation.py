@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from gcnmt import cli
 from gcnmt import config as CFG
 from gcnmt import evaluation as E
-from gcnmt.corpus import (AnnotatedSentence, bucket_indices, ingest_conll, make_batch,
-                          serialize_conll)
+from gcnmt.corpus import (AnnotatedSentence, apply_bpe, bucket_indices, ingest_conll,
+                          make_batch, rejoin_bpe, serialize_conll)
 from gcnmt.decoder import greedy_decode, greedy_decode_batch
 from gcnmt.encoders import EncoderOutput, encode_pipeline
 from gcnmt.model import build_model
@@ -140,6 +140,13 @@ def test_parse_config_roundtrip_and_comments():
     assert (exp2, trn2, paths2) == (exp, trn, paths)
 
 
+def test_load_config_ignores_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("\ufeffencoder = cnn\nepochs = 3\n", encoding="utf-8")
+    exp, trn, _ = CFG.load_config(path)
+    assert exp.encoder == "cnn" and trn.epochs == 3
+
+
 def test_parse_config_rejects_unknown_key_with_line_number():
     with pytest.raises(CFG.ConfigError, match="line 2"):
         CFG.parse_config("encoder = birnn\nbogus_key = 3\n")
@@ -209,6 +216,16 @@ def test_cli_score_counts_lines_with_unicode_separators(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     hyp.write_text("a b c d\ne f\u2028g h\ni j k l\n", encoding="utf-8")
     ref.write_text("a b c d\ne f g h\ni j k l\n", encoding="utf-8")
+    assert cli.main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert capsys.readouterr().out.startswith("BLEU = 100.00")
+
+
+def test_cli_score_ignores_a_byte_order_mark_in_the_reference(tmp_path, capsys):
+    text = "die Katze sitzt auf der Matte\n"
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text(text, encoding="utf-8")
+    ref.write_text("\ufeff" + text, encoding="utf-8")
     assert cli.main(["score", "--hyp", str(hyp), "--ref", str(ref)]) == 0
     assert capsys.readouterr().out.startswith("BLEU = 100.00")
 
@@ -371,6 +388,17 @@ def test_cli_training_leaves_out_pairs_over_max_sentence_len(tmp_path, capsys,
     assert "every training pair is longer than max_sentence_len = 2" in err[0]
 
 
+def test_cli_preprocess_without_bpe_removes_an_earlier_bpe_model(tmp_path):
+    conll, tgt = _write_tiny_dataset(tmp_path, n=10)
+    out = tmp_path / "run"
+    base = _tiny_flags(conll, tgt, out)
+    assert cli.main(["preprocess"] + base + ["--bpe-merges", "20"]) == 0
+    assert (out / "bpe.txt").exists() and cli._load_prep(str(out)).bpe is not None
+    assert cli.main(["preprocess"] + base + ["--bpe-merges", "0"]) == 0
+    assert not (out / "bpe.txt").exists()
+    assert cli._load_prep(str(out)).bpe is None
+
+
 def test_cli_translate_beam1_matches_greedy(tmp_path):
     conll, tgt = _write_tiny_dataset(tmp_path, n=10)
     out = tmp_path / "run"
@@ -446,6 +474,48 @@ def test_read_pairs_keeps_blank_target_lines(tmp_path):
     assert len(hyp.read_text().splitlines()) == 3
 
 
+def test_cli_translate_reads_conll_input_with_a_byte_order_mark(tmp_path):
+    conll, tgt = _write_tiny_dataset(tmp_path, n=10)
+    out = tmp_path / "run"
+    (tmp_path / "small.cfg").write_text(
+        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
+        "max_decode_len = 5\n")
+    base = _tiny_flags(conll, tgt, out) + ["--config", str(tmp_path / "small.cfg")]
+    assert cli.main(["train"] + base) == 0
+    marked = tmp_path / "marked.conll"
+    marked.write_text("\ufeff" + conll.read_text(encoding="utf-8"), encoding="utf-8")
+    outs = []
+    for src in (conll, marked):
+        path = tmp_path / f"{src.stem}.txt"
+        rc = cli.main(["translate"] + base +
+                      ["--checkpoint", str(out / "best.npz"), "--input", str(src),
+                       "--output", str(path)])
+        assert rc == 0
+        outs.append(path.read_text())
+    assert outs[0] == outs[1] and len(outs[1].splitlines()) == 10
+
+
+def _bom_pair_files(tmp_path, conll_bom, tgt_bom):
+    sents = [AnnotatedSentence(tokens=["w%d" % i, "w%d" % (i + 1)],
+                               sem_edges=[], syn_edges=[(0, 1, "obj")])
+             for i in range(2)]
+    conll = tmp_path / "in.conll"
+    tgt = tmp_path / "in.tgt"
+    conll.write_text(conll_bom + serialize_conll(sents), encoding="utf-8")
+    tgt.write_text(tgt_bom + "A B\nC D\n", encoding="utf-8")
+    return sents, E._read_pairs(conll, tgt)
+
+
+def test_read_pairs_ignores_a_byte_order_mark_in_the_targets(tmp_path):
+    _, pairs = _bom_pair_files(tmp_path, "", "\ufeff")
+    assert [t for _, t in pairs] == [["A", "B"], ["C", "D"]]
+
+
+def test_read_pairs_ignores_a_byte_order_mark_in_the_conll_file(tmp_path):
+    sents, pairs = _bom_pair_files(tmp_path, "\ufeff", "")
+    assert [s for s, _ in pairs] == sents
+
+
 def test_read_pairs_splits_targets_only_at_line_endings(tmp_path):
     sents = [AnnotatedSentence(tokens=["w%d" % i, "w%d" % (i + 1)],
                                sem_edges=[], syn_edges=[]) for i in range(3)]
@@ -488,6 +558,42 @@ def test_translate_corpus_encodes_without_a_tape(monkeypatch):
     hyps = E.translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
                               None, trn)
     assert taped == [False, False, False]
+    assert hyps == expected
+
+
+def test_translate_corpus_neither_segments_nor_maps_targets(monkeypatch):
+    # translation reads only sources: no target reaches apply_bpe, and the
+    # hypotheses are the per-sentence greedy ones of batches with targets
+    sources = [["a", "b", "c"], ["d", "e"], ["b", "e"], ["c", "a", "d", "e"]]
+    pairs = [(AnnotatedSentence(tokens=toks, sem_edges=[(0, 1, "A0")],
+                                syn_edges=[]), [w.upper() * 3 for w in toks])
+             for toks in sources]
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=6, hidden_size=5,
+                               attn_size=4, max_decode_len=4, bpe_merges=3)
+    trn = CFG.TrainConfig(batch_size=4, min_count=1)
+    prep = E.preprocess(pairs, exp, trn)
+    assert prep.bpe is not None and prep.bpe.merges
+    model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                        prep.label_vocabs, np.random.default_rng(6))
+    expected = []
+    for pair in pairs:
+        batch = make_batch([pair], prep.src_vocab, prep.tgt_vocab, prep.bpe)
+        with no_grad():
+            enc = encode_pipeline(batch, exp, model.encoder)
+        one = EncoderOutput(Tensor(enc.states.data[0]), enc.mask[0])
+        ids = greedy_decode(one, model.decoder, exp.max_decode_len)
+        expected.append(rejoin_bpe([prep.tgt_vocab.token(t) for t in ids]))
+
+    calls = []
+
+    def spy(bpe, token):
+        calls.append(token)
+        return apply_bpe(bpe, token)
+
+    monkeypatch.setattr("gcnmt.corpus.apply_bpe", spy)
+    hyps = E.translate_corpus(model, pairs, prep.src_vocab, prep.tgt_vocab,
+                              prep.bpe, trn)
+    assert calls == []
     assert hyps == expected
 
 

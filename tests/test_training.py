@@ -98,14 +98,13 @@ def test_nll_matches_composed_oracle_and_is_one_node(lead):
 def test_word_dropout_identity_outside_training():
     ids = np.array([0, 1, 2, 3, 4, 5, 6])
     rng = np.random.default_rng(0)
-    npt.assert_array_equal(TR.word_dropout(ids, 0.5, rng, mode="infer"), ids)
-    npt.assert_array_equal(TR.word_dropout(ids, 1.0, rng, mode="train"), ids)
+    npt.assert_array_equal(TR.word_dropout(ids, 1.0, rng), ids)
 
 
 def test_word_dropout_statistical_rate():
     rng = np.random.default_rng(1)
     ids = np.full(100_000, 7)
-    out = TR.word_dropout(ids, 0.8, rng, mode="train")
+    out = TR.word_dropout(ids, 0.8, rng)
     rate = (out == UNK).mean()
     assert abs(rate - 0.2) < 0.01
 
@@ -113,7 +112,7 @@ def test_word_dropout_statistical_rate():
 def test_word_dropout_specials_exempt():
     rng = np.random.default_rng(2)
     ids = np.array([PAD, UNK, BOS, EOS] * 1000)
-    out = TR.word_dropout(ids, 0.01, rng, mode="train")
+    out = TR.word_dropout(ids, 0.01, rng)
     npt.assert_array_equal(out, ids)
 
 
@@ -551,7 +550,7 @@ def test_bucket_batches_uniform_length_and_complete():
     batches = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
     assert sum(b.size for b in batches) == 3
     for b in batches:
-        assert len(set(b.src_len)) == 1
+        assert b.src_mask.all()
 
 
 def test_teacher_forcing_loss_batch_matches_singles():
@@ -561,12 +560,12 @@ def test_teacher_forcing_loss_batch_matches_singles():
                         prep.label_vocabs, rng)
     both = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
     assert len(both) == 1
-    loss_batch = TR.teacher_forcing_loss(model, both[0], "infer", tc, None)
+    loss_batch = TR.teacher_forcing_loss(model, both[0], tc, None)
     singles = []
     for pair in pairs:
-        tc1 = TrainConfig(batch_size=1, min_count=1)
+        tc1 = TrainConfig(batch_size=1, min_count=1, word_retain=1.0, edge_retain=1.0)
         (b,) = TR.bucket_batches([pair], prep.src_vocab, prep.tgt_vocab, None, tc1)
-        singles.append(TR.teacher_forcing_loss(model, b, "infer", tc1, None).item())
+        singles.append(TR.teacher_forcing_loss(model, b, tc1, None).item())
     # both targets have the same length, so the batch loss is the mean
     npt.assert_allclose(loss_batch.item(), np.mean(singles), rtol=1e-10)
 
@@ -601,7 +600,7 @@ def _mixed_target_setup(encoder, recipe):
 def _loss_and_grads(loss_fn, model, batch, tc, rng):
     params = model.parameters()
     T.zero_grads(params)
-    loss = loss_fn(model, batch, "train", tc, rng)
+    loss = loss_fn(model, batch, tc, rng)
     T.backward(loss)
     return loss.item(), {k: p.grad for k, p in params.items()}
 
@@ -624,9 +623,26 @@ def test_teacher_forcing_matches_per_step_oracle(encoder, recipe):
     assert rng_new.bit_generator.state != np.random.default_rng(99).bit_generator.state
 
 
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_teacher_forcing_without_dropout_draws_nothing(encoder):
+    # word_retain = edge_retain = 1 is evaluation-mode teacher forcing: the
+    # generator is left as it was, and no generator gives the same bits
+    model, batch, tc = _mixed_target_setup(encoder, "syn:1+sem:1")
+    tc = dataclasses.replace(tc, word_retain=1.0, edge_retain=1.0)
+    rng = np.random.default_rng(97)
+    before = rng.bit_generator.state
+    got_loss, got = _loss_and_grads(TR.teacher_forcing_loss, model, batch, tc, rng)
+    assert rng.bit_generator.state == before
+    want_loss, want = _loss_and_grads(TR.teacher_forcing_loss, model, batch, tc, None)
+    assert got_loss == want_loss
+    assert set(got) == set(want)
+    for name in want:
+        npt.assert_array_equal(got[name], want[name], err_msg=name)
+
+
 def test_teacher_forcing_projects_and_keys_once_per_batch():
     model, batch, tc = _mixed_target_setup("birnn", "syn:1+sem:1")
-    loss = TR.teacher_forcing_loss(model, batch, "train", tc, np.random.default_rng(1))
+    loss = TR.teacher_forcing_loss(model, batch, tc, np.random.default_rng(1))
     consumers = {id(model.decoder.w_out): [], id(model.decoder.attn.v_enc): []}
     seen, stack = set(), [loss]
     while stack:
@@ -671,7 +687,7 @@ def test_single_sentence_overfit_drives_loss_down():
     loss_value = None
     for _ in range(200):
         T.zero_grads(params)
-        loss = TR.teacher_forcing_loss(model, batch, "infer", tc, None)
+        loss = TR.teacher_forcing_loss(model, batch, tc, None)
         T.backward(loss)
         TR.adam_step(params, state, lr=5e-3)
         loss_value = loss.item()
@@ -736,7 +752,7 @@ def test_full_model_gradcheck_small():
     (batch,) = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
 
     def f(_):
-        return TR.teacher_forcing_loss(model, batch, "infer", tc, None)
+        return TR.teacher_forcing_loss(model, batch, tc, None)
 
     report = TO.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())

@@ -68,24 +68,20 @@ def logits_nll_loss(logits, targets, mask):
     return node(np.asarray(loss), (logits_t,), bwd)
 
 
-def _inputs(model, batch, mode, train_cfg, rng):
-    if mode == "train":
-        src_ids = word_dropout(batch.src, train_cfg.word_retain, rng, mode)
-        tgt_in = word_dropout(batch.tgt[:, :-1], train_cfg.word_retain, rng, mode)
-    else:
-        src_ids = batch.src
-        tgt_in = batch.tgt[:, :-1]
+def _inputs(model, batch, train_cfg, rng):
+    src_ids = word_dropout(batch.src, train_cfg.word_retain, rng)
+    tgt_in = word_dropout(batch.tgt[:, :-1], train_cfg.word_retain, rng)
     tgt_out = batch.tgt[:, 1:]
     mask = tgt_out != PAD
-    enc = encode_pipeline(batch, model.config, model.encoder, mode=mode,
+    enc = encode_pipeline(batch, model.config, model.encoder, mode="train",
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
     return enc, tgt_in, tgt_out, mask
 
 
-def reference_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
+def reference_teacher_forcing_loss(model, batch, train_cfg, rng):
     """Cross-entropy of the batch under teacher forcing, step by step."""
-    enc, tgt_in, tgt_out, mask = _inputs(model, batch, mode, train_cfg, rng)
+    enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     s = init_state(enc, model.decoder)
     step_logits = []
     for t in range(tgt_in.shape[1]):
@@ -95,10 +91,10 @@ def reference_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
     return logits_nll_loss(all_logits, tgt_out.T, mask.T)
 
 
-def composed_teacher_forcing_loss(model, batch, mode, train_cfg, rng):
+def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
     """Cross-entropy of the batch with one ``output_logits`` over every
     step's features and a separate loss node."""
-    enc, tgt_in, tgt_out, mask = _inputs(model, batch, mode, train_cfg, rng)
+    enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
     keys = attention_keys(enc, dec.attn)
     s = init_state(enc, dec)
