@@ -3,23 +3,25 @@
 Scoring is additive attention over encoder states; the attention keys
 ``states @ v_enc`` are computed once per encode and passed to every step,
 and the context is ``tensor.weighted_sum`` of the weights over the states,
-so no (batch, len, width) product is formed per step. The GRU update is
-``encoders.gru_cell``, one tape node per step.
+so no (batch, len, width) product is formed per step. A decoding step's
+GRU update is ``encoders.gru_cell``.
 The GRU consumes the previous target embedding concatenated with the
 context vector, and the output projection reads [state; context; previous
 embedding]. A step is the recurrence (``recurrence_step``) followed by the
-projection (``output_logits``): decoding runs both per step, while teacher
-forcing runs the recurrence per step and projects every step's features
-once per batch, inside its loss node (``training.nll_loss``). A greedy
-batch may mix source lengths: its states are zero-padded to the longest
-source, and ``mask`` keeps the padding out of attention (masked softmax)
-and out of the initial state (masked mean). Beam search is
-length-unnormalized: finished hypotheses compete in a completed pool
-and the highest-scoring completed hypothesis wins (best live one at
-max_len if nothing finished). It batches the beam: the live hypotheses
-are the batch dimension of one ``decoder_step`` per time step, and the
-candidates are ranked by score descending, then token id ascending, then
-hypothesis index ascending.
+projection (``output_logits``): decoding runs both per step. Teacher
+forcing runs every step's recurrence as one tape node
+(``teacher_forcing_recurrence``, the same arithmetic as ``recurrence_step``
+with backpropagation through time in its adjoint) and projects every
+step's features once per batch, inside its loss node
+(``training.nll_loss``). A greedy batch may mix source lengths: its
+states are zero-padded to the longest source, and ``mask`` keeps the
+padding out of attention (masked softmax) and out of the initial state
+(masked mean). Beam search is length-unnormalized: finished hypotheses
+compete in a completed pool and the highest-scoring completed hypothesis
+wins (best live one at max_len if nothing finished). It batches the beam:
+the live hypotheses are the batch dimension of one ``decoder_step`` per
+time step, and the candidates are ranked by score descending, then token
+id ascending, then hypothesis index ascending.
 """
 
 from __future__ import annotations
@@ -29,7 +31,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import BOS, EOS
-from .encoders import EncoderOutput, GruParams, _uniform, gru_cell, init_gru
+from .encoders import (
+    EncoderOutput,
+    GruParams,
+    _gru_gates,
+    _gru_input_grad,
+    _gru_step_adjoint,
+    _gru_weight_grads,
+    _uniform,
+    gru_cell,
+    init_gru,
+)
 from .tensor import (
     Tensor,
     concat,
@@ -37,6 +49,7 @@ from .tensor import (
     log_softmax,
     matmul,
     no_grad,
+    node,
     reshape,
     softmax,
     tanh,
@@ -151,6 +164,87 @@ def recurrence_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
     x = concat([emb, context], axis=-1)
     s_t = gru_cell(x, s_prev, params.gru)
     return s_t, concat([s_t, context, emb], axis=-1)
+
+
+def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
+                               params: DecoderParams, keys: Tensor) -> Tensor:
+    """Every step of ``recurrence_step`` under teacher forcing, as one tape
+    node; returns the time-major (T * B, F) feature rows ``[s_t; context;
+    emb]`` that ``output_logits`` or ``training.nll_loss`` read.
+
+    ``y_prev_ids`` is (B, T), step t reading column t; ``s0`` is (B, h),
+    ``enc`` holds (B, len, d) states and their mask, and ``keys`` is
+    ``attention_keys(enc, params.attn)``. The target embeddings are gathered
+    once, and each step does the numpy operations of ``recurrence_step`` in
+    its order. The node's parents are the embeddings, ``s0``, the states,
+    the keys, ``u_dec``, ``score_v`` and the nine GRU tensors. Its adjoint
+    runs backpropagation through time with the GRU step adjoint of
+    ``encoders``; after the loop, the gradients of the states, ``score_v``,
+    ``u_dec`` and the GRU weights are one GEMM or batched matmul each. It
+    keeps every step's ``tanh(keys + s u_dec)``, attention weights, GRU
+    inputs, states and gates.
+    """
+    ids = np.asarray(y_prev_ids, dtype=np.intp)
+    emb = gather_rows(params.embedding, ids.T)  # (T, B, emb)
+    mask = np.asarray(enc.mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("attention: all source positions masked")
+    a, p = params.attn, params.gru
+    states = enc.states.data  # (B, len, d)
+    steps, B, E = emb.shape
+    hidden, width = p.u_z.shape[0], states.shape[-1]
+    S = np.empty((steps + 1, B, hidden))  # s0 and every step's state
+    S[0] = s0.data
+    X = np.empty((steps, B, E + width))  # the GRU inputs [emb; context]
+    X[..., :E] = emb.data
+    PRE = np.empty((steps,) + keys.shape)  # tanh(keys + s u_dec)
+    W = np.empty((steps,) + mask.shape)    # attention weights
+    Z, R, C = (np.empty((steps, B, hidden)) for _ in range(3))
+    for t in range(steps):
+        np.add(keys.data, (S[t] @ a.u_dec.data)[:, None, :], out=PRE[t])
+        np.tanh(PRE[t], out=PRE[t])
+        scores = np.where(mask, PRE[t] @ a.score_v.data, -np.inf)
+        with np.errstate(invalid="ignore"):
+            scores = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        W[t] = e / e.sum(axis=-1, keepdims=True)
+        X[t, :, E:] = np.matmul(W[t][:, None, :], states)[:, 0, :]
+        x = X[t]
+        S[t + 1], Z[t], R[t], C[t] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
+                                                x @ p.w_h.data, S[t], p)
+    features = np.concatenate([S[1:], X[..., E:], X[..., :E]], axis=-1)
+
+    def bwd(g):
+        G = g.reshape(steps, B, -1)
+        dZ, dR, dC = (np.empty((steps, B, hidden)) for _ in range(3))
+        dX = np.empty(X.shape)
+        dctx = dX[..., E:]  # the context's gradient, through the GRU and the features
+        dscores = np.empty(W.shape)
+        dproj = np.empty((steps, B, a.u_dec.shape[1]))
+        dkeys = np.zeros(keys.shape)
+        ds = 0.0  # the gradient reaching s_t from step t + 1
+        for t in reversed(range(steps)):
+            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(G[t, :, :hidden] + ds, S[t], Z[t],
+                                                        R[t], C[t], p)
+            dX[t] = _gru_input_grad(dZ[t], dR[t], dC[t], p)
+            dctx[t] += G[t, :, hidden:hidden + width]
+            dw = np.matmul(states, dctx[t][:, :, None])[..., 0]
+            dscores[t] = W[t] * (dw - (dw * W[t]).sum(axis=-1, keepdims=True))
+            dpre = dscores[t][..., None] * a.score_v.data * (1.0 - PRE[t] * PRE[t])
+            dkeys += dpre
+            dproj[t] = dpre.sum(axis=1)
+            ds = dh + dproj[t] @ a.u_dec.data.T
+        dz, dr, dc = (d.reshape(steps * B, hidden) for d in (dZ, dR, dC))
+        dstates = np.matmul(W.transpose(1, 2, 0), dctx.transpose(1, 0, 2))
+        prev = S[:steps].reshape(-1, hidden)
+        return (dX[..., :E] + G[..., hidden + width:], ds, dstates, dkeys,
+                prev.T @ dproj.reshape(-1, dproj.shape[-1]),
+                PRE.reshape(-1, PRE.shape[-1]).T @ dscores.reshape(-1),
+                *_gru_weight_grads(X.reshape(steps * B, -1), prev,
+                                   (R * S[:steps]).reshape(-1, hidden), dz, dr, dc))
+
+    return node(features.reshape(steps * B, -1),
+                (emb, s0, enc.states, keys, a.u_dec, a.score_v, *p.tensors()), bwd)
 
 
 def output_logits(features: Tensor, params: DecoderParams) -> Tensor:

@@ -12,14 +12,18 @@ both at once (distinct W per graph, shared self-loop) or neither
 (self-loop ablation). Each graph reaches the GCN as one ``(E, 3)`` array
 of (head, dependent, label id) rows, built once per batch.
 
-``gru_cell`` and ``gcn_layer`` compute in numpy and record one tape node
-each (``tensor.node``) with a hand-derived adjoint, which keeps only the
-arrays it reads: the GRU's gates and candidate; the GCN's output, self-loop
-transform and gate, and each direction's pre-gate messages, gates and
-dropout mask. Source rows are gathered again from ``H`` in the adjoint.
-Every gradient an adjoint returns is a new array, which ``backward`` may
-write, and the GCN's adjoint reuses its incoming gradient as its first
-buffer (``tensor.node``).
+``gru_cell``, ``gru_sequence`` and ``gcn_layer`` compute in numpy and
+record one tape node each (``tensor.node``) with a hand-derived adjoint,
+which keeps only the arrays it reads: the GRU's gates and candidate, for
+one step or every step; the GCN's output, self-loop transform and gate,
+and each direction's pre-gate messages, gates and dropout mask. Source
+rows are gathered again from ``H`` in the adjoint. The BiRNN runs each
+direction as one ``gru_sequence`` node, in training and in inference;
+``gru_cell`` serves the decoder's inference steps. The GRU step, its
+adjoint and its weight gradients are written once here and shared with
+the decoder's teacher-forcing node. Every gradient an adjoint returns is
+a new array, which ``backward`` may write, and the GCN's adjoint reuses
+its incoming gradient as its first buffer (``tensor.node``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .tensor import (
     relu,
     reshape,
     slice_rows,
-    stack0,
     transpose,
 )
 
@@ -67,6 +70,10 @@ class GruParams:
     def named(self, prefix: str):
         return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
+    def tensors(self):
+        """The nine tensors in field order, as adjoints return their gradients."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
 
 def init_gru(rng, in_dim: int, hidden: int) -> GruParams:
     return GruParams(
@@ -88,6 +95,41 @@ def _fold(x):
     return x.reshape(-1, x.shape[-1])
 
 
+def _gru_gates(xw_z, xw_r, xw_h, h, p: GruParams):
+    """One GRU step over its input projections ``x @ w_*``, computed by the
+    caller: (new state, z, r, cand)."""
+    z = _sigmoid(xw_z + h @ p.u_z.data + p.b_z.data)
+    r = _sigmoid(xw_r + h @ p.u_r.data + p.b_r.data)
+    cand = np.tanh(xw_h + (r * h) @ p.u_h.data + p.b_h.data)
+    return z * h + (1.0 - z) * cand, z, r, cand
+
+
+def _gru_step_adjoint(g, h, z, r, cand, p: GruParams):
+    """One GRU step's adjoint for the gradient ``g`` of its new state:
+    (dz, dr, dc, dh_prev), the first three taken at the pre-activations of
+    ``z``, ``r`` and ``cand``."""
+    dz = g * (h - cand) * z * (1.0 - z)
+    dc = g * (1.0 - z) * (1.0 - cand * cand)
+    drh = dc @ p.u_h.data.T
+    dr = drh * h * r * (1.0 - r)
+    dh = g * z + drh * r + dz @ p.u_z.data.T + dr @ p.u_r.data.T
+    return dz, dr, dc, dh
+
+
+def _gru_input_grad(dz, dr, dc, p: GruParams):
+    """The gradient of the GRU input ``x`` from the pre-activation gradients."""
+    return dz @ p.w_z.data.T + dr @ p.w_r.data.T + dc @ p.w_h.data.T
+
+
+def _gru_weight_grads(X, H, RH, dz, dr, dc):
+    """The nine parameter gradients, in ``GruParams`` order, from stacked
+    rows of inputs ``X``, previous states ``H``, ``r * H`` and the
+    pre-activation gradients: one GEMM or column sum each."""
+    return [X.T @ dz, H.T @ dz, dz.sum(axis=0),
+            X.T @ dr, H.T @ dr, dr.sum(axis=0),
+            X.T @ dc, RH.T @ dc, dc.sum(axis=0)]
+
+
 def gru_cell(x_t, h_prev, params: GruParams):
     """One GRU step; accepts a single vector or a (batch, dim) matrix.
 
@@ -99,33 +141,66 @@ def gru_cell(x_t, h_prev, params: GruParams):
         h' = z * h + (1 - z) * cand
 
     The adjoint keeps ``z``, ``r`` and ``cand``; each weight gradient is one
-    GEMM over the rows of the folded leading axes.
+    GEMM over the rows of the folded leading axes. Decoding runs it once per
+    step; training runs whole sequences (``gru_sequence`` and
+    ``decoder.teacher_forcing_recurrence``) through the same step code.
     """
     x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
     h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
     p = params
     x, h = x_t.data, h_prev.data
-    z = _sigmoid(x @ p.w_z.data + h @ p.u_z.data + p.b_z.data)
-    r = _sigmoid(x @ p.w_r.data + h @ p.u_r.data + p.b_r.data)
-    cand = np.tanh(x @ p.w_h.data + (r * h) @ p.u_h.data + p.b_h.data)
-    out = z * h + (1.0 - z) * cand
+    out, z, r, cand = _gru_gates(x @ p.w_z.data, x @ p.w_r.data, x @ p.w_h.data, h, p)
 
     def bwd(g):
-        dz = g * (h - cand) * z * (1.0 - z)
-        dc = g * (1.0 - z) * (1.0 - cand * cand)
-        drh = dc @ p.u_h.data.T
-        dr = drh * h * r * (1.0 - r)
-        dh = g * z + drh * r + dz @ p.u_z.data.T + dr @ p.u_r.data.T
-        dx = dz @ p.w_z.data.T + dr @ p.w_r.data.T + dc @ p.w_h.data.T
-        X, H, RH = _fold(x), _fold(h), _fold(r * h)
-        dz, dr, dc = _fold(dz), _fold(dr), _fold(dc)
-        return (dx, dh,
-                X.T @ dz, H.T @ dz, dz.sum(axis=0),
-                X.T @ dr, H.T @ dr, dr.sum(axis=0),
-                X.T @ dc, RH.T @ dc, dc.sum(axis=0))
+        dz, dr, dc, dh = _gru_step_adjoint(g, h, z, r, cand, p)
+        return (_gru_input_grad(dz, dr, dc, p), dh,
+                *_gru_weight_grads(_fold(x), _fold(h), _fold(r * h),
+                                   _fold(dz), _fold(dr), _fold(dc)))
 
-    return node(out, (x_t, h_prev, p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r,
-                      p.w_h, p.u_h, p.b_h), bwd)
+    return node(out, (x_t, h_prev, *p.tensors()), bwd)
+
+
+def gru_sequence(xs, params: GruParams, reverse: bool = False):
+    """Every state of a GRU run from a zero state over the leading axis of
+    ``xs``, (n, in) or (n, batch, in); the output is (n, hidden) or
+    (n, batch, hidden), position by position. With ``reverse`` the GRU
+    reads the last position first, so output ``t`` has read ``n-1 .. t``.
+
+    One tape node over ``xs`` and the nine parameters. The input
+    projections ``x @ w_*`` are one GEMM each over all n * batch rows, and
+    the loop does only the recurrent ``h @ u_*`` products, step by step as
+    ``gru_cell`` does. The adjoint runs backpropagation through time with
+    ``gru_cell``'s step adjoint, then forms the input gradient and each
+    weight gradient with one GEMM over every row.
+    """
+    xs_t = xs if isinstance(xs, Tensor) else Tensor(xs)
+    p = params
+    n, hidden = xs_t.shape[0], p.u_z.shape[0]
+    if n < 1:
+        raise ValueError("gru_sequence: empty input")
+    X = _fold(xs_t.data)
+    B = X.shape[0] // n
+    XZ, XR, XH = ((X @ w.data).reshape(n, B, hidden) for w in (p.w_z, p.w_r, p.w_h))
+    Z, R, C = (np.empty((n, B, hidden)) for _ in range(3))
+    S = np.zeros((n + 1, B, hidden))  # the zero start state and every output
+    # out[t] is position t's state; prev[t] the state it read
+    out, prev = (S[:n], S[1:]) if reverse else (S[1:], S[:n])
+    order = range(n - 1, -1, -1) if reverse else range(n)
+    for t in order:
+        out[t], Z[t], R[t], C[t] = _gru_gates(XZ[t], XR[t], XH[t], prev[t], p)
+
+    def bwd(g):
+        g = g.reshape(n, B, hidden)
+        dZ, dR, dC = (np.empty((n, B, hidden)) for _ in range(3))
+        dh = 0.0
+        for t in reversed(order):
+            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(g[t] + dh, prev[t], Z[t], R[t],
+                                                        C[t], p)
+        dz, dr, dc = _fold(dZ), _fold(dR), _fold(dC)
+        return (_gru_input_grad(dz, dr, dc, p).reshape(xs_t.shape),
+                *_gru_weight_grads(X, _fold(prev), _fold(R * prev), dz, dr, dc))
+
+    return node(out.reshape(xs_t.shape[:-1] + (hidden,)), (xs_t, *p.tensors()), bwd)
 
 
 def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
@@ -135,23 +210,8 @@ def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
     batch; the output matches with last dimension 2 * hidden.
     """
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    n = emb.shape[0]
-    if n < 1:
-        raise ValueError("birnn_encode: empty input")
-    hidden = fwd.u_z.shape[0]
-    state_shape = (hidden,) if emb.ndim == 2 else (emb.shape[1], hidden)
-    rows = [gather_rows(emb, t) for t in range(n)]
-    h = Tensor(np.zeros(state_shape))
-    forward = []
-    for x_t in rows:
-        h = gru_cell(x_t, h, fwd)
-        forward.append(h)
-    h = Tensor(np.zeros(state_shape))
-    backward_states = []
-    for x_t in reversed(rows):
-        h = gru_cell(x_t, h, bwd)
-        backward_states.append(h)
-    return concat([stack0(forward), stack0(backward_states[::-1])], axis=-1)
+    return concat([gru_sequence(emb, fwd), gru_sequence(emb, bwd, reverse=True)],
+                  axis=-1)
 
 
 def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor):

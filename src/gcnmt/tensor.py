@@ -4,8 +4,9 @@ Values live in row-major numpy arrays. Every operation on tensors that
 require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
 gradients additively. ``node`` is the constructor every operation uses,
-and a layer may call it too: the GRU cell and the GCN layer
-(``encoders``) and the projected NLL loss (``training``) compute their
+and a layer may call it too: the GRU cell, the whole-sequence GRU and the
+GCN layer (``encoders``), teacher forcing's decoder recurrence
+(``decoder``) and the projected NLL loss (``training``) compute their
 forward pass in numpy and record one node with a hand-derived adjoint that
 keeps only the arrays it needs. Every array an adjoint returns is
 ``backward``'s to write (``node`` states the rule), so ``backward`` adds
@@ -39,7 +40,6 @@ __all__ = [
     "softmax",
     "log_softmax",
     "concat",
-    "stack0",
     "weighted_sum",
     "gather_rows",
     "slice_rows",
@@ -224,12 +224,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.split(g, sizes, axis=axis))
 
     return node(data, tuple(ts), bwd)
-
-
-def stack0(tensors) -> Tensor:
-    """Stack same-shaped tensors along a new leading axis."""
-    ts = [_as_tensor(t) for t in tensors]
-    return node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
 
 
 def weighted_sum(w, a) -> Tensor:

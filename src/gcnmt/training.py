@@ -4,12 +4,14 @@ Batches are bucketed by exact source length, so a batched forward pass is
 numerically identical to encoding each sentence alone. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
 draw from one generator in a fixed order. Teacher forcing runs the decoder
-recurrence per step; the output projection, log-softmax, target picks and
-masked mean over every step of a batch are then one tape node
-(``nll_loss``) over the features, ``w_out`` and ``b_out``. A training step
-clears the gradients before its forward pass, so the previous step's
-gradients are freed before the new tape is recorded, and ``backward`` hands
-the gradients the fused nodes return to the parameters without copying.
+recurrence over every step as one tape node
+(``decoder.teacher_forcing_recurrence``); the output projection,
+log-softmax, target picks and masked mean over every step of a batch are
+then one more (``nll_loss``) over its features, ``w_out`` and ``b_out``.
+A training step clears the gradients before its forward pass, so the
+previous step's gradients are freed before the new tape is recorded, and
+``backward`` hands the gradients the fused nodes return to the parameters
+without copying.
 """
 
 from __future__ import annotations
@@ -22,11 +24,16 @@ import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
 from .corpus import PAD, UNK, Batch, bucket_indices, make_batch
-from .decoder import attention_keys, init_state, recurrence_step
+from .decoder import attention_keys, init_state, teacher_forcing_recurrence
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
-from .tensor import Tensor, backward, concat, node, zero_grads
+from .tensor import Tensor, backward, node, zero_grads
+
+
+# Rows per block of nll_loss's log-sum-exp: exp of one block is its only
+# logits-wide scratch array.
+_LSE_ROWS = 64
 
 
 def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
@@ -35,8 +42,10 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
 
     ``w_out`` is (F, vocab) and ``b_out`` (vocab,); ``targets`` and ``mask``
     match the leading axes of ``x``. One tape node over ``x``, ``w_out`` and
-    ``b_out``: it keeps one logits-sized buffer, holding the log-softmax, and
-    its adjoint turns that buffer into the logit gradient
+    ``b_out``: it keeps one logits-sized buffer, holding the log-softmax
+    (its log-sum-exp takes ``exp`` a block of ``_LSE_ROWS`` rows at a time,
+    each row reduced on its own), and its adjoint turns that buffer into
+    the logit gradient
     ``(exp(log_softmax) - onehot) * mask * g / total`` in place, so no other
     logits-sized array is kept or built by the adjoint. The gradients it
     returns are new arrays (``tensor.node``). Each operation and its order
@@ -56,10 +65,17 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
     buf = np.matmul(x_t.data, w_out.data)
     buf += b_out.data
     buf -= buf.max(axis=-1, keepdims=True)
-    buf -= np.log(np.exp(buf).sum(axis=-1, keepdims=True))  # log-softmax
     vocab = buf.shape[-1]
+    flat = buf.reshape(-1, vocab)
+    lse = np.empty((len(flat), 1))
+    scratch = np.empty((min(_LSE_ROWS, len(flat)), vocab))
+    for lo in range(0, len(flat), _LSE_ROWS):
+        blk = flat[lo:lo + _LSE_ROWS]
+        np.exp(blk, out=scratch[:len(blk)]).sum(axis=-1, keepdims=True,
+                                                out=lse[lo:lo + _LSE_ROWS])
+    flat -= np.log(lse, out=lse)  # log-softmax
     rows, cols = np.arange(targets.size), targets.ravel()
-    picks = buf.reshape(-1, vocab)[rows, cols]
+    picks = flat[rows, cols]
     loss = -(picks * mask.ravel()).sum() * (1.0 / total)
 
     def bwd(g):
@@ -171,15 +187,10 @@ def teacher_forcing_loss(model: Model, batch: Batch, train_cfg: TrainConfig,
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
     dec = model.decoder
-    keys = attention_keys(enc, dec.attn)
-    s = init_state(enc, dec)
-    features = []
-    for t in range(tgt_in.shape[1]):
-        s, f = recurrence_step(tgt_in[:, t], s, enc, dec, keys)
-        features.append(f)
+    features = teacher_forcing_recurrence(tgt_in, init_state(enc, dec), enc, dec,
+                                          attention_keys(enc, dec.attn))
     # one projection and loss over every step: (T·B, F) rows in time-major order
-    return nll_loss(concat(features, axis=0), tgt_out.T.ravel(), mask.T.ravel(),
-                    dec.w_out, dec.b_out)
+    return nll_loss(features, tgt_out.T.ravel(), mask.T.ravel(), dec.w_out, dec.b_out)
 
 
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):

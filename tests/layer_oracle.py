@@ -5,7 +5,10 @@ These are the original bodies of ``gcnmt.encoders.gru_cell``,
 ``gcnmt.encoders.gcn_layer`` and ``gcnmt.training.nll_loss``, kept
 verbatim as the oracle that the one-node implementations must match in
 value and in every gradient; ``assert_matches_reference`` makes that
-comparison. ``scatter_add_rows`` is the tape op the composed GCN needs.
+comparison. The whole-sequence nodes ``gcnmt.encoders.gru_sequence`` and
+``gcnmt.decoder.teacher_forcing_recurrence`` are checked against their
+per-step compositions, one ``gru_cell`` or ``recurrence_step`` per step.
+``scatter_add_rows`` is the tape op the composed GCN needs.
 The composed ops the package no longer records (``sub``, ``mul``, ``neg``,
 ``sigmoid``, ``tsum``) come from ``tape_ops``, and each operator the bodies
 used on tensors is spelled as the call it made (``a * b`` is ``mul(a, b)``),
@@ -15,11 +18,17 @@ so the oracles compute what they computed before, bit for bit.
 import numpy as np
 import numpy.testing as npt
 
-from gcnmt.decoder import AttentionParams, DecoderParams, attention_keys
-from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
+from gcnmt.decoder import (
+    AttentionParams,
+    DecoderParams,
+    attention_keys,
+    recurrence_step,
+)
+from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams, gru_cell
 from gcnmt.tensor import (
     Tensor,
     backward,
+    concat,
     gather_rows,
     log_softmax,
     matmul,
@@ -29,7 +38,7 @@ from gcnmt.tensor import (
     softmax,
     tanh,
 )
-from tape_ops import mul, neg, sigmoid, sub, tsum
+from tape_ops import mul, neg, sigmoid, stack0, sub, tsum
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -47,6 +56,32 @@ def reference_gru_cell(x_t, h_prev, params: GruParams):
     r = sigmoid(matmul(x_t, params.w_r) + matmul(h_prev, params.u_r) + params.b_r)
     cand = tanh(matmul(x_t, params.w_h) + matmul(mul(r, h_prev), params.u_h) + params.b_h)
     return mul(z, h_prev) + mul(sub(1.0, z), cand)
+
+
+def reference_gru_sequence(xs, params: GruParams, reverse: bool = False):
+    """Every state of a GRU run from a zero state over the leading axis of
+    ``xs``, one ``gru_cell`` per position (the last position first when
+    ``reverse``), stacked position by position."""
+    xs = xs if isinstance(xs, Tensor) else Tensor(xs)
+    n = xs.shape[0]
+    h = Tensor(np.zeros(xs.shape[1:-1] + (params.u_z.shape[0],)))
+    states = [None] * n
+    for t in (reversed(range(n)) if reverse else range(n)):
+        h = gru_cell(gather_rows(xs, t), h, params)
+        states[t] = h
+    return stack0(states)
+
+
+def reference_teacher_forcing_recurrence(y_prev_ids, s0, enc: EncoderOutput,
+                                         params: DecoderParams, keys):
+    """Every step's ``[s_t; context; emb]`` features under teacher forcing,
+    one ``recurrence_step`` per step, as time-major (T * B, F) rows."""
+    ids = np.asarray(y_prev_ids)
+    s, features = s0, []
+    for t in range(ids.shape[1]):
+        s, f = recurrence_step(ids[:, t], s, enc, params, keys)
+        features.append(f)
+    return concat(features, axis=0)
 
 
 def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,

@@ -1,13 +1,14 @@
 """Tape operations that the tests compose and ``gcnmt`` never records.
 
 ``gcnmt.tensor`` keeps only the operations the package runs. The oracles
-(``layer_oracle``) and the tests also need ``sub``, ``mul``, ``neg``,
-``sigmoid`` and ``tsum``, each one node with its adjoint under the rule
-``tensor.node`` states, and ``grad_check``, which compares ``backward``
-against central differences. ``Tensor`` has no ``-``, ``*``, ``/`` or
-unary ``-`` operator: ``a * b`` is written ``mul(a, b)``, ``a - b``
-``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a`` ``neg(a)`` and ``a / s``
-``mul(a, 1.0 / float(s))``, the calls those operators made.
+(``layer_oracle``, ``tf_oracle``) and the tests also need ``sub``, ``mul``,
+``neg``, ``sigmoid``, ``stack0`` and ``tsum``, each one node with its
+adjoint under the rule ``tensor.node`` states, and ``grad_check``, which
+compares ``backward`` against central differences. ``Tensor`` has no
+``-``, ``*``, ``/`` or unary ``-`` operator: ``a * b`` is written
+``mul(a, b)``, ``a - b`` ``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a``
+``neg(a)`` and ``a / s`` ``mul(a, 1.0 / float(s))``, the calls those
+operators made.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,12 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
     return node(data, (a,), lambda g: (g * data * (1.0 - data),))
+
+
+def stack0(tensors) -> Tensor:
+    """Stack same-shaped tensors along a new leading axis."""
+    ts = [_as_tensor(t) for t in tensors]
+    return node(np.stack([t.data for t in ts]), tuple(ts), tuple)  # g[i] to ts[i]
 
 
 def tsum(a, axis=None) -> Tensor:

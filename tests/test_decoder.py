@@ -10,7 +10,12 @@ from gcnmt import decoder as D
 from gcnmt import tensor as T
 from gcnmt.corpus import BOS, EOS
 from gcnmt.encoders import EncoderOutput
-from layer_oracle import assert_matches_reference, reference_attention, reference_init_state
+from layer_oracle import (
+    assert_matches_reference,
+    reference_attention,
+    reference_init_state,
+    reference_teacher_forcing_recurrence,
+)
 import tape_ops as TO
 
 
@@ -443,3 +448,56 @@ def test_init_state_gradients_on_a_padded_batch():
 
     report = TO.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
     assert all(e.ok for e in report.values())
+
+
+def _recurrence_case(steps, seed):
+    """Decoder parameters, ids, ``s0``, a two-sentence encoding whose first
+    row is padded, keys, and the leaves the recurrence node reads."""
+    params = _decoder(vocab=7, emb=3, hid=4, width=5, attn=3, seed=seed, scale=10.0)
+    rng = np.random.default_rng(seed + 1)
+    states = T.Tensor(rng.uniform(-1, 1, (2, 4, 5)), requires_grad=True)
+    enc = EncoderOutput(states=states, mask=np.array([[True, True, True, False],
+                                                      [True, True, True, True]]))
+    keys = T.Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
+    s0 = T.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+    ids = rng.integers(0, 7, (2, steps))
+    leaves = {"s0": s0, "states": states, "keys": keys,
+              "embedding": params.embedding, "u_dec": params.attn.u_dec,
+              "score_v": params.attn.score_v, **params.gru.named("gru")}
+    return params, ids, s0, enc, keys, leaves
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_teacher_forcing_recurrence_matches_per_step_oracle(steps):
+    params, ids, s0, enc, keys, leaves = _recurrence_case(steps, seed=20)
+    out = D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+    assert out.shape == (steps * 2, 4 + 5 + 3)
+    assert_matches_reference(
+        lambda: D.teacher_forcing_recurrence(ids, s0, enc, params, keys),
+        lambda: reference_teacher_forcing_recurrence(ids, s0, enc, params, keys),
+        leaves)
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+def test_teacher_forcing_recurrence_gradients_vs_finite_differences(steps):
+    params, ids, s0, enc, keys, leaves = _recurrence_case(steps, seed=22)
+    weights = T.Tensor(np.random.default_rng(24).uniform(-1, 1, (steps * 2, 12)))
+
+    def f(_):
+        out = D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+        return TO.tsum(TO.mul(out, weights))
+
+    report = TO.grad_check(f, leaves)
+    assert all(e.ok for e in report.values()), report
+    # the padded source position gets no gradient, and the rest do
+    assert not enc.states.grad[0, 3].any() and enc.states.grad[0, :3].all()
+
+
+def test_teacher_forcing_recurrence_rejects_a_fully_masked_row_as_attention_does():
+    params, ids, s0, enc, keys, _ = _recurrence_case(2, seed=26)
+    enc = EncoderOutput(states=enc.states, mask=np.array([[False] * 4, [True] * 4]))
+    with pytest.raises(ValueError) as attention_error:
+        D.attention(s0, enc, params.attn, keys)
+    with pytest.raises(ValueError) as recurrence_error:
+        D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+    assert str(recurrence_error.value) == str(attention_error.value)

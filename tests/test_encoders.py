@@ -14,6 +14,7 @@ from layer_oracle import (
     assert_matches_reference,
     reference_gcn_layer,
     reference_gru_cell,
+    reference_gru_sequence,
 )
 import tape_ops as TO
 
@@ -128,6 +129,37 @@ def test_gru_batch_gradients_vs_finite_differences():
 
     report = TO.grad_check(f, params)
     assert all(e.ok for e in report.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("batch", [(), (2,)], ids=["sentence", "batch"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_gru_sequence_matches_per_step_oracle_and_finite_differences(n, batch, reverse):
+    rng = np.random.default_rng(33)
+    p = E.init_gru(rng, 3, 4)
+    for t in p.tensors():  # weights large enough that every gradient shows
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    xs = T.Tensor(rng.uniform(-1, 1, (n,) + batch + (3,)), requires_grad=True)
+    leaves = {"xs": xs, **p.named("gru")}
+    out = E.gru_sequence(xs, p, reverse)
+    assert out.shape == (n,) + batch + (4,)
+    assert all(t._backward is None for t in out._parents)  # one node
+    assert_matches_reference(lambda: E.gru_sequence(xs, p, reverse),
+                             lambda: reference_gru_sequence(xs, p, reverse), leaves)
+    weights = T.Tensor(rng.uniform(-1, 1, out.shape))
+    report = TO.grad_check(
+        lambda q: TO.tsum(TO.mul(E.gru_sequence(q["xs"], p, reverse), weights)), leaves)
+    assert all(e.ok for e in report.values()), report
+
+
+def test_birnn_records_one_node_per_direction():
+    rng = np.random.default_rng(34)
+    fwd, bwd = E.init_gru(rng, 3, 2), E.init_gru(rng, 3, 2)
+    emb = T.Tensor(rng.uniform(-1, 1, (5, 2, 3)), requires_grad=True)
+    out = E.birnn_encode(emb, fwd, bwd)
+    directions = out._parents
+    assert [d._parents for d in directions] == [(emb, *fwd.tensors()),
+                                                (emb, *bwd.tensors())]
 
 
 def test_birnn_len1_concat_of_both_directions():

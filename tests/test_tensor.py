@@ -450,7 +450,7 @@ def test_backward_leaf_through_reshape_concat_stack0_views_and_direct_use():
     c4 = np.full((2, 3), 2.0)
     loss = (TO.tsum(TO.mul(T.reshape(x, (3, 2)), T.Tensor(c1)))
             + TO.tsum(TO.mul(T.concat([x, y], axis=0), T.Tensor(c2)))
-            + TO.tsum(TO.mul(T.stack0([x, x]), T.Tensor(c3)))
+            + TO.tsum(TO.mul(TO.stack0([x, x]), T.Tensor(c3)))
             + TO.tsum(TO.mul(x, T.Tensor(c4))))
     T.backward(loss)
     npt.assert_array_equal(x.grad, c1.reshape(2, 3) + c2[:2] + c3[0] + c3[1] + c4)
@@ -548,6 +548,9 @@ def _adjoint_cases(x, rng):
     gru = E.init_gru(rng, 3, 4)
     gcn = E.init_gcn_layer(rng, 4, {"syn": 2, "sem": 3})
     edges = {"syn": [(0, 1, 0), (1, 2, 1), (2, 0, 0)], "sem": [(0, 2, 2), (1, 1, 0)]}
+    dec = D.build_decoder(6, 2, 4, 3, 2, rng)  # vocab, emb, hidden, enc width, attn
+    enc = E.EncoderOutput(states=x(2, 3, 3), mask=np.array([[True, True, False],
+                                                            [True, True, True]]))
     return {
         "add": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(3)), (x(1, 3), x(2, 1))],
         "sub": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(1, 3))],
@@ -568,6 +571,9 @@ def _adjoint_cases(x, rng):
         "reshape": [(x(2, 3), (3, 2))],
         "transpose": [(x(2, 3), (1, 0))],
         "gru_cell": [(x(2, 3), x(2, 4), gru), (x(3), x(4), gru)],
+        "gru_sequence": [(x(3, 2, 3), gru), (x(2, 3), gru, True)],
+        "teacher_forcing_recurrence": [([[1, 4, 2], [5, 0, 3]], x(2, 4), enc, dec,
+                                        x(2, 3, 2))],
         "gcn_layer": [(x(3, 4), edges, gcn),
                       (x(3, 4), edges, gcn, 0.5, np.random.default_rng(40))],
         "nll_loss": [(x(3, 4), [1, 4, 0], [1.0, 1.0, 0.0], x(4, 5), x(5))],
@@ -576,7 +582,8 @@ def _adjoint_cases(x, rng):
 
 def test_every_recording_op_has_an_adjoint_case():
     ops = set(_recording_ops())
-    assert {"add", "matmul", "gru_cell", "gcn_layer", "nll_loss"} <= ops
+    assert {"add", "matmul", "gru_cell", "gru_sequence", "teacher_forcing_recurrence",
+            "gcn_layer", "nll_loss"} <= ops
     cases = _adjoint_cases(lambda *shape: T.Tensor(np.zeros(shape)), np.random.default_rng(0))
     assert set(cases) == ops
 
@@ -606,7 +613,7 @@ def test_backward_writes_no_forward_value():
     w = T.Tensor(rng.uniform(-1, 1, (3, 3)), requires_grad=True)
     h = T.tanh(T.matmul(x, w))
     parts = [T.reshape(h, (3, 4)), T.transpose(h, (1, 0)),
-             T.concat([h, x], axis=0), T.stack0([h, x, h]),
+             T.concat([h, x], axis=0), TO.stack0([h, x, h]),
              T.gather_rows(h, [0, 0, 3]), T.slice_rows(x, 1, 3),
              h + x, TO.sub(h, x), TO.mul(T.relu(h), x), TO.neg(x), TO.sigmoid(h)]
     loss = TO.tsum(T.log_softmax(T.softmax(h + x)))

@@ -19,7 +19,11 @@ from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
 from layer_oracle import assert_matches_reference, reference_nll_loss
 import tape_ops as TO
-from tf_oracle import composed_teacher_forcing_loss, reference_teacher_forcing_loss
+from tf_oracle import (
+    composed_teacher_forcing_loss,
+    logits_nll_loss,
+    reference_teacher_forcing_loss,
+)
 
 
 def _identity_projection(vocab):
@@ -93,6 +97,32 @@ def test_nll_matches_composed_oracle_and_is_one_node(lead):
         lambda: reference_nll_loss(T.matmul(x, w) + b, targets, mask),
         {"x": x, "w": w, "b": b})
     assert TR.nll_loss(x, targets, mask, w, b)._parents == (x, w, b)
+
+
+def test_nll_forward_takes_exp_in_blocks_with_the_same_bits():
+    rng = np.random.default_rng(14)
+    rows, vocab = 400, 1952  # the largest train-gcn batch: 6 full blocks and a part
+    x = T.Tensor(rng.uniform(-1, 1, (rows, 8)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (8, vocab)), requires_grad=True)
+    b = T.Tensor(rng.uniform(-1, 1, vocab), requires_grad=True)
+    targets = rng.integers(0, vocab, rows)
+    mask = (rng.random(rows) < 0.9).astype(float)
+    tracemalloc.start()
+    try:
+        loss = TR.nll_loss(x, targets, mask, w, b)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # exp over the whole logits was one more (rows, vocab) array at the peak
+    assert peak - kept < rows * vocab * 8 // 2
+    T.backward(loss)
+    got = [loss.item()] + [t.grad for t in (x, w, b)]
+    T.zero_grads({"x": x, "w": w, "b": b})
+    want_loss = logits_nll_loss(T.matmul(x, w) + b, targets, mask)
+    T.backward(want_loss)
+    assert got[0] == want_loss.item()
+    for g, t in zip(got[1:], (x, w, b)):
+        npt.assert_array_equal(g, t.grad)
 
 
 def test_word_dropout_identity_outside_training():

@@ -7,15 +7,16 @@ keys and output projection per time step and stacks the logits to
 must match in loss and in every parameter gradient.
 
 ``composed_teacher_forcing_loss`` is the batched body as it was before the
-projection and the loss became one node: ``output_logits`` over every
-step's features, then ``logits_nll_loss``. It does the same arithmetic in
-the same order as ``gcnmt.training.nll_loss``, so the two must agree bit
-for bit.
+projection and the loss became one node: the same recurrence node as
+``gcnmt.training.teacher_forcing_loss`` builds the features, then
+``output_logits`` projects them and ``logits_nll_loss`` takes the loss. It
+does the same arithmetic in the same order as ``gcnmt.training.nll_loss``,
+so the two must agree bit for bit.
 
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
-Every tape op used here is one ``gcnmt`` records; the composed ops it does
-not record (``sub``, ``mul``, ``neg``, ``sigmoid``, ``tsum``) and
-``grad_check`` live in ``tape_ops``.
+Every tape op used here is one ``gcnmt`` records, except ``stack0``; it and
+the other ops ``gcnmt`` does not record (``sub``, ``mul``, ``neg``,
+``sigmoid``, ``tsum``) and ``grad_check`` live in ``tape_ops``.
 """
 
 import numpy as np
@@ -26,11 +27,12 @@ from gcnmt.decoder import (
     decoder_step,
     init_state,
     output_logits,
-    recurrence_step,
+    teacher_forcing_recurrence,
 )
 from gcnmt.encoders import encode_pipeline
-from gcnmt.tensor import Tensor, concat, node, stack0
+from gcnmt.tensor import Tensor, node
 from gcnmt.training import word_dropout
+from tape_ops import stack0
 
 
 def logits_nll_loss(logits, targets, mask):
@@ -96,11 +98,7 @@ def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
     step's features and a separate loss node."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
-    keys = attention_keys(enc, dec.attn)
-    s = init_state(enc, dec)
-    features = []
-    for t in range(tgt_in.shape[1]):
-        s, f = recurrence_step(tgt_in[:, t], s, enc, dec, keys)
-        features.append(f)
-    logits = output_logits(concat(features, axis=0), dec)
+    features = teacher_forcing_recurrence(tgt_in, init_state(enc, dec), enc, dec,
+                                          attention_keys(enc, dec.attn))
+    logits = output_logits(features, dec)
     return logits_nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
