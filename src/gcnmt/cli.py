@@ -224,9 +224,7 @@ def cmd_translate(args) -> int:
     model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
                         prep.label_vocabs, rng)
     load_model_params(args.checkpoint, model)
-    pairs = _read_pairs(args.input, args.input_tgt) if args.input_tgt else None
-    if pairs is None:
-        pairs = [(s, []) for s in ingest_conll(read_text(args.input))]
+    pairs = [(s, []) for s in ingest_conll(read_text(args.input))]
     # opened before the decode, so a bad output path fails at once, and after
     # the checkpoint and input were read, so a bad one leaves the file as it is
     with (open(args.output, "w", encoding="utf-8") if args.output
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_override_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--input", required=True, help="annotated source (column text)")
-    p.add_argument("--input-tgt", dest="input_tgt")
     p.add_argument("--output")
     p.set_defaults(func=cmd_translate)
 

@@ -2,26 +2,29 @@
 
 Scoring is additive attention over encoder states; the attention keys
 ``states @ v_enc`` are computed once per encode and passed to every step,
-and the context is ``tensor.weighted_sum`` of the weights over the states,
-so no (batch, len, width) product is formed per step. A decoding step's
-GRU update is ``encoders.gru_cell``.
-The GRU consumes the previous target embedding concatenated with the
-context vector, and the output projection reads [state; context; previous
-embedding]. A step is the recurrence (``recurrence_step``) followed by the
-projection (``output_logits``): decoding runs both per step. Teacher
-forcing runs every step's recurrence as one tape node
-(``teacher_forcing_recurrence``, the same arithmetic as ``recurrence_step``
-with backpropagation through time in its adjoint) and projects every
-step's features once per batch, inside its loss node
-(``training.nll_loss``). A greedy batch may mix source lengths: its
-states are zero-padded to the longest source, and ``mask`` keeps the
-padding out of attention (masked softmax) and out of the initial state
-(masked mean). Beam search is length-unnormalized: finished hypotheses
-compete in a completed pool and the highest-scoring completed hypothesis
-wins (best live one at max_len if nothing finished). It batches the beam:
-the live hypotheses are the batch dimension of one ``decoder_step`` per
-time step, and the candidates are ranked by score descending, then token
-id ascending, then hypothesis index ascending.
+and the context is one matmul of the weights over the states, so no
+(batch, len, width) product is formed per step. The GRU consumes the
+previous target embedding concatenated with the context vector, and the
+output projection reads [state; context; previous embedding]. One
+attention step (``_attend``) serves training and decoding alike.
+
+Only training records: teacher forcing runs every step's attention and GRU
+update as one tape node (``teacher_forcing_recurrence``, with
+backpropagation through time in its adjoint) and projects every step's
+features once per batch, inside its loss node (``training.nll_loss``).
+Decoding computes in numpy: ``decoder_step`` runs ``attention``,
+``encoders.gru_cell`` and the projection, and none of them records, so
+their ``Tensor`` results have no parents even with gradients enabled.
+
+A greedy batch may mix source lengths: its states are zero-padded to the
+longest source, and ``mask`` keeps the padding out of attention (masked
+softmax) and out of the initial state (masked mean). Beam search is
+length-unnormalized: finished hypotheses compete in a completed pool and
+the highest-scoring completed hypothesis wins (best live one at max_len if
+nothing finished). It batches the beam: the live hypotheses are the batch
+dimension of one ``decoder_step`` per time step, and the candidates are
+ranked by score descending, then token id ascending, then hypothesis index
+ascending.
 """
 
 from __future__ import annotations
@@ -44,14 +47,11 @@ from .encoders import (
 )
 from .tensor import (
     Tensor,
-    concat,
     gather_rows,
     log_softmax,
     matmul,
     no_grad,
     node,
-    reshape,
-    softmax,
     tanh,
     weighted_sum,
 )
@@ -126,23 +126,33 @@ def attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
     return matmul(enc.states, params.v_enc)
 
 
+def _attend(s, keys, states, mask, attn: AttentionParams):
+    """Masked additive attention in numpy: (tanh(keys + s u_dec), weights,
+    context), with ``keys`` from ``attention_keys``; shapes as ``attention``."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("attention: all source positions masked")
+    pre = np.tanh(keys + (s @ attn.u_dec.data)[..., None, :])
+    scores = np.where(mask, pre @ attn.score_v.data, -np.inf)
+    with np.errstate(invalid="ignore"):
+        scores = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    weights = e / e.sum(axis=-1, keepdims=True)
+    return pre, weights, np.matmul(weights[..., None, :], states)[..., 0, :]
+
+
 def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
               keys: Tensor):
-    """Masked additive attention; returns (weights, context).
+    """Masked additive attention; returns (weights, context), recording nothing.
 
     Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
     Batched: s_prev (B, h), states (B, len, d) -> (B, len), (B, d).
     Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
     ``keys`` is ``attention_keys(enc, params)``.
     """
-    states = enc.states
-    if not bool(np.asarray(enc.mask).any(axis=-1).all()):
-        raise ValueError("attention: all source positions masked")
-    proj_s = matmul(s_prev, params.u_dec)
-    proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
-    scores = matmul(tanh(keys + proj_s), params.score_v)
-    weights = softmax(scores, mask=enc.mask)
-    return weights, weighted_sum(weights, states)
+    _, weights, context = _attend(s_prev.data, keys.data, enc.states.data, enc.mask,
+                                  params)
+    return Tensor(weights), Tensor(context)
 
 
 def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
@@ -154,41 +164,28 @@ def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
     return tanh(matmul(avg, params.w_init) + params.b_init)
 
 
-def recurrence_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
-                    params: DecoderParams, keys: Tensor):
-    """Attention (``keys`` from ``attention_keys``) and GRU update; returns
-    (new state, output features ``[s_t; context; emb]``) for ``output_logits``."""
-    ids = np.asarray(y_prev_id, dtype=np.intp)
-    emb = gather_rows(params.embedding, ids)
-    _, context = attention(s_prev, enc, params.attn, keys)
-    x = concat([emb, context], axis=-1)
-    s_t = gru_cell(x, s_prev, params.gru)
-    return s_t, concat([s_t, context, emb], axis=-1)
-
-
 def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
                                params: DecoderParams, keys: Tensor) -> Tensor:
-    """Every step of ``recurrence_step`` under teacher forcing, as one tape
-    node; returns the time-major (T * B, F) feature rows ``[s_t; context;
-    emb]`` that ``output_logits`` or ``training.nll_loss`` read.
+    """Every step's attention and GRU update under teacher forcing, as one
+    tape node; returns the time-major (T * B, F) feature rows ``[s_t;
+    context; emb]`` that ``training.nll_loss`` reads.
 
     ``y_prev_ids`` is (B, T), step t reading column t; ``s0`` is (B, h),
     ``enc`` holds (B, len, d) states and their mask, and ``keys`` is
     ``attention_keys(enc, params.attn)``. The target embeddings are gathered
-    once, and each step does the numpy operations of ``recurrence_step`` in
-    its order. The node's parents are the embeddings, ``s0``, the states,
-    the keys, ``u_dec``, ``score_v`` and the nine GRU tensors. Its adjoint
-    runs backpropagation through time with the GRU step adjoint of
-    ``encoders``; after the loop, the gradients of the states, ``score_v``,
-    ``u_dec`` and the GRU weights are one GEMM or batched matmul each. It
-    keeps every step's ``tanh(keys + s u_dec)``, attention weights, GRU
-    inputs, states and gates.
+    once, and each step runs ``_attend`` and the GRU step, the arithmetic
+    of ``decoder_step`` without its projection. The node's parents are the
+    embeddings, ``s0``, the states, the keys, ``u_dec``, ``score_v`` and
+    the nine GRU tensors. Its adjoint runs backpropagation through time
+    with the GRU step adjoint of ``encoders``; after the loop, the
+    gradients of the states, ``score_v``, ``u_dec`` and the GRU weights are
+    one GEMM or batched matmul each. It keeps every step's
+    ``tanh(keys + s u_dec)``, attention weights, GRU inputs, states and
+    gates.
     """
     ids = np.asarray(y_prev_ids, dtype=np.intp)
     emb = gather_rows(params.embedding, ids.T)  # (T, B, emb)
     mask = np.asarray(enc.mask, dtype=bool)
-    if not mask.any(axis=-1).all():
-        raise ValueError("attention: all source positions masked")
     a, p = params.attn, params.gru
     states = enc.states.data  # (B, len, d)
     steps, B, E = emb.shape
@@ -201,14 +198,7 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
     W = np.empty((steps,) + mask.shape)    # attention weights
     Z, R, C = (np.empty((steps, B, hidden)) for _ in range(3))
     for t in range(steps):
-        np.add(keys.data, (S[t] @ a.u_dec.data)[:, None, :], out=PRE[t])
-        np.tanh(PRE[t], out=PRE[t])
-        scores = np.where(mask, PRE[t] @ a.score_v.data, -np.inf)
-        with np.errstate(invalid="ignore"):
-            scores = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        W[t] = e / e.sum(axis=-1, keepdims=True)
-        X[t, :, E:] = np.matmul(W[t][:, None, :], states)[:, 0, :]
+        PRE[t], W[t], X[t, :, E:] = _attend(S[t], keys.data, states, mask, a)
         x = X[t]
         S[t + 1], Z[t], R[t], C[t] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
                                                 x @ p.w_h.data, S[t], p)
@@ -247,19 +237,19 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
                 (emb, s0, enc.states, keys, a.u_dec, a.score_v, *p.tensors()), bwd)
 
 
-def output_logits(features: Tensor, params: DecoderParams) -> Tensor:
-    """Unnormalized vocabulary logits of one or many steps' features."""
-    return matmul(features, params.w_out) + params.b_out
-
-
 def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
                  params: DecoderParams, keys: Tensor | None = None):
-    """One decoding step; returns (new state, unnormalized vocab logits).
-    ``keys`` is ``attention_keys(enc, params.attn)``, computed here when omitted."""
+    """One decoding step in numpy: attention, the GRU update and the
+    projection of ``[s_t; context; emb]``; returns (new state, unnormalized
+    vocab logits), neither of which records. ``keys`` is
+    ``attention_keys(enc, params.attn)``, computed here when omitted."""
     if keys is None:
         keys = attention_keys(enc, params.attn)
-    s_t, features = recurrence_step(y_prev_id, s_prev, enc, params, keys)
-    return s_t, output_logits(features, params)
+    emb = params.embedding.data[np.asarray(y_prev_id, dtype=np.intp)]
+    context = attention(s_prev, enc, params.attn, keys)[1].data
+    s_t = gru_cell(np.concatenate([emb, context], axis=-1), s_prev, params.gru)
+    features = np.concatenate([s_t.data, context, emb], axis=-1)
+    return s_t, Tensor(features @ params.w_out.data + params.b_out.data)
 
 
 def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:

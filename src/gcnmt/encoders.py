@@ -12,18 +12,19 @@ both at once (distinct W per graph, shared self-loop) or neither
 (self-loop ablation). Each graph reaches the GCN as one ``(E, 3)`` array
 of (head, dependent, label id) rows, built once per batch.
 
-``gru_cell``, ``gru_sequence`` and ``gcn_layer`` compute in numpy and
-record one tape node each (``tensor.node``) with a hand-derived adjoint,
-which keeps only the arrays it reads: the GRU's gates and candidate, for
-one step or every step; the GCN's output, self-loop transform and gate,
-and each direction's pre-gate messages, gates and dropout mask. Source
-rows are gathered again from ``H`` in the adjoint. The BiRNN runs each
-direction as one ``gru_sequence`` node, in training and in inference;
-``gru_cell`` serves the decoder's inference steps. The GRU step, its
-adjoint and its weight gradients are written once here and shared with
-the decoder's teacher-forcing node. Every gradient an adjoint returns is
-a new array, which ``backward`` may write, and the GCN's adjoint reuses
-its incoming gradient as its first buffer (``tensor.node``).
+``gru_sequence`` and ``gcn_layer`` compute in numpy and record one tape
+node each (``tensor.node``) with a hand-derived adjoint, which keeps only
+the arrays it reads: the GRU's gates and candidate for every step; the
+GCN's output, self-loop transform and gate, and each direction's pre-gate
+messages, gates and dropout mask. Source rows are gathered again from
+``H`` in the adjoint. The BiRNN runs each direction as one
+``gru_sequence`` node, in training and in inference. ``gru_cell`` is one
+GRU step in numpy that records nothing; it serves the decoder's inference
+steps. The GRU step, its adjoint and its weight gradients are written
+once here and shared with the decoder's teacher-forcing node. Every
+gradient an adjoint returns is a new array, which ``backward`` may write,
+and the GCN's adjoint reuses its incoming gradient as its first buffer
+(``tensor.node``).
 """
 
 from __future__ import annotations
@@ -130,34 +131,23 @@ def _gru_weight_grads(X, H, RH, dz, dr, dc):
             X.T @ dc, RH.T @ dc, dc.sum(axis=0)]
 
 
-def gru_cell(x_t, h_prev, params: GruParams):
-    """One GRU step; accepts a single vector or a (batch, dim) matrix.
-
-    One tape node over ``x_t``, ``h_prev`` and the nine parameters::
+def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
+    """One GRU step in numpy; accepts a single vector or a (batch, dim)
+    matrix, and records nothing::
 
         z = sigmoid(x w_z + h u_z + b_z)
         r = sigmoid(x w_r + h u_r + b_r)
         cand = tanh(x w_h + (r * h) u_h + b_h)
         h' = z * h + (1 - z) * cand
 
-    The adjoint keeps ``z``, ``r`` and ``cand``; each weight gradient is one
-    GEMM over the rows of the folded leading axes. Decoding runs it once per
-    step; training runs whole sequences (``gru_sequence`` and
-    ``decoder.teacher_forcing_recurrence``) through the same step code.
+    Decoding runs it once per step; training runs whole sequences
+    (``gru_sequence`` and ``decoder.teacher_forcing_recurrence``) through
+    the same step code.
     """
-    x_t = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
-    h_prev = h_prev if isinstance(h_prev, Tensor) else Tensor(h_prev)
+    x, h = (v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+            for v in (x_t, h_prev))
     p = params
-    x, h = x_t.data, h_prev.data
-    out, z, r, cand = _gru_gates(x @ p.w_z.data, x @ p.w_r.data, x @ p.w_h.data, h, p)
-
-    def bwd(g):
-        dz, dr, dc, dh = _gru_step_adjoint(g, h, z, r, cand, p)
-        return (_gru_input_grad(dz, dr, dc, p), dh,
-                *_gru_weight_grads(_fold(x), _fold(h), _fold(r * h),
-                                   _fold(dz), _fold(dr), _fold(dc)))
-
-    return node(out, (x_t, h_prev, *p.tensors()), bwd)
+    return Tensor(_gru_gates(x @ p.w_z.data, x @ p.w_r.data, x @ p.w_h.data, h, p)[0])
 
 
 def gru_sequence(xs, params: GruParams, reverse: bool = False):
@@ -169,9 +159,9 @@ def gru_sequence(xs, params: GruParams, reverse: bool = False):
     One tape node over ``xs`` and the nine parameters. The input
     projections ``x @ w_*`` are one GEMM each over all n * batch rows, and
     the loop does only the recurrent ``h @ u_*`` products, step by step as
-    ``gru_cell`` does. The adjoint runs backpropagation through time with
-    ``gru_cell``'s step adjoint, then forms the input gradient and each
-    weight gradient with one GEMM over every row.
+    ``gru_cell`` does. The adjoint runs backpropagation through time one
+    step adjoint at a time, then forms the input gradient and each weight
+    gradient with one GEMM over every row.
     """
     xs_t = xs if isinstance(xs, Tensor) else Tensor(xs)
     p = params

@@ -4,14 +4,16 @@ Values live in row-major numpy arrays. Every operation on tensors that
 require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
 gradients additively. ``node`` is the constructor every operation uses,
-and a layer may call it too: the GRU cell, the whole-sequence GRU and the
-GCN layer (``encoders``), teacher forcing's decoder recurrence
-(``decoder``) and the projected NLL loss (``training``) compute their
-forward pass in numpy and record one node with a hand-derived adjoint that
-keeps only the arrays it needs. Every array an adjoint returns is
-``backward``'s to write (``node`` states the rule), so ``backward`` adds
-each later gradient in place into the first one to reach a node and hands
-a leaf its gradient without a copy. ``gather_rows`` and ``slice_rows`` hand
+and a layer may call it too: the whole-sequence GRU and the GCN layer
+(``encoders``), teacher forcing's decoder recurrence (``decoder``) and the
+projected NLL loss (``training``) compute their forward pass in numpy and
+record one node with a hand-derived adjoint that keeps only the arrays it
+needs. The module holds only what training records, plus ``log_softmax``,
+which decoding reads scores from; decoding's attention and GRU steps are
+plain numpy. Every array an adjoint returns is ``backward``'s to write
+(``node`` states the rule), so ``backward`` adds each later gradient in
+place into the first one to reach a node and hands a leaf its gradient
+without a copy. ``gather_rows`` and ``slice_rows`` hand
 back row-sparse adjoints that ``backward`` adds into the parent's rows
 without building a dense zero gradient per use.
 ``backward`` consumes the graph it walks: each node drops its parents and
@@ -37,7 +39,6 @@ __all__ = [
     "add",
     "relu",
     "tanh",
-    "softmax",
     "log_softmax",
     "concat",
     "weighted_sum",
@@ -183,28 +184,8 @@ def tanh(a) -> Tensor:
     return node(data, (a,), lambda g: (g * (1.0 - data * data),))
 
 
-def softmax(a, mask=None) -> Tensor:
-    """Exp-normalize over the last axis; ``mask`` (True = keep) zeroes entries exactly."""
-    a = _as_tensor(a)
-    z = a.data
-    if mask is not None:
-        m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
-        if not m.any(axis=-1).all():
-            raise ValueError("softmax: at least one unmasked position required")
-        z = np.where(m, z, -np.inf)
-    with np.errstate(invalid="ignore"):
-        z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
-
-    return node(y, (a,), bwd)
-
-
 def log_softmax(a) -> Tensor:
-    """Log of ``softmax`` over the last axis."""
+    """Log of the exp-normalization over the last axis."""
     a = _as_tensor(a)
     z = a.data - a.data.max(axis=-1, keepdims=True)
     lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))

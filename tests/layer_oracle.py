@@ -3,28 +3,28 @@
 These are the original bodies of ``gcnmt.encoders.gru_cell``,
 ``gcnmt.decoder.attention``, ``gcnmt.decoder.init_state``,
 ``gcnmt.encoders.gcn_layer`` and ``gcnmt.training.nll_loss``, kept
-verbatim as the oracle that the one-node implementations must match in
-value and in every gradient; ``assert_matches_reference`` makes that
-comparison. The whole-sequence nodes ``gcnmt.encoders.gru_sequence`` and
+verbatim as the oracle that the implementations must match in value and,
+where they record, in every gradient; ``assert_matches_reference`` makes
+that comparison. ``gru_cell`` and ``attention`` now compute decoding's
+steps in numpy and record nothing, so they are checked in value only.
+``reference_recurrence_step`` composes one teacher-forcing step from them
+(the embedding row, attention and the GRU update), and the whole-sequence
+nodes ``gcnmt.encoders.gru_sequence`` and
 ``gcnmt.decoder.teacher_forcing_recurrence`` are checked against their
-per-step compositions, one ``gru_cell`` or ``recurrence_step`` per step.
-``scatter_add_rows`` is the tape op the composed GCN needs.
-The composed ops the package no longer records (``sub``, ``mul``, ``neg``,
-``sigmoid``, ``tsum``) come from ``tape_ops``, and each operator the bodies
-used on tensors is spelled as the call it made (``a * b`` is ``mul(a, b)``),
-so the oracles compute what they computed before, bit for bit.
+per-step compositions, one ``reference_gru_cell`` or
+``reference_recurrence_step`` per step. ``scatter_add_rows`` is the tape op
+the composed GCN needs. The composed ops the package no longer records
+(``sub``, ``mul``, ``neg``, ``sigmoid``, ``softmax``, ``tsum``) come from
+``tape_ops``, and each operator the bodies used on tensors is spelled as
+the call it made (``a * b`` is ``mul(a, b)``), so the oracles compute what
+they computed before, bit for bit.
 """
 
 import numpy as np
 import numpy.testing as npt
 
-from gcnmt.decoder import (
-    AttentionParams,
-    DecoderParams,
-    attention_keys,
-    recurrence_step,
-)
-from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams, gru_cell
+from gcnmt.decoder import AttentionParams, DecoderParams, attention_keys
+from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
 from gcnmt.tensor import (
     Tensor,
     backward,
@@ -35,10 +35,9 @@ from gcnmt.tensor import (
     node,
     relu,
     reshape,
-    softmax,
     tanh,
 )
-from tape_ops import mul, neg, sigmoid, stack0, sub, tsum
+from tape_ops import mul, neg, sigmoid, softmax, stack0, sub, tsum
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -60,26 +59,37 @@ def reference_gru_cell(x_t, h_prev, params: GruParams):
 
 def reference_gru_sequence(xs, params: GruParams, reverse: bool = False):
     """Every state of a GRU run from a zero state over the leading axis of
-    ``xs``, one ``gru_cell`` per position (the last position first when
-    ``reverse``), stacked position by position."""
+    ``xs``, one ``reference_gru_cell`` per position (the last position first
+    when ``reverse``), stacked position by position."""
     xs = xs if isinstance(xs, Tensor) else Tensor(xs)
     n = xs.shape[0]
     h = Tensor(np.zeros(xs.shape[1:-1] + (params.u_z.shape[0],)))
     states = [None] * n
     for t in (reversed(range(n)) if reverse else range(n)):
-        h = gru_cell(gather_rows(xs, t), h, params)
+        h = reference_gru_cell(gather_rows(xs, t), h, params)
         states[t] = h
     return stack0(states)
+
+
+def reference_recurrence_step(y_prev_id, s_prev, enc: EncoderOutput,
+                              params: DecoderParams, keys):
+    """One teacher-forcing step: the embedding row, attention (``keys`` from
+    ``attention_keys``) and the GRU update; returns (new state, output
+    features ``[s_t; context; emb]``)."""
+    emb = gather_rows(params.embedding, np.asarray(y_prev_id, dtype=np.intp))
+    _, context = reference_attention(s_prev, enc, params.attn, keys)
+    s_t = reference_gru_cell(concat([emb, context], axis=-1), s_prev, params.gru)
+    return s_t, concat([s_t, context, emb], axis=-1)
 
 
 def reference_teacher_forcing_recurrence(y_prev_ids, s0, enc: EncoderOutput,
                                          params: DecoderParams, keys):
     """Every step's ``[s_t; context; emb]`` features under teacher forcing,
-    one ``recurrence_step`` per step, as time-major (T * B, F) rows."""
+    one ``reference_recurrence_step`` per step, as time-major (T * B, F) rows."""
     ids = np.asarray(y_prev_ids)
     s, features = s0, []
     for t in range(ids.shape[1]):
-        s, f = recurrence_step(ids[:, t], s, enc, params, keys)
+        s, f = reference_recurrence_step(ids[:, t], s, enc, params, keys)
         features.append(f)
     return concat(features, axis=0)
 

@@ -2,9 +2,9 @@
 
 ``gcnmt.tensor`` keeps only the operations the package runs. The oracles
 (``layer_oracle``, ``tf_oracle``) and the tests also need ``sub``, ``mul``,
-``neg``, ``sigmoid``, ``stack0`` and ``tsum``, each one node with its
-adjoint under the rule ``tensor.node`` states, and ``grad_check``, which
-compares ``backward`` against central differences. ``Tensor`` has no
+``neg``, ``sigmoid``, ``softmax``, ``stack0`` and ``tsum``, each one node
+with its adjoint under the rule ``tensor.node`` states, and ``grad_check``,
+which compares ``backward`` against central differences. ``Tensor`` has no
 ``-``, ``*``, ``/`` or unary ``-`` operator: ``a * b`` is written
 ``mul(a, b)``, ``a - b`` ``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a``
 ``neg(a)`` and ``a / s`` ``mul(a, 1.0 / float(s))``, the calls those
@@ -62,6 +62,26 @@ def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
     return node(data, (a,), lambda g: (g * data * (1.0 - data),))
+
+
+def softmax(a, mask=None) -> Tensor:
+    """Exp-normalize over the last axis; ``mask`` (True = keep) zeroes entries exactly."""
+    a = _as_tensor(a)
+    z = a.data
+    if mask is not None:
+        m = np.broadcast_to(np.asarray(mask, dtype=bool), z.shape)
+        if not m.any(axis=-1).all():
+            raise ValueError("softmax: at least one unmasked position required")
+        z = np.where(m, z, -np.inf)
+    with np.errstate(invalid="ignore"):
+        z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
+
+    return node(y, (a,), bwd)
 
 
 def stack0(tensors) -> Tensor:

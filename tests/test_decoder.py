@@ -14,6 +14,7 @@ from layer_oracle import (
     assert_matches_reference,
     reference_attention,
     reference_init_state,
+    reference_recurrence_step,
     reference_teacher_forcing_recurrence,
 )
 import tape_ops as TO
@@ -92,7 +93,7 @@ def test_decoder_step_zero_params_uniform_distribution():
     enc = _enc(np.zeros((2, 4)))
     s = D.init_state(enc, params)
     _, logits = D.decoder_step(BOS, s, enc, params)
-    probs = T.softmax(logits).data
+    probs = TO.softmax(logits).data
     npt.assert_allclose(probs, np.full(6, 1 / 6), atol=1e-12)
 
 
@@ -125,24 +126,6 @@ def test_decoder_step_one_dim_manual_evaluation():
     s_t, logits = D.decoder_step(4, T.Tensor(np.array([s0])), enc, params)
     npt.assert_allclose(s_t.data[0], s1, rtol=1e-12)
     npt.assert_allclose(logits.data, np.full(5, logit), rtol=1e-12)
-
-
-def test_decoder_step_gradients():
-    params = _decoder(vocab=5, emb=3, hid=4, width=4, attn=3, seed=4)
-    named = params.named()
-    enc_states = T.Tensor(np.random.default_rng(5).uniform(-1, 1, (3, 4)),
-                          requires_grad=True)
-    named["enc"] = enc_states
-
-    def f(_):
-        enc = EncoderOutput(states=enc_states, mask=np.ones(3, dtype=bool))
-        s = D.init_state(enc, params)
-        s, logits = D.decoder_step(BOS, s, enc, params)
-        s, logits2 = D.decoder_step(2, s, enc, params)
-        return TO.tsum(TO.mul(T.log_softmax(logits2), T.Tensor(np.eye(5)[3])))
-
-    report = TO.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
-    assert all(e.ok for e in report.values())
 
 
 def _eos_lover(vocab=5):
@@ -393,22 +376,53 @@ def test_attention_with_precomputed_keys_equals_uncached(batched):
 def test_attention_matches_composed_oracle(s_shape, states_shape, mask):
     params = _decoder(width=4, hid=4, attn=3, seed=8).attn
     rng = np.random.default_rng(9)
-    s = T.Tensor(rng.uniform(-1, 1, s_shape), requires_grad=True)
-    states = T.Tensor(rng.uniform(-1, 1, states_shape), requires_grad=True)
-    enc = EncoderOutput(states=states, mask=np.asarray(mask))
-    leaves = {"s": s, "states": states, **params.named("attn")}
-    assert_matches_reference(
-        lambda: D.attention(s, enc, params, D.attention_keys(enc, params)),
-        lambda: reference_attention(s, enc, params), leaves)
+    s = T.Tensor(rng.uniform(-1, 1, s_shape))
+    enc = _enc(rng.uniform(-1, 1, states_shape), mask)
+    got = D.attention(s, enc, params, D.attention_keys(enc, params))
+    want = reference_attention(s, enc, params)
+    for g, w in zip(got, want, strict=True):
+        npt.assert_allclose(g.data, w.data, rtol=0, atol=1e-12)
 
 
-def test_attention_context_is_one_node_over_weights_and_states():
-    params = _decoder(width=4, hid=4, attn=3, seed=10).attn
-    rng = np.random.default_rng(11)
-    enc = _enc(rng.uniform(-1, 1, (2, 5, 4)))
-    weights, context = D.attention(T.Tensor(rng.uniform(-1, 1, (2, 4))), enc, params,
-                                   D.attention_keys(enc, params))
-    assert context._parents == (weights, enc.states)
+@pytest.mark.parametrize("y, s_shape, states_shape, mask", [
+    (4, (4,), (5, 4), [True, False, True, True, True]),
+    ([4, 2, 0], (3, 4), (3, 5, 4), [[True] * 5, [True, True, True, False, False],
+                                    [False, True, True, True, True]]),
+    ([4, 2, 2, 0, 1, 3], (6, 4), (5, 4), [True, True, False, True, True]),
+], ids=["sentence", "batched", "beam-broadcast"])
+def test_decoder_step_matches_composed_per_step_oracle(y, s_shape, states_shape, mask):
+    params = _decoder(vocab=7, emb=3, hid=4, width=4, attn=3, seed=16, scale=3.0)
+    rng = np.random.default_rng(17)
+    s = T.Tensor(rng.uniform(-1, 1, s_shape))
+    enc = _enc(rng.uniform(-1, 1, states_shape), mask)
+    keys = D.attention_keys(enc, params.attn)
+    s_t, logits = D.decoder_step(np.asarray(y), s, enc, params, keys)
+    want_s, features = reference_recurrence_step(y, s, enc, params, keys)
+    want_logits = T.matmul(features, params.w_out) + params.b_out
+    npt.assert_allclose(s_t.data, want_s.data, rtol=0, atol=1e-12)
+    npt.assert_allclose(logits.data, want_logits.data, rtol=0, atol=1e-12)
+
+
+def test_decoding_records_nothing_with_gradients_enabled():
+    # no no_grad here: the parameters and the encoder states require grad
+    params = _decoder(vocab=6, seed=18, scale=3.0)
+    rng = np.random.default_rng(19)
+    states = T.Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
+    enc = EncoderOutput(states=states, mask=np.array([[True] * 4,
+                                                      [True, True, False, False]]))
+    s = T.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
+    keys = D.attention_keys(enc, params.attn)
+    assert keys.requires_grad  # training's ops record on these inputs
+    x = T.Tensor(rng.uniform(-1, 1, (2, 3 + 4)), requires_grad=True)
+    outs = [*D.attention(s, enc, params.attn, keys), D.gru_cell(x, s, params.gru),
+            *D.decoder_step(np.array([BOS, 3]), s, enc, params, keys)]
+    for out in outs:
+        assert out._parents == () and not out.requires_grad
+    T.backward(sum((TO.tsum(TO.mul(o, o)) for o in outs), T.Tensor(0.0)))
+    D.greedy_decode_batch(enc, params, max_len=4)
+    for name, p in params.named().items():
+        assert p.requires_grad and p.grad is None, name
+    assert states.grad is None and s.grad is None and x.grad is None
 
 
 _INIT_MASKS = {

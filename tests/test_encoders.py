@@ -58,77 +58,41 @@ def test_gru_one_dim_matches_hand_recurrence():
     npt.assert_allclose(out.data[0], manual_gru_step(x, h, p), rtol=1e-12)
 
 
-def test_gru_gradients_vs_finite_differences():
-    rng = np.random.default_rng(3)
-    p = E.init_gru(rng, 3, 2)
-    params = p.named("gru")
-    x = T.Tensor(rng.uniform(-1, 1, 3))
-    h0 = T.Tensor(rng.uniform(-1, 1, 2))
-
-    def f(_):
-        return TO.tsum(E.gru_cell(x, E.gru_cell(x, h0, p), p))
-
-    report = TO.grad_check(f, params)
-    assert all(e.ok for e in report.values())
-
-
 @pytest.mark.parametrize("lead", [(), (4,)])
 def test_gru_cell_matches_composed_oracle(lead):
     rng = np.random.default_rng(30)
     p = E.init_gru(rng, 3, 5)
-    x = T.Tensor(rng.uniform(-1, 1, lead + (3,)), requires_grad=True)
-    h = T.Tensor(rng.uniform(-1, 1, lead + (5,)), requires_grad=True)
-    leaves = {"x": x, "h": h, **p.named("gru")}
-    assert_matches_reference(lambda: E.gru_cell(x, h, p),
-                             lambda: reference_gru_cell(x, h, p), leaves)
-
-
-def test_gru_cell_records_one_node():
-    rng = np.random.default_rng(31)
-    p = E.init_gru(rng, 3, 2)
-    out = E.gru_cell(T.Tensor(rng.uniform(-1, 1, (2, 3))), T.Tensor(np.zeros((2, 2))), p)
-    assert out._backward is not None
-    assert all(t._backward is None for t in out._parents)
+    x = T.Tensor(rng.uniform(-1, 1, lead + (3,)))
+    h = T.Tensor(rng.uniform(-1, 1, lead + (5,)))
+    npt.assert_allclose(E.gru_cell(x, h, p).data, reference_gru_cell(x, h, p).data,
+                        rtol=0, atol=1e-12)
 
 
 def test_gru_steps_add_weight_gradients_in_place():
+    # two whole-sequence nodes share one GruParams: the second adjoint to
+    # run adds its weight gradients into the first one's arrays
     rng = np.random.default_rng(36)
     p = E.init_gru(rng, 3, 4)
-    weights = [p.w_z, p.u_z, p.b_z, p.w_r, p.u_r, p.b_r, p.w_h, p.u_h, p.b_h]
     returned = []  # per adjoint run: (its weight gradients, copies of them)
 
     def recording(adjoint):
         def run(g):
             grads = adjoint(g)
-            returned.append((grads[2:], [x.copy() for x in grads[2:]]))
+            returned.append((grads[1:], [x.copy() for x in grads[1:]]))
             return grads
         return run
 
-    h = T.Tensor(np.zeros((2, 4)))
-    for _ in range(3):
-        h = E.gru_cell(T.Tensor(rng.uniform(-1, 1, (2, 3))), h, p)
-        h._backward = recording(h._backward)
-    T.backward(TO.tsum(TO.mul(h, T.Tensor(rng.uniform(-1, 1, (2, 4))))))
-    assert len(returned) == 3
-    (first, v0), (_, v1), (_, v2) = returned  # the last step's adjoint runs first
-    for i, w in enumerate(weights):
-        assert w.grad is first[i]  # later steps add into the first one: no copy
-        npt.assert_array_equal(w.grad, v0[i] + v1[i] + v2[i])
-
-
-def test_gru_batch_gradients_vs_finite_differences():
-    rng = np.random.default_rng(32)
-    p = E.init_gru(rng, 3, 2)
-    params = p.named("gru")
-    params["x"] = T.Tensor(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
-    params["h0"] = T.Tensor(rng.uniform(-1, 1, (4, 2)), requires_grad=True)
-
-    def f(q):
-        h = E.gru_cell(q["x"], q["h0"], p)
-        return TO.tsum(TO.mul(E.gru_cell(q["x"], h, p), h))
-
-    report = TO.grad_check(f, params)
-    assert all(e.ok for e in report.values())
+    loss = T.Tensor(0.0)
+    for _ in range(2):
+        out = E.gru_sequence(T.Tensor(rng.uniform(-1, 1, (3, 2, 3))), p)
+        out._backward = recording(out._backward)
+        loss = loss + TO.tsum(TO.mul(out, T.Tensor(rng.uniform(-1, 1, out.shape))))
+    T.backward(loss)
+    assert len(returned) == 2
+    (first, v0), (_, v1) = returned
+    for i, w in enumerate(p.tensors()):
+        assert w.grad is first[i]  # the later node adds into the first one: no copy
+        npt.assert_array_equal(w.grad, v0[i] + v1[i])
 
 
 @pytest.mark.parametrize("n", [1, 2, 6])

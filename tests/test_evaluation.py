@@ -458,21 +458,6 @@ def test_read_pairs_keeps_blank_target_lines(tmp_path):
     pairs = E._read_pairs(conll, tgt)
     assert [t for _, t in pairs] == [["A", "B"], [], ["C", "D"]]
 
-    train_conll, train_tgt = _write_tiny_dataset(tmp_path, n=10)
-    out = tmp_path / "run"
-    (tmp_path / "small.cfg").write_text(
-        "emb_size = 8\nhidden_size = 8\nattn_size = 8\nmin_count = 1\n"
-        "max_decode_len = 5\n")
-    base = (_tiny_flags(train_conll, train_tgt, out)
-            + ["--config", str(tmp_path / "small.cfg")])
-    assert cli.main(["train"] + base) == 0
-    hyp = tmp_path / "hyp.txt"
-    rc = cli.main(["translate"] + base +
-                  ["--checkpoint", str(out / "best.npz"), "--input", str(conll),
-                   "--input-tgt", str(tgt), "--output", str(hyp)])
-    assert rc == 0
-    assert len(hyp.read_text().splitlines()) == 3
-
 
 def test_cli_translate_reads_conll_input_with_a_byte_order_mark(tmp_path):
     conll, tgt = _write_tiny_dataset(tmp_path, n=10)

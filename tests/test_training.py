@@ -10,6 +10,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gcnmt import decoder as D
+from gcnmt import encoders as E
 from gcnmt import tensor as T
 from gcnmt import training as TR
 from gcnmt.config import ExperimentConfig, TrainConfig
@@ -703,6 +705,35 @@ def test_fused_projection_loss_is_bit_identical_to_composed_oracle(encoder, reci
     assert set(got) == set(want)
     for name in want:
         npt.assert_array_equal(got[name], want[name], err_msg=name)
+
+
+# public tensor names that are not ops: types, the recording switch, the
+# tape's machinery and checkpoint I/O
+_NOT_OPS = {"Tensor", "ShapeError", "no_grad", "node", "backward", "zero_grads",
+            "save_checkpoint", "load_checkpoint"}
+
+
+def test_every_public_tensor_op_records_in_a_training_step(monkeypatch):
+    # the tape holds what training records: one teacher-forcing loss and its
+    # backward, over BiRNN and CNN, record every public op but log_softmax,
+    # which only decoding's scores read
+    recorded = set()
+    real = T.node
+
+    def spy(data, parents, backward_fn):
+        out = real(data, parents, backward_fn)
+        if out._backward is not None:
+            recorded.add(inspect.currentframe().f_back.f_code.co_name)
+        return out
+
+    for mod in (T, E, D, TR):
+        monkeypatch.setattr(mod, "node", spy)
+    for encoder in ("birnn", "cnn"):
+        model, batch, tc = _mixed_target_setup(encoder, "syn:1+sem:1")
+        T.backward(TR.teacher_forcing_loss(model, batch, tc, np.random.default_rng(3)))
+    assert {"gru_sequence", "gcn_layer", "teacher_forcing_recurrence",
+            "nll_loss"} <= recorded
+    assert sorted(set(T.__all__) - _NOT_OPS - {"log_softmax"} - recorded) == []
 
 
 def test_single_sentence_overfit_drives_loss_down():

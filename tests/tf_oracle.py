@@ -1,37 +1,34 @@
 """Reference teacher forcing, in two forms that the fused loss must match.
 
-``reference_teacher_forcing_loss`` runs one ``decoder_step``, attention
-keys and output projection per time step and stacks the logits to
-(T, B, vocab): the original per-step body of
+``reference_teacher_forcing_loss`` runs one composed step
+(``layer_oracle.reference_recurrence_step``), attention keys and output
+projection ``matmul(f, w_out) + b_out`` per time step and stacks the
+logits to (T, B, vocab): the original per-step body of
 ``gcnmt.training.teacher_forcing_loss``, which the batched implementation
 must match in loss and in every parameter gradient.
 
 ``composed_teacher_forcing_loss`` is the batched body as it was before the
 projection and the loss became one node: the same recurrence node as
 ``gcnmt.training.teacher_forcing_loss`` builds the features, then
-``output_logits`` projects them and ``logits_nll_loss`` takes the loss. It
-does the same arithmetic in the same order as ``gcnmt.training.nll_loss``,
-so the two must agree bit for bit.
+``matmul(features, w_out) + b_out`` projects them and ``logits_nll_loss``
+takes the loss. It does the same arithmetic in the same order as
+``gcnmt.training.nll_loss``, so the two must agree bit for bit.
 
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
 Every tape op used here is one ``gcnmt`` records, except ``stack0``; it and
 the other ops ``gcnmt`` does not record (``sub``, ``mul``, ``neg``,
-``sigmoid``, ``tsum``) and ``grad_check`` live in ``tape_ops``.
+``sigmoid``, ``softmax``, ``tsum``) and ``grad_check`` live in
+``tape_ops``.
 """
 
 import numpy as np
 
 from gcnmt.corpus import PAD
-from gcnmt.decoder import (
-    attention_keys,
-    decoder_step,
-    init_state,
-    output_logits,
-    teacher_forcing_recurrence,
-)
+from gcnmt.decoder import attention_keys, init_state, teacher_forcing_recurrence
 from gcnmt.encoders import encode_pipeline
-from gcnmt.tensor import Tensor, node
+from gcnmt.tensor import Tensor, matmul, node
 from gcnmt.training import word_dropout
+from layer_oracle import reference_recurrence_step
 from tape_ops import stack0
 
 
@@ -84,21 +81,23 @@ def _inputs(model, batch, train_cfg, rng):
 def reference_teacher_forcing_loss(model, batch, train_cfg, rng):
     """Cross-entropy of the batch under teacher forcing, step by step."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
-    s = init_state(enc, model.decoder)
+    dec = model.decoder
+    s = init_state(enc, dec)
     step_logits = []
     for t in range(tgt_in.shape[1]):
-        s, logits = decoder_step(tgt_in[:, t], s, enc, model.decoder)
-        step_logits.append(logits)
+        s, f = reference_recurrence_step(tgt_in[:, t], s, enc, dec,
+                                         attention_keys(enc, dec.attn))
+        step_logits.append(matmul(f, dec.w_out) + dec.b_out)
     all_logits = stack0(step_logits)  # (T, B, vocab)
     return logits_nll_loss(all_logits, tgt_out.T, mask.T)
 
 
 def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
-    """Cross-entropy of the batch with one ``output_logits`` over every
-    step's features and a separate loss node."""
+    """Cross-entropy of the batch with one projection over every step's
+    features and a separate loss node."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
     features = teacher_forcing_recurrence(tgt_in, init_state(enc, dec), enc, dec,
                                           attention_keys(enc, dec.attn))
-    logits = output_logits(features, dec)
+    logits = matmul(features, dec.w_out) + dec.b_out
     return logits_nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
