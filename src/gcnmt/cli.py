@@ -148,8 +148,6 @@ def run_experiment(exp_cfg: ExperimentConfig, train_cfg: TrainConfig,
                        prep.label_vocabs, out_dir=paths.out_dir)
 
         stage = "translate"
-        if result.best_checkpoint is not None:
-            load_model_params(result.best_checkpoint, result.model)
         hyps = translate_corpus(result.model, test_pairs, prep.src_vocab,
                                 prep.tgt_vocab, prep.bpe, train_cfg)
         if paths.out_dir:

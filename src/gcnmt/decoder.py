@@ -8,13 +8,23 @@ previous target embedding concatenated with the context vector, and the
 output projection reads [state; context; previous embedding]. One
 attention step (``_attend``) serves training and decoding alike.
 
+A step reads the context only through linear maps: the context rows of
+the GRU input weights and of ``w_out``. Where every row attends over one
+sentence's (len, d) states (beam search, ``score_sequence``),
+``context_table`` multiplies the states by those rows once per encode,
+and each step takes ``weights @ table`` instead of forming the context
+and multiplying it by them: per step this skips the width-d context rows
+of ``w_out``, the largest read of a beam step. A greedy batch keeps the
+direct product, since its rows have their own (B, len, d) states, and a
+per-row table would hold B * len * (3 hidden + vocab) floats.
+
 Only training records: teacher forcing runs every step's attention and GRU
 update as one tape node (``teacher_forcing_recurrence``, with
 backpropagation through time in its adjoint) and projects every step's
 features once per batch, inside its loss node (``training.nll_loss``).
-Decoding computes in numpy: ``decoder_step`` runs ``attention``,
-``encoders.gru_cell`` and the projection, and none of them records, so
-their ``Tensor`` results have no parents even with gradients enabled.
+Decoding computes in numpy: ``decoder_step`` runs the attention step,
+the GRU step and the projection, and none of them records, so its
+``Tensor`` results have no parents even with gradients enabled.
 
 A greedy batch may mix source lengths: its states are zero-padded to the
 longest source, and ``mask`` keeps the padding out of attention (masked
@@ -126,9 +136,9 @@ def attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
     return matmul(enc.states, params.v_enc)
 
 
-def _attend(s, keys, states, mask, attn: AttentionParams):
-    """Masked additive attention in numpy: (tanh(keys + s u_dec), weights,
-    context), with ``keys`` from ``attention_keys``; shapes as ``attention``."""
+def _attend(s, keys, mask, attn: AttentionParams):
+    """Masked additive attention weights in numpy: (tanh(keys + s u_dec),
+    weights), with ``keys`` from ``attention_keys``; shapes as ``attention``."""
     mask = np.asarray(mask, dtype=bool)
     if not mask.any(axis=-1).all():
         raise ValueError("attention: all source positions masked")
@@ -137,8 +147,13 @@ def _attend(s, keys, states, mask, attn: AttentionParams):
     with np.errstate(invalid="ignore"):
         scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    weights = e / e.sum(axis=-1, keepdims=True)
-    return pre, weights, np.matmul(weights[..., None, :], states)[..., 0, :]
+    return pre, e / e.sum(axis=-1, keepdims=True)
+
+
+def _context(weights, states):
+    """The attention context ``weights @ states`` per row: (..., len) weights
+    over (..., len, d) states, or over one sentence's (len, d)."""
+    return np.matmul(weights[..., None, :], states)[..., 0, :]
 
 
 def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
@@ -150,9 +165,8 @@ def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
     Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
     ``keys`` is ``attention_keys(enc, params)``.
     """
-    _, weights, context = _attend(s_prev.data, keys.data, enc.states.data, enc.mask,
-                                  params)
-    return Tensor(weights), Tensor(context)
+    _, weights = _attend(s_prev.data, keys.data, enc.mask, params)
+    return Tensor(weights), Tensor(_context(weights, enc.states.data))
 
 
 def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
@@ -198,7 +212,8 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
     W = np.empty((steps,) + mask.shape)    # attention weights
     Z, R, C = (np.empty((steps, B, hidden)) for _ in range(3))
     for t in range(steps):
-        PRE[t], W[t], X[t, :, E:] = _attend(S[t], keys.data, states, mask, a)
+        PRE[t], W[t] = _attend(S[t], keys.data, mask, a)
+        X[t, :, E:] = _context(W[t], states)
         x = X[t]
         S[t + 1], Z[t], R[t], C[t] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
                                                 x @ p.w_h.data, S[t], p)
@@ -237,33 +252,72 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
                 (emb, s0, enc.states, keys, a.u_dec, a.score_v, *p.tensors()), bwd)
 
 
+def context_table(enc: EncoderOutput, params: DecoderParams) -> np.ndarray:
+    """Decoding's per-encode product of one sentence's (len, d) states with
+    every weight block that reads the context: the context rows of the GRU
+    input weights ``w_z``, ``w_r`` and ``w_h`` and of ``w_out``, side by side
+    in a (len, 3 * hidden + vocab) array. A step's ``weights @ table`` is
+    then the context's share of its GRU input projections and its logits."""
+    emb, hidden = params.embedding.shape[1], params.gru.u_z.shape[0]
+    width = enc.states.shape[-1]
+    g = params.gru
+    blocks = [w.data[emb:] for w in (g.w_z, g.w_r, g.w_h)]
+    blocks.append(params.w_out.data[hidden:hidden + width])
+    return np.concatenate([enc.states.data @ w for w in blocks], axis=-1)
+
+
 def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
-                 params: DecoderParams, keys: Tensor | None = None):
+                 params: DecoderParams, keys: Tensor | None = None,
+                 table: np.ndarray | None = None):
     """One decoding step in numpy: attention, the GRU update and the
     projection of ``[s_t; context; emb]``; returns (new state, unnormalized
     vocab logits), neither of which records. ``keys`` is
-    ``attention_keys(enc, params.attn)``, computed here when omitted."""
+    ``attention_keys(enc, params.attn)``, computed here when omitted.
+
+    Batched (B, len, d) states give each row its own context, which is
+    formed and projected directly. One sentence's (len, d) states, shared
+    by every row, are read through ``table``, ``context_table(enc,
+    params)`` (computed here when omitted): the context enters the GRU
+    input projections and the logits as ``weights @ table``, and the
+    context rows of the weights are not read.
+    """
     if keys is None:
         keys = attention_keys(enc, params.attn)
     emb = params.embedding.data[np.asarray(y_prev_id, dtype=np.intp)]
-    context = attention(s_prev, enc, params.attn, keys)[1].data
-    s_t = gru_cell(np.concatenate([emb, context], axis=-1), s_prev, params.gru)
-    features = np.concatenate([s_t.data, context, emb], axis=-1)
-    return s_t, Tensor(features @ params.w_out.data + params.b_out.data)
+    w_out = params.w_out.data
+    if enc.states.ndim == 3:
+        context = attention(s_prev, enc, params.attn, keys)[1].data
+        s_t = gru_cell(np.concatenate([emb, context], axis=-1), s_prev, params.gru)
+        features = np.concatenate([s_t.data, context, emb], axis=-1)
+        return s_t, Tensor(features @ w_out + params.b_out.data)
+    if table is None:
+        table = context_table(enc, params)
+    _, weights = _attend(s_prev.data, keys.data, enc.mask, params.attn)
+    via_context = weights @ table  # (..., 3 * hidden + vocab)
+    g, E = params.gru, emb.shape[-1]
+    hidden = g.u_z.shape[0]
+    xw = [emb @ w.data[:E] + via_context[..., i * hidden:(i + 1) * hidden]
+          for i, w in enumerate((g.w_z, g.w_r, g.w_h))]
+    s_t = _gru_gates(*xw, s_prev.data, g)[0]
+    logits = (s_t @ w_out[:hidden] + via_context[..., 3 * hidden:]
+              + emb @ w_out[-E:] + params.b_out.data)
+    return Tensor(s_t), Tensor(logits)
 
 
 def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
-    """Cumulative log-probability of ``tokens`` (EOS appended if absent)."""
+    """Cumulative log-probability of ``tokens`` (EOS appended if absent)
+    for one sentence's (len, d) states."""
     seq = list(tokens)
     if not seq or seq[-1] != EOS:
         seq = seq + [EOS]
     with no_grad():
         keys = attention_keys(enc, params.attn)
+        table = context_table(enc, params)
         s = init_state(enc, params)
         prev = BOS
         total = 0.0
         for tok in seq:
-            s, logits = decoder_step(prev, s, enc, params, keys)
+            s, logits = decoder_step(prev, s, enc, params, keys, table)
             total += float(log_softmax(logits).data[tok])
             prev = tok
     return total
@@ -326,9 +380,10 @@ def beam_decode(enc: EncoderOutput, params: DecoderParams, beam: int,
         tokens = [[]]
         completed = []
         keys = attention_keys(enc, params.attn)
+        table = context_table(enc, params)
         for _ in range(max_len):
-            # the sentence's (len, d) states broadcast against the (k, h) batch
-            s_t, logits = decoder_step(prev, Tensor(states), enc, params, keys)
+            # the sentence's (len, d) states are shared by the (k, h) batch
+            s_t, logits = decoder_step(prev, Tensor(states), enc, params, keys, table)
             vocab = logits.shape[-1]
             total = (scores[:, None] + log_softmax(logits).data).ravel()
             n = min(beam, total.size)

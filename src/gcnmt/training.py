@@ -28,7 +28,7 @@ from .decoder import attention_keys, init_state, teacher_forcing_recurrence
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
-from .tensor import Tensor, backward, node, zero_grads
+from .tensor import Tensor, backward, load_checkpoint, node, zero_grads
 
 
 # Rows per block of nll_loss's log-sum-exp: exp of one block is its only
@@ -230,9 +230,14 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
           out_dir=None) -> TrainResult:
     """Train a model from scratch; returns history and the best model.
 
-    Writes per-epoch checkpoints and a tab-separated metrics log under
-    ``out_dir`` unless it is None or empty; the final ``best.npz`` checkpoint
-    is the epoch with the highest validation BLEU.
+    The best epoch is the first with the highest validation BLEU; without
+    validation pairs there is nothing to select on, and it is the last.
+    The returned model holds that epoch's parameters. Writes per-epoch
+    checkpoints, ``best.npz`` (the best epoch's) and a tab-separated metrics
+    log under ``out_dir`` unless it is None or empty; a best epoch before
+    the last is then read back from ``best.npz`` at the end. Without
+    ``out_dir``, one in-memory copy of the parameters is kept, taken at a
+    new best that is not the last epoch, so a single epoch makes no copy.
     """
     train_cfg.validate()
     exp_cfg.validate()
@@ -246,6 +251,7 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
     history = []
     best_epoch, best_bleu = 0, -1.0
     best_path = None
+    best_params = None  # the in-memory copy of a best epoch before the last
     metrics_fh = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -281,13 +287,24 @@ def train(train_cfg: TrainConfig, exp_cfg: ExperimentConfig, train_pairs,
                 metrics_fh.flush()
             if out_dir and epoch % train_cfg.checkpoint_every == 0:
                 save_model(os.path.join(out_dir, f"epoch_{epoch:04d}.npz"), model)
-            if val_bleu > best_bleu:
+            if val_bleu > best_bleu or not val_pairs:
                 best_bleu, best_epoch = val_bleu, epoch
                 if out_dir:
                     best_path = os.path.join(out_dir, "best.npz")
                     save_model(best_path, model)
+                elif val_pairs and epoch < train_cfg.epochs:
+                    if best_params is None:
+                        best_params = {k: np.empty_like(p.data) for k, p in params.items()}
+                    for k, p in params.items():
+                        best_params[k][...] = p.data
     finally:
         if metrics_fh is not None:
             metrics_fh.close()
+    if best_epoch < train_cfg.epochs:
+        if best_path is not None:
+            load_checkpoint(best_path, params)
+        else:
+            for k, p in params.items():
+                p.data[...] = best_params[k]
     return TrainResult(model=model, history=history, best_epoch=best_epoch,
                        best_val_bleu=best_bleu, best_checkpoint=best_path)

@@ -403,6 +403,50 @@ def test_decoder_step_matches_composed_per_step_oracle(y, s_shape, states_shape,
     npt.assert_allclose(logits.data, want_logits.data, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("k", [None, 1, 12], ids=["vector", "k1", "k12"])
+def test_shared_states_step_equals_per_row_step(k):
+    # vocab 11 > width 4: the table's logit columns outnumber the context's
+    params = _decoder(vocab=11, emb=3, hid=5, width=4, attn=3, seed=21, scale=3.0)
+    rng = np.random.default_rng(22)
+    states = rng.uniform(-1, 1, (6, 4))
+    mask = np.array([True, True, False, True, True, True])
+    s = T.Tensor(rng.uniform(-1, 1, (5,) if k is None else (k, 5)))
+    y = 4 if k is None else rng.integers(0, 11, k)
+    shared, per_row = _enc(states, mask), _enc(states[None], mask[None])
+    table = D.context_table(shared, params)
+    assert table.shape == (6, 3 * 5 + 11)
+    s_a, logits_a = D.decoder_step(y, s, shared, params, table=table)
+    # per row, a lone vector is a batch of one
+    s_b, logits_b = D.decoder_step(np.atleast_1d(y), T.Tensor(np.atleast_2d(s.data)),
+                                   per_row, params)
+    assert s_a.shape == s.shape and logits_a.shape == s.shape[:-1] + (11,)
+    npt.assert_allclose(s_a.data, s_b.data.reshape(s.shape), rtol=0, atol=1e-12)
+    npt.assert_allclose(logits_a.data, logits_b.data.reshape(logits_a.shape),
+                        rtol=0, atol=1e-12)
+    # the table is built on demand, and with gradients enabled nothing records
+    s_c, logits_c = D.decoder_step(y, s, shared, params)
+    npt.assert_array_equal(logits_c.data, logits_a.data)
+    assert s_c._parents == () and logits_c._parents == ()
+
+
+def test_batched_step_keeps_the_direct_product():
+    # greedy's (B, len, d) rows project [s_t; context; emb] as one product
+    params = _decoder(vocab=9, emb=3, hid=4, width=4, attn=3, seed=23, scale=3.0)
+    rng = np.random.default_rng(24)
+    enc = _enc(rng.uniform(-1, 1, (3, 5, 4)),
+               [[True] * 5, [True, True, True, False, False], [True] * 5])
+    s = T.Tensor(rng.uniform(-1, 1, (3, 4)))
+    y = np.array([4, 2, 7])
+    keys = D.attention_keys(enc, params.attn)
+    s_t, logits = D.decoder_step(y, s, enc, params, keys)
+    emb = params.embedding.data[y]
+    context = D.attention(s, enc, params.attn, keys)[1].data
+    want_s = D.gru_cell(np.concatenate([emb, context], axis=-1), s, params.gru).data
+    features = np.concatenate([want_s, context, emb], axis=-1)
+    npt.assert_array_equal(s_t.data, want_s)
+    npt.assert_array_equal(logits.data, features @ params.w_out.data + params.b_out.data)
+
+
 def test_decoding_records_nothing_with_gradients_enabled():
     # no no_grad here: the parameters and the encoder states require grad
     params = _decoder(vocab=6, seed=18, scale=3.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import zipfile
@@ -18,6 +19,7 @@ from gcnmt.encoders import EncoderOutput, encode_pipeline
 from gcnmt.model import build_model
 from gcnmt.tensor import Tensor, no_grad
 from gcnmt.training import train
+from test_training import _best_before_last_setup
 
 
 def test_bleu_identical_corpus_is_100():
@@ -651,6 +653,26 @@ def test_translate_corpus_groups_buckets_and_matches_per_sentence_greedy(
     assert decoded == group_sizes
 
 
+def test_beam1_translations_equal_greedy_on_mixed_lengths():
+    # greedy decodes padded mixed-length groups with the per-row context
+    # product; beam 1 decodes each sentence alone through context_table,
+    # so a rounding-order tie flip between the two paths would show here
+    pairs = _mixed_length_corpus([3, 4, 3, 4, 3, 4, 3, 3, 3], seed=5)
+    exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=8, hidden_size=8,
+                               attn_size=8, max_decode_len=10, bpe_merges=0)
+    trn = CFG.TrainConfig(epochs=6, batch_size=8, learning_rate=0.05,
+                          min_count=1, rng_seed=4, word_retain=1.0,
+                          edge_retain=1.0)
+    prep = E.preprocess(pairs, exp, trn)
+    model = train(trn, exp, pairs, [], prep.src_vocab, prep.tgt_vocab,
+                  None, prep.label_vocabs).model
+    args = (pairs, prep.src_vocab, prep.tgt_vocab, None, trn)
+    greedy = E.translate_corpus(model, *args)
+    beam = dataclasses.replace(exp, decode="beam", beam_size=1)
+    assert E.translate_corpus(dataclasses.replace(model, config=beam), *args) == greedy
+    assert len({len(h) for h in greedy}) > 2  # rows stop at different steps
+
+
 def test_cli_rejects_invalid_recipe(capsys):
     rc = cli.main(["train", "--recipe", "sem:9", "--train-conll", "x",
                    "--train-tgt", "y"])
@@ -728,6 +750,19 @@ def test_run_experiment_with_empty_out_dir_writes_no_files(tmp_path, monkeypatch
     assert summary.out_dir == "" and summary.best_epoch == 1
     assert list(work.iterdir()) == []
     assert sorted(p.name for p in data.iterdir()) == ["train.conll", "train.tgt"]
+
+
+def test_run_experiment_without_out_dir_scores_the_best_epoch(tmp_path):
+    # validation BLEU peaks before the last epoch; the test set is the
+    # validation set, so the test BLEU is the best epoch's validation BLEU
+    pairs, exp, trn, _ = _best_before_last_setup()
+    conll, tgt = tmp_path / "train.conll", tmp_path / "train.tgt"
+    conll.write_text(serialize_conll([s for s, _ in pairs]))
+    tgt.write_text("".join(" ".join(t) + "\n" for _, t in pairs))
+    paths = CFG.DataPaths(train_conll=str(conll), train_tgt=str(tgt), out_dir="")
+    summary = cli.run_experiment(exp, trn, paths)
+    assert summary.best_epoch < trn.epochs
+    assert summary.test_bleu == summary.best_val_bleu > 0.0
 
 
 def test_run_experiment_wraps_stage_errors(tmp_path):

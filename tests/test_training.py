@@ -21,6 +21,7 @@ from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
 from layer_oracle import assert_matches_reference, reference_nll_loss
 import tape_ops as TO
+from test_acceptance import _reorder_corpus
 from tf_oracle import (
     composed_teacher_forcing_loss,
     logits_nll_loss,
@@ -771,6 +772,29 @@ def test_train_loop_is_seed_deterministic(tmp_path):
     assert losses1 == losses2
     for k in params1:
         npt.assert_array_equal(params1[k], params2[k])
+
+
+def _best_before_last_setup():
+    """Reordering pairs on which validation BLEU peaks at epoch 8 of 10."""
+    pairs = _reorder_corpus(1, n=20)
+    exp = ExperimentConfig(encoder="birnn", recipe="sem:1", emb_size=16,
+                           hidden_size=16, attn_size=16, decode="greedy",
+                           max_decode_len=6, bpe_merges=0)
+    tc = TrainConfig(learning_rate=3e-2, epochs=10, batch_size=10, rng_seed=3,
+                     min_count=1, word_retain=1.0, edge_retain=1.0)
+    return pairs, exp, tc, preprocess(pairs, exp, tc)
+
+
+@pytest.mark.parametrize("to_disk", [False, True], ids=["in-memory", "best.npz"])
+def test_train_returns_the_best_epochs_parameters(tmp_path, to_disk):
+    pairs, exp, tc, prep = _best_before_last_setup()
+    vocabs = (prep.src_vocab, prep.tgt_vocab, None)
+    res = TR.train(tc, exp, pairs, pairs, *vocabs, prep.label_vocabs,
+                   out_dir=tmp_path if to_disk else None)
+    assert res.best_epoch < tc.epochs
+    assert res.history[-1].val_bleu < res.best_val_bleu
+    hyps = TR.translate_pairs(res.model, pairs, *vocabs, tc)
+    assert bleu(hyps, [t for _, t in pairs]).bleu == res.best_val_bleu
 
 
 def test_train_writes_metrics_and_checkpoints(tmp_path):
