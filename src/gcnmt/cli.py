@@ -295,8 +295,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, CorpusError, OSError, RuntimeError,
-            ValueError) as e:
+    except (ConfigError, CorpusError, FloatingPointError, OSError,
+            RuntimeError, ValueError) as e:
         print(f"gcnmt {args.command}: {e}", file=sys.stderr)
         return 1
 

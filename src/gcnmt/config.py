@@ -49,13 +49,6 @@ def parse_recipe(text: str):
     return blocks
 
 
-def format_recipe(blocks) -> str:
-    if not blocks:
-        return "none"
-    names = {graphs: kind for kind, graphs in RECIPE_KINDS.items()}
-    return "+".join(f"{names[tuple(g)]}:{k}" for g, k in blocks)
-
-
 @dataclass
 class ExperimentConfig:
     """One row of the configuration matrix: encoder kind, GCN stack, decoding."""

@@ -13,20 +13,23 @@ which decoding reads scores from; decoding's attention and GRU steps are
 plain numpy. Every array an adjoint returns is ``backward``'s to write
 (``node`` states the rule), so ``backward`` adds each later gradient in
 place into the first one to reach a node and hands a leaf its gradient
-without a copy. ``gather_rows`` and ``slice_rows`` hand
-back row-sparse adjoints that ``backward`` adds into the parent's rows
-without building a dense zero gradient per use.
+without a copy. Every adjoint returns dense arrays: ``gather_rows`` and
+``slice_rows`` hand back a zero array of the parent's shape holding the
+rows they read, which costs nothing extra because training gathers from
+each embedding once per step.
 ``backward`` consumes the graph it walks: each node drops its parents and
 its adjoint once the adjoint has run, so the tape is freed as it goes, and
 a second ``backward`` through the same nodes raises ``ValueError``. One
 compute graph is single-threaded; separate graphs are independent.
+Checkpoints have one form too: ``save_checkpoint`` writes little-endian
+float64 in C order, and ``load_checkpoint`` reads only that, straight into
+the parameters' arrays.
 """
 
 from __future__ import annotations
 
 import contextlib
 import zipfile
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,10 +117,10 @@ def node(data, parents, backward_fn) -> Tensor:
     gradients are enabled and some parent requires them.
 
     ``backward_fn(g)`` takes the gradient of the output and returns one
-    gradient per parent, in order: None, a row-sparse ``_RowGrad``, or an
-    array of that parent's shape that ``backward`` may write. That array may
-    be ``g`` itself, a view of ``g`` or a new array; it is never a forward
-    value or an array the adjoint keeps, and no two returned arrays overlap.
+    gradient per parent, in order: None or an array of that parent's shape
+    that ``backward`` may write. That array may be ``g`` itself, a view of
+    ``g`` or a new array; it is never a forward value or an array the
+    adjoint keeps, and no two returned arrays overlap.
     ``g`` is ``backward``'s too, so the adjoint may overwrite it.
     """
     out = Tensor(data)
@@ -229,27 +232,30 @@ def weighted_sum(w, a) -> Tensor:
     return node(data, (w, a), bwd)
 
 
-class _RowGrad(NamedTuple):
-    """Row-sparse adjoint: ``rows`` add into ``idx`` (an index array of any
-    shape, or a slice) of the parent's leading axis. Only ``backward`` sees
-    it; it adds the rows into the parent's gradient buffer."""
-
-    idx: object
-    rows: np.ndarray
-
-
 def gather_rows(a, idx) -> Tensor:
     """Index the leading axis with an integer array of any shape."""
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
     data = a.data[idx]
-    return node(data, (a,), lambda g: (_RowGrad(idx, g),))
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, idx, g)  # repeated rows add up
+        return (ga,)
+
+    return node(data, (a,), bwd)
 
 
 def slice_rows(a, start: int, stop: int) -> Tensor:
     a = _as_tensor(a)
     data = a.data[start:stop].copy()
-    return node(data, (a,), lambda g: (_RowGrad(slice(start, stop), g),))
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return node(data, (a,), bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -280,11 +286,9 @@ def backward(loss: Tensor) -> None:
     so the first gradient that reaches a node becomes its accumulator and
     each later one is added into it in place. An accumulator that is a view
     takes the sum in a new array instead, so that the larger array it views
-    can be freed before the node is reached. A row-sparse adjoint is added
-    into the accumulator too, a zero array on its first use. A leaf takes
-    its gradient as its ``.grad`` without a copy; a leaf that already has a
-    ``.grad`` gets the sum in a new array, so no array a caller holds is
-    ever written.
+    can be freed before the node is reached. A leaf takes its gradient as
+    its ``.grad`` without a copy; a leaf that already has a ``.grad`` gets
+    the sum in a new array, so no array a caller holds is ever written.
 
     The graph is consumed: as each node is reached it drops its parents and
     its adjoint, so the forward values they kept are freed once its adjoint
@@ -325,14 +329,7 @@ def backward(loss: Tensor) -> None:
             if pg is None or not p.requires_grad:
                 continue
             acc = pending.get(id(p))
-            if isinstance(pg, _RowGrad):
-                if acc is None:
-                    acc = np.zeros_like(p.data)
-                if isinstance(pg.idx, slice) or pg.idx.ndim == 0:
-                    acc[pg.idx] += pg.rows  # a slice or one row: no repeats
-                else:
-                    np.add.at(acc, pg.idx, pg.rows)  # repeated rows add up
-            elif acc is None:
+            if acc is None:
                 acc = pg
             elif acc.base is not None:  # a view: the sum frees the array it views
                 acc = acc + pg
@@ -349,54 +346,46 @@ def zero_grads(params: dict) -> None:
 
 
 def save_checkpoint(path, params: dict) -> None:
-    """Write a flat archive of parameter paths to little-endian float64 arrays.
+    """Write a flat archive of parameter paths to little-endian float64
+    arrays in C order, whatever the layout of each ``.data``.
 
     The container is numpy's ``.npz`` format: a zip archive holding one
     ``.npy`` member per parameter path.
     """
-    np.savez(path, **{name: np.asarray(p.data, dtype="<f8")
+    np.savez(path, **{name: np.asarray(p.data, dtype="<f8", order="C")
                       for name, p in params.items()})
 
 
 _READ_BYTES = 1 << 18  # bytes per read from an archive member
 
 
-def _npy_header(fh):
-    """(shape, fortran_order, dtype) of a ``.npy`` stream, leaving ``fh`` at
-    the first byte of the data."""
+def _npy_shape(fh):
+    """The shape of a ``.npy`` stream of C-order ``<f8`` data, leaving ``fh``
+    at the first byte of the data; any other dtype or order raises."""
     fmt = np.lib.format
     version = fmt.read_magic(fh)
     read_header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
     shape, fortran_order, dtype = read_header(fh)
     if dtype.hasobject:
         raise ValueError("object arrays are not supported")
-    if dtype.kind not in "biuf":
-        raise ValueError(f"{dtype} arrays are not supported")
-    return shape, fortran_order, dtype
+    if dtype != "<f8" or fortran_order:
+        order = "Fortran" if fortran_order else "C"
+        raise ValueError(f"dtype {dtype.str} in {order} order is not supported; "
+                         f"a checkpoint holds <f8 in C order")
+    return shape
 
 
-def _read_npy_data(fh, fortran_order, dtype, dest: np.ndarray) -> None:
-    """Read the data of a ``.npy`` stream into ``dest``, whose shape is the
-    stream's, a chunk at a time. Data of ``dest``'s dtype in ``dest``'s own
-    order is read straight into its memory; any other dtype or order goes
-    through one chunk-sized buffer and is cast element by element."""
-    target = dest.T if fortran_order else dest  # stream order = C order of target
-    if dtype == dest.dtype and target.flags.c_contiguous:
-        raw = memoryview(target.reshape(-1).view(np.uint8))
-        for i in range(0, len(raw), _READ_BYTES):
-            chunk = raw[i:i + _READ_BYTES]
-            if fh.readinto(chunk) != len(chunk):
-                raise ValueError("truncated array data")
-        return
-    step = max(1, _READ_BYTES // dtype.itemsize)
-    buf = np.empty(min(step, target.size), dtype)
-    flat = target.flat
-    for lo in range(0, target.size, step):
-        part = buf[:min(step, target.size - lo)]
-        chunk = memoryview(part.view(np.uint8))
+def _read_npy_data(fh, dest: np.ndarray) -> None:
+    """Read the data of a ``.npy`` stream of ``dest``'s shape, C-order
+    ``<f8``, straight into ``dest``'s memory, a chunk at a time."""
+    if dest.dtype != "<f8" or not dest.flags.c_contiguous:
+        # reshape(-1) of any other array is a copy: the data would be lost
+        raise ValueError(f"the model's array is not C-order <f8 ({dest.dtype.str})")
+    raw = memoryview(dest.reshape(-1).view(np.uint8))
+    for i in range(0, len(raw), _READ_BYTES):
+        chunk = raw[i:i + _READ_BYTES]
         if fh.readinto(chunk) != len(chunk):
             raise ValueError("truncated array data")
-        flat[lo:lo + part.size] = part
 
 
 def load_checkpoint(path, params: dict) -> None:
@@ -406,10 +395,11 @@ def load_checkpoint(path, params: dict) -> None:
     The archive's names must be exactly ``params``' names, checked before
     any member is read, and each member is read straight into that tensor's
     existing ``.data``, which keeps its identity and layout. Each member's
-    header shape is checked against the tensor before any of its bytes is
-    written, and a mismatch raises and names the parameter. Stored ``<f8``
-    data in the destination's order is read with no intermediate copy; other
-    numeric dtypes and Fortran order go through a buffer of one read's size.
+    header is checked before any of its bytes is written: a shape other than
+    the tensor's, or data other than little-endian float64 in C order (what
+    ``save_checkpoint`` writes), raises and names the parameter. The data is
+    read with no intermediate copy, so each tensor's ``.data`` must be C-order
+    float64, as the model builds its parameters.
 
     A file that is not a zip archive raises ``ValueError`` naming the file,
     and a corrupt, truncated or unsupported member ``ValueError`` naming the
@@ -430,10 +420,10 @@ def load_checkpoint(path, params: dict) -> None:
                 dest = params[name].data
                 try:
                     with zf.open(name + ".npy") as fh:
-                        shape, fortran_order, dtype = _npy_header(fh)
+                        shape = _npy_shape(fh)
                         if shape != dest.shape:
                             raise ValueError(f"shape {shape} != model {dest.shape}")
-                        _read_npy_data(fh, fortran_order, dtype, dest)
+                        _read_npy_data(fh, dest)
                 except (zipfile.BadZipFile, NotImplementedError, OSError,
                         RuntimeError, ValueError) as e:
                     # besides BadZipFile, zipfile raises NotImplementedError or

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
-from .corpus import PAD, UNK, Batch, bucket_indices, make_batch
+from .corpus import PAD, SPECIALS, UNK, Batch, bucket_indices, make_batch
 from .decoder import attention_keys, init_state, teacher_forcing_recurrence
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
@@ -98,7 +98,7 @@ def word_dropout(ids, retain: float, rng):
     if retain == 1.0:
         return ids.copy()
     drop = rng.random(ids.shape) >= retain
-    drop &= ids >= 4  # PAD/UNK/BOS/EOS are exempt
+    drop &= ids >= len(SPECIALS)  # PAD/UNK/BOS/EOS are exempt
     out = ids.copy()
     out[drop] = UNK
     return out

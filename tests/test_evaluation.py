@@ -161,10 +161,13 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
         CFG.parse_config("just some words\n")
 
 
-def test_recipe_parse_format_roundtrip():
-    for text in ("none", "sem:1", "syn:3", "semsyn:2", "selfloop:1",
-                 "syn:2+sem:1"):
-        assert CFG.format_recipe(CFG.parse_recipe(text)) == text
+def test_recipe_parse_gives_blocks_and_rejects_bad_ones():
+    for text, blocks in [("none", []), ("sem:1", [(("sem",), 1)]),
+                         ("syn:3", [(("syn",), 3)]),
+                         ("semsyn:2", [(("sem", "syn"), 2)]),
+                         ("selfloop:1", [((), 1)]),
+                         ("syn:2+sem:1", [(("syn",), 2), (("sem",), 1)])]:
+        assert CFG.parse_recipe(text) == blocks
     for bad in ("sem", "sem:0", "sem:4", "foo:1", "sem:x"):
         with pytest.raises(CFG.ConfigError):
             CFG.parse_recipe(bad)
@@ -293,7 +296,7 @@ def _flip_last_data_byte(path, member):
     path.write_bytes(bytes(raw))
 
 
-@pytest.mark.parametrize("corruption", ["not-a-zip", "flipped-byte"])
+@pytest.mark.parametrize("corruption", ["not-a-zip", "flipped-byte", "float32-member"])
 def test_cli_translate_rejects_a_corrupt_checkpoint_in_one_line(tmp_path, capsys,
                                                                 corruption):
     conll, tgt = _write_tiny_dataset(tmp_path, n=5)
@@ -307,9 +310,15 @@ def test_cli_translate_rejects_a_corrupt_checkpoint_in_one_line(tmp_path, capsys
     if corruption == "not-a-zip":
         ckpt.write_bytes(b"not a checkpoint\n")
         detail = "File is not a zip file"
-    else:
+    elif corruption == "flipped-byte":
         _flip_last_data_byte(ckpt, "decoder.w_out.npy")
         detail = "member decoder.w_out.npy: Bad CRC-32"
+    else:
+        with np.load(ckpt) as z:
+            stored = {k: z[k] for k in z.files}
+        stored["decoder.w_out"] = stored["decoder.w_out"].astype(np.float32)
+        np.savez(ckpt, **stored)
+        detail = "member decoder.w_out.npy: dtype <f4 in C order is not supported"
     capsys.readouterr()
     rc = cli.main(["translate"] + base + ["--checkpoint", str(ckpt),
                                           "--input", str(conll)])
@@ -714,6 +723,18 @@ def test_run_experiment_leaves_a_run_directory_for_translate(tmp_path):
     assert rc == 0
     assert hyp.read_text().splitlines() == \
         (cell / "test.hyp.txt").read_text().splitlines()
+
+
+def test_cli_train_reports_a_diverging_run_in_one_line(tmp_path, capsys, monkeypatch):
+    conll, tgt = _write_tiny_dataset(tmp_path, n=5)
+
+    def diverging_train(*args, **kwargs):
+        raise FloatingPointError("non-finite training loss at epoch 1")
+
+    monkeypatch.setattr(cli, "train", diverging_train)
+    assert cli.main(["train"] + _tiny_flags(conll, tgt, tmp_path / "run")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["gcnmt train: non-finite training loss at epoch 1"]
 
 
 def test_run_experiment_writes_vocabularies_before_training(tmp_path, monkeypatch):

@@ -147,6 +147,8 @@ def test_word_dropout_specials_exempt():
     ids = np.array([PAD, UNK, BOS, EOS] * 1000)
     out = TR.word_dropout(ids, 0.01, rng)
     npt.assert_array_equal(out, ids)
+    first_word = np.array([4] * 1000)  # the first id after the specials
+    assert (TR.word_dropout(first_word, 0.01, rng) == UNK).sum() > 900
 
 
 def test_word_dropout_rejects_bad_retain():
@@ -347,23 +349,6 @@ def test_load_model_params_reads_into_each_parameter_in_place(tmp_path):
     for k, p in build(1).parameters().items():
         assert params[k].data is before[k], k
         npt.assert_array_equal(params[k].data, p.data, err_msg=k)
-
-
-def test_load_model_params_converts_fortran_and_non_f8_members(tmp_path):
-    build, path = _model_and_checkpoint(tmp_path)
-    stored = {k: p.data for k, p in build(3).parameters().items()}
-    stored["encoder.embedding"] = np.asfortranarray(stored["encoder.embedding"])
-    stored["decoder.w_out"] = stored["decoder.w_out"].astype(np.float32)
-    stored["decoder.w_init"] = np.asfortranarray(stored["decoder.w_init"], dtype=">f4")
-    stored["decoder.b_out"] = stored["decoder.b_out"].astype(">f8")
-    np.savez(path, **stored)
-    model = build(2)
-    before = {k: p.data for k, p in model.parameters().items()}
-    load_model_params(path, model)
-    for k, p in model.parameters().items():
-        want = np.asarray(stored[k], dtype=np.float64)
-        assert p.data is before[k], k
-        npt.assert_array_equal(p.data, want, err_msg=k)
 
 
 def test_load_model_params_checks_the_shape_before_reading_the_data(tmp_path):
@@ -735,6 +720,27 @@ def test_every_public_tensor_op_records_in_a_training_step(monkeypatch):
     assert {"gru_sequence", "gcn_layer", "teacher_forcing_recurrence",
             "nll_loss"} <= recorded
     assert sorted(set(T.__all__) - _NOT_OPS - {"log_softmax"} - recorded) == []
+
+
+def test_a_training_step_gathers_from_each_parameter_once(monkeypatch):
+    # gather_rows' adjoint is a dense parameter-sized array, so a step that
+    # gathered from one parameter per time step would allocate one per step
+    gathered = []
+    real = T.gather_rows
+
+    def spy(a, idx):
+        gathered.append(a)
+        return real(a, idx)
+
+    for mod in (T, E, D):
+        monkeypatch.setattr(mod, "gather_rows", spy)
+    for encoder in ("birnn", "cnn"):
+        model, batch, tc = _mixed_target_setup(encoder, "syn:1+sem:1")
+        names = {id(p): k for k, p in model.parameters().items()}
+        gathered.clear()
+        T.backward(TR.teacher_forcing_loss(model, batch, tc, np.random.default_rng(3)))
+        got = sorted(names[id(a)] for a in gathered if id(a) in names)
+        assert got == ["decoder.embedding", "encoder.embedding"], (encoder, got)
 
 
 def test_single_sentence_overfit_drives_loss_down():
