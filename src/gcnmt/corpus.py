@@ -106,7 +106,7 @@ def _parse_block(block, block_start: int) -> AnnotatedSentence:
         if idx != i + 1:
             raise CorpusError(f"line {lineno}: token index {idx}, expected {i + 1}")
         if not (0 <= head <= n):
-            raise CorpusError(f"line {lineno}: head index {head} out of range (1..{n})")
+            raise CorpusError(f"line {lineno}: head index {head} out of range (0..{n})")
         if head == idx:
             raise CorpusError(f"line {lineno}: self-referential head")
         tokens.append(cols[1])
@@ -232,7 +232,10 @@ class BpeModel:
     """Ordered merge table; the end-of-word marker is appended to final chars.
 
     ``_ranks`` maps each pair to the ascending ranks (table positions) at
-    which it occurs; a hand-written table may repeat a pair.
+    which it occurs; a hand-written table may repeat a pair. ``_cache``
+    maps each word segmented so far to its pieces. ``_learned`` holds the
+    pieces of the word types ``learn_bpe`` merged, each moved into
+    ``_cache`` on first use; a table built from merges starts it empty.
     """
 
     def __init__(self, merges):
@@ -241,6 +244,7 @@ class BpeModel:
         for rank, pair in enumerate(self.merges):
             self._ranks.setdefault(pair, []).append(rank)
         self._cache = {}
+        self._learned = {}
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -260,6 +264,15 @@ class BpeModel:
 
 def _word_symbols(token: str):
     return list(token[:-1]) + [token[-1] + BPE_EOW]
+
+
+def _word_pieces(symbols):
+    """Pieces of a merged word: inner ones carry the join marker."""
+    inner, final = symbols[:-1], symbols[-1][: -len(BPE_EOW)]
+    if final.endswith(BPE_JOIN):
+        # rejoin_bpe would read it as an inner piece: end the word on its last char
+        inner, final = inner + [final[:-1]], final[-1]
+    return tuple([s + BPE_JOIN for s in inner] + [final])
 
 
 def _merge_symbols(symbols, pair):
@@ -286,6 +299,10 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
     word-types index are re-merged, their old pairs subtracted and their new
     ones added. The next pair comes from a heap of ``(-count, pair)`` whose
     entries are skipped once their count is stale.
+
+    Every word type ends up merged as ``apply_bpe`` would merge it, so the
+    returned model holds each one's pieces: segmenting a training word
+    runs no merge.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -326,7 +343,11 @@ def learn_bpe(corpus, num_merges: int) -> BpeModel:
                 heapq.heappush(heap, (-pair_counts[pair], pair))
             else:
                 del pair_counts[pair]
-    return BpeModel(merges)
+    for w, syms in words.items():
+        words[w] = _word_pieces(syms)
+    model = BpeModel(merges)
+    model._learned = words
+    return model
 
 
 def apply_bpe(model: BpeModel, token: str):
@@ -336,40 +357,45 @@ def apply_bpe(model: BpeModel, token: str):
     to all its left-to-right occurrences: a merge whose pair is absent is
     skipped, and a repeated merge applies again. Only merges that change the
     word are run: the next one is the lowest rank above the last applied
-    among the pairs present.
+    among the pairs present. A word's pieces are computed once: a word
+    ``learn_bpe`` merged takes the pieces it left, and every result is
+    cached.
     """
     if not token:
         return []
     cached = model._cache.get(token)
     if cached is not None:
         return list(cached)
-    symbols = _word_symbols(token)
-    last = -1
-    while len(symbols) > 1:
-        best = None
-        for pair in zip(symbols, symbols[1:]):
-            ranks = model._ranks.get(pair)
-            if ranks is not None and ranks[-1] > last:
-                rank = ranks[bisect_right(ranks, last)]
-                if best is None or rank < best:
-                    best = rank
-        if best is None:
-            break
-        symbols = _merge_symbols(symbols, model.merges[best])
-        last = best
-    pieces = [s + BPE_JOIN for s in symbols[:-1]]
-    final = symbols[-1][: -len(BPE_EOW)]
-    if final.endswith(BPE_JOIN):
-        # rejoin_bpe would read it as an inner piece: end the word on its last char
-        pieces += [final[:-1] + BPE_JOIN, final[-1]]
-    else:
-        pieces.append(final)
-    model._cache[token] = tuple(pieces)
-    return pieces
+    pieces = model._learned.pop(token, None)
+    if pieces is None:
+        symbols = _word_symbols(token)
+        last = -1
+        while len(symbols) > 1:
+            best = None
+            for pair in zip(symbols, symbols[1:]):
+                ranks = model._ranks.get(pair)
+                if ranks is not None and ranks[-1] > last:
+                    rank = ranks[bisect_right(ranks, last)]
+                    if best is None or rank < best:
+                        best = rank
+            if best is None:
+                break
+            symbols = _merge_symbols(symbols, model.merges[best])
+            last = best
+        pieces = _word_pieces(symbols)
+    elif not model._learned:
+        model._learned = {}  # an emptied dict keeps its table; this frees it
+    model._cache[token] = pieces
+    return list(pieces)
 
 
 def segment(model, tokens):
-    """Apply BPE to a token list; ``model`` may be None (word-level identity)."""
+    """Apply BPE to a token list; ``model`` may be None (word-level identity).
+
+    Returns a new list on every call. Each token's pieces come from
+    ``apply_bpe``, so a word ``learn_bpe`` merged, or one segmented
+    before, costs a dictionary lookup.
+    """
     if model is None:
         return list(tokens)
     out = []
@@ -422,6 +448,7 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
     """
     if not pairs:
         raise ValueError("make_batch: empty sentence list")
+    src_id, tgt_id = src_vocab.token_to_id.get, tgt_vocab.token_to_id.get
     src_ids = []
     tgt_ids = []
     sem_edges = []
@@ -437,8 +464,8 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
             raise CorpusError(
                 f"target sentence of length {len(pieces)} exceeds max {max_len}"
             )
-        src_ids.append([src_vocab.id(t) for t in sent.tokens])
-        tgt_ids.append([BOS] + [tgt_vocab.id(t) for t in pieces] + [EOS])
+        src_ids.append([src_id(t, src_vocab.UNK_ID) for t in sent.tokens])
+        tgt_ids.append([BOS] + [tgt_id(t, tgt_vocab.UNK_ID) for t in pieces] + [EOS])
         sem_edges.append(list(sent.sem_edges))
         syn_edges.append(list(sent.syn_edges))
     max_src = max(len(s) for s in src_ids)

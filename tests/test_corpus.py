@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,9 +34,12 @@ def test_ingest_single_token_no_predicate():
 
 
 def test_ingest_head_out_of_range():
-    text = "1\ta\t7\tX\t_\n2\tb\t1\tY\t_\n3\tc\t1\tY\t_\n4\td\t1\tY\t_\n5\te\t1\tY\t_\n"
-    with pytest.raises(C.CorpusError, match="line 1"):
-        C.ingest_conll(text)
+    for head in ("7", "-1"):
+        text = (f"1\ta\t{head}\tX\t_\n2\tb\t1\tY\t_\n3\tc\t1\tY\t_\n"
+                "4\td\t1\tY\t_\n5\te\t1\tY\t_\n")
+        with pytest.raises(C.CorpusError,
+                           match=rf"^line 1: head index {head} out of range \(0\.\.5\)$"):
+            C.ingest_conll(text)
 
 
 def test_ingest_ragged_columns():
@@ -184,13 +190,42 @@ def test_bpe_file_roundtrip(tmp_path):
     assert C.BpeModel.load(path).merges == model.merges
 
 
+def _assert_learned_pieces_match_the_table(model, words):
+    """The pieces ``learn_bpe`` left for ``words`` equal those computed from
+    its merges, by a fresh table and by one read back from ``bpe.txt``."""
+    fresh = C.BpeModel(model.merges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "bpe.txt")
+        model.save(path)
+        loaded = C.BpeModel.load(path)
+    for word in words:
+        pieces = C.apply_bpe(model, word)
+        assert pieces == C.apply_bpe(fresh, word) == C.apply_bpe(loaded, word), word
+
+
 def _assert_matches_bpe_oracle(corpus, num_merges, extra_words=()):
     model = C.learn_bpe(corpus, num_merges)
     expected = reference_learn_bpe(corpus, num_merges)
     assert model.merges == expected.merges
-    for word in {w for sent in corpus for w in sent} | set(extra_words):
+    training = {w for sent in corpus for w in sent}
+    _assert_learned_pieces_match_the_table(model, training)
+    for word in training | set(extra_words):
         assert C.apply_bpe(model, word) == reference_apply_bpe(expected, word)
     return model
+
+
+def test_learned_pieces_match_the_table_on_marker_and_non_ascii_words():
+    # reference_apply_bpe predates the rule for words ending in "@@", so these
+    # words are compared with the merges applied by a fresh table instead
+    words = ["ab@@", "@@", "x@@@", "@", "a</w>", "</w>", "a", "é", "naïve", "日本語",
+             "日本", "ab@@c"]
+    corpus = [words * 3, ["ab@@", "</w>", "日本"] * 4]
+    model = C.learn_bpe(corpus, 30)
+    assert model.merges == reference_learn_bpe(corpus, 30).merges
+    assert set(model._learned) == set(words)
+    _assert_learned_pieces_match_the_table(model, words)
+    for word in words:
+        assert C.rejoin_bpe(C.apply_bpe(model, word)) == [word]
 
 
 def _random_corpus(rng, alphabet, n_types, max_len):

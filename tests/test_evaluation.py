@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import sys
 import zipfile
 
 import numpy as np
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 
 from gcnmt import cli
 from gcnmt import config as CFG
+from gcnmt import corpus as C
 from gcnmt import evaluation as E
+from gcnmt import training as TR
 from gcnmt.corpus import (AnnotatedSentence, apply_bpe, bucket_indices, ingest_conll,
                           make_batch, rejoin_bpe, serialize_conll)
 from gcnmt.decoder import greedy_decode, greedy_decode_batch
@@ -591,6 +594,48 @@ def test_translate_corpus_neither_segments_nor_maps_targets(monkeypatch):
                               prep.bpe, trn)
     assert calls == []
     assert hyps == expected
+
+
+def test_preprocess_and_batching_merge_no_word_learn_bpe_merged(monkeypatch):
+    # learn_bpe leaves each training word's pieces in the model it returns, so
+    # segmenting the targets for the vocabulary and the batches runs no merge
+    merged = []
+    real_merge, real_learn = C._merge_symbols, E.learn_bpe
+
+    def merge_spy(symbols, pair):
+        merged.append(pair)
+        return real_merge(symbols, pair)
+
+    def learn_then_count(corpus, num_merges):
+        model = real_learn(corpus, num_merges)
+        assert merged  # learning itself merges
+        merged.clear()
+        return model
+
+    monkeypatch.setattr(C, "_merge_symbols", merge_spy)
+    monkeypatch.setattr(E, "learn_bpe", learn_then_count)
+    words = ["lower", "lowest", "newer", "wider", "low", "new"]
+    pairs = [(AnnotatedSentence(tokens=["s"] * (1 + i % 3)), words[i % 6:] + words[:i % 4])
+             for i in range(12)]
+    exp = CFG.ExperimentConfig(bpe_merges=8)
+    trn = CFG.TrainConfig(batch_size=4)
+    prep = E.preprocess(pairs, exp, trn)
+    batches = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, prep.bpe, trn)
+    assert len(prep.bpe.merges) == 8 and sum(b.size for b in batches) == len(pairs)
+    assert merged == []
+    # every learned word was handed over, and the emptied dict's table let go
+    assert sys.getsizeof(prep.bpe._learned) == sys.getsizeof({})
+
+    # every call hands out a new list: mutating one changes no later result
+    target = pairs[0][1]
+    first = C.segment(prep.bpe, target)
+    assert C.segment(prep.bpe, target) == first and len(first) > len(target)
+    expected = list(first)
+    first[0] = "changed"
+    first.append("more")
+    C.apply_bpe(prep.bpe, target[0]).append("more")
+    assert C.segment(prep.bpe, target) == expected
+    assert merged == []
 
 
 def _mixed_length_corpus(counts, seed):
