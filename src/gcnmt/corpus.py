@@ -14,11 +14,19 @@ line, blank line between sentences. Columns are whitespace separated:
             (predicates ordered by position), "_" otherwise.
 
 Every row of a sentence must carry 5 + (number of predicates) columns.
+
+Every reader returns one shared object per distinct value: ``ingest_conll``
+interns tokens and labels and hands out one tuple per distinct edge, BPE
+pieces are interned, and so are the target tokens ``evaluation._read_pairs``
+reads, so a corpus holds each string once however often it occurs. A
+``Batch`` holds its sentences' own edge lists, not copies, so those lists
+must not be mutated.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -53,7 +61,7 @@ class AnnotatedSentence:
 
     def validate(self) -> None:
         n = len(self.tokens)
-        for u, v, lab in self.sem_edges + self.syn_edges:
+        for u, v, lab in chain(self.sem_edges, self.syn_edges):
             if not (0 <= u < n and 0 <= v < n):
                 raise CorpusError(f"edge ({u},{v},{lab}) out of range for {n} tokens")
             if u == v:
@@ -61,8 +69,13 @@ class AnnotatedSentence:
 
 
 def ingest_conll(text: str):
-    """Parse column-format text into a list of AnnotatedSentence."""
+    """Parse column-format text into a list of AnnotatedSentence.
+
+    Tokens and labels are interned, and equal edge tuples are one object
+    across the result.
+    """
     sentences = []
+    shared = {}
     block = []
     block_start = 1
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -72,14 +85,15 @@ def ingest_conll(text: str):
                 block_start = lineno
             block.append((lineno, line))
         elif block:
-            sentences.append(_parse_block(block, block_start))
+            sentences.append(_parse_block(block, block_start, shared))
             block = []
     if block:
-        sentences.append(_parse_block(block, block_start))
+        sentences.append(_parse_block(block, block_start, shared))
     return sentences
 
 
-def _parse_block(block, block_start: int) -> AnnotatedSentence:
+def _parse_block(block, block_start: int, shared: dict) -> AnnotatedSentence:
+    """One sentence; ``shared`` maps each edge tuple seen so far to itself."""
     rows = [line.split() for _, line in block]
     n = len(rows)
     ncols = len(rows[0])
@@ -109,33 +123,52 @@ def _parse_block(block, block_start: int) -> AnnotatedSentence:
             raise CorpusError(f"line {lineno}: head index {head} out of range (0..{n})")
         if head == idx:
             raise CorpusError(f"line {lineno}: self-referential head")
-        tokens.append(cols[1])
+        tokens.append(sys.intern(cols[1]))
         if head > 0:
-            syn_edges.append((head - 1, i, cols[3]))
+            e = (head - 1, i, sys.intern(cols[3]))
+            syn_edges.append(shared.setdefault(e, e))
         for k, role in enumerate(cols[5:]):
             if role == "_":
                 continue
             pred = pred_positions[k]
             if pred == i:
                 raise CorpusError(f"line {lineno}: predicate is its own argument")
-            sem_edges.append((pred, i, role))
+            e = (pred, i, sys.intern(role))
+            sem_edges.append(shared.setdefault(e, e))
     return AnnotatedSentence(tokens=tokens, sem_edges=sem_edges, syn_edges=syn_edges)
 
 
+def _check_column(k: int, where: str, value: str) -> None:
+    if value.split() != [value]:
+        raise CorpusError(f"sentence {k}, {where}: {value!r} is empty or holds "
+                          f"whitespace, so it cannot be one column")
+
+
 def serialize_conll(sentences) -> str:
-    """Inverse of ingest_conll; round-trips every well-formed sentence."""
+    """Inverse of ingest_conll; round-trips every well-formed sentence.
+
+    Raises CorpusError, naming the sentence (0-based) and position, for
+    what would not read back: an empty token or label, one holding
+    whitespace, or the role "_", which ingest_conll reads as no role.
+    """
     out = []
-    for sent in sentences:
+    for k, sent in enumerate(sentences):
         sent.validate()
-        n = len(sent.tokens)
+        for i, tok in enumerate(sent.tokens):
+            _check_column(k, f"token {i}", tok)
         heads = {}
         for u, v, lab in sent.syn_edges:
+            _check_column(k, f"edge ({u},{v})", lab)
             if v in heads:
                 raise CorpusError(f"token {v} has more than one syntactic head")
             heads[v] = (u + 1, lab)
         pred_positions = sorted({u for u, _, _ in sent.sem_edges})
         roles = {}
         for u, v, lab in sent.sem_edges:
+            _check_column(k, f"edge ({u},{v})", lab)
+            if lab == "_":
+                raise CorpusError(f"sentence {k}, edge ({u},{v}): role '_' "
+                                  f"would read back as no role")
             key = (pred_positions.index(u), v)
             if key in roles:
                 raise CorpusError(f"duplicate role for predicate {u}, argument {v}")
@@ -144,8 +177,8 @@ def serialize_conll(sentences) -> str:
             head, deprel = heads.get(i, (0, "root"))
             cols = [str(i + 1), tok, str(head), deprel]
             cols.append("Y" if i in pred_positions else "_")
-            for k in range(len(pred_positions)):
-                cols.append(roles.get((k, i), "_"))
+            for j in range(len(pred_positions)):
+                cols.append(roles.get((j, i), "_"))
             out.append("\t".join(cols))
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
@@ -272,7 +305,7 @@ def _word_pieces(symbols):
     if final.endswith(BPE_JOIN):
         # rejoin_bpe would read it as an inner piece: end the word on its last char
         inner, final = inner + [final[:-1]], final[-1]
-    return tuple([s + BPE_JOIN for s in inner] + [final])
+    return tuple([sys.intern(s + BPE_JOIN) for s in inner] + [sys.intern(final)])
 
 
 def _merge_symbols(symbols, pair):
@@ -423,6 +456,9 @@ def rejoin_bpe(pieces):
 class Batch:
     """Padded id matrices plus per-sentence edge lists.
 
+    ``sem_edges[i]`` and ``syn_edges[i]`` are the lists of the i-th
+    sentence itself, not copies; do not mutate them.
+
     ``tgt`` rows read BOS, target ids, EOS, PAD...; slice [:, :-1] for
     teacher-forcing inputs and [:, 1:] for prediction targets. ``src_mask``
     is True on real source positions, so its row sums are the lengths.
@@ -466,8 +502,8 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
             )
         src_ids.append([src_id(t, src_vocab.UNK_ID) for t in sent.tokens])
         tgt_ids.append([BOS] + [tgt_id(t, tgt_vocab.UNK_ID) for t in pieces] + [EOS])
-        sem_edges.append(list(sent.sem_edges))
-        syn_edges.append(list(sent.syn_edges))
+        sem_edges.append(sent.sem_edges)
+        syn_edges.append(sent.syn_edges)
     max_src = max(len(s) for s in src_ids)
     max_tgt = max(len(t) for t in tgt_ids)
     src = np.full((len(pairs), max_src), PAD, dtype=np.intp)

@@ -1,5 +1,8 @@
+import gc
 import os
+import random
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +71,78 @@ def test_roundtrip_multi_predicate():
     assert again.tokens == sent.tokens
     assert set(again.sem_edges) == set(sent.sem_edges)
     assert set(again.syn_edges) == set(sent.syn_edges)
+
+
+@pytest.mark.parametrize("tokens, syn, sem, where", [
+    (["a", "b"], [(0, 1, "x")], [(0, 1, "_")], r"edge \(0,1\): role '_'"),
+    (["a", ""], [], [], "token 1"),
+    (["a", "b c"], [], [], "token 1"),
+    (["a\tb", "c"], [], [], "token 0"),
+    (["a", "b"], [(0, 1, "")], [], r"edge \(0,1\)"),
+    (["a", "b"], [(0, 1, "x y")], [], r"edge \(0,1\)"),
+    (["a", "b"], [], [(1, 0, "A\u20280")], r"edge \(1,0\)"),
+    (["a", "b"], [], [(1, 0, " ")], r"edge \(1,0\)"),
+], ids=["role_", "empty_token", "spaced_token", "tabbed_token", "empty_deprel",
+        "spaced_deprel", "line_separator_role", "blank_role"])
+def test_serialize_conll_rejects_what_would_not_read_back(tokens, syn, sem, where):
+    good = C.AnnotatedSentence(["a", "b"], sem_edges=[(0, 1, "A0")], syn_edges=[(0, 1, "x")])
+    bad = C.AnnotatedSentence(tokens, sem_edges=sem, syn_edges=syn)
+    with pytest.raises(C.CorpusError, match=rf"^sentence 1, {where}"):
+        C.serialize_conll([good, bad])
+
+
+def test_ingest_conll_shares_tokens_labels_and_edges():
+    text = ("1\tdog\t2\tnsubj\t_\tA0\n2\tbarks\t0\troot\tY\t_\n3\tdog\t2\tnsubj\t_\tA0\n\n"
+            "1\tdog\t2\tnsubj\t_\tA0\n2\tbarks\t0\troot\tY\t_\n")
+    first, second = C.ingest_conll(text)
+    assert first.tokens == ["dog", "barks", "dog"] and second.tokens == ["dog", "barks"]
+    assert first.tokens[0] is first.tokens[2] is second.tokens[0]
+    assert first.tokens[1] is second.tokens[1]
+    assert first.syn_edges[0][2] is first.syn_edges[1][2]
+    assert first.sem_edges[0][2] is first.sem_edges[1][2]
+    assert first.syn_edges[0] == (1, 0, "nsubj") and first.syn_edges[0] is second.syn_edges[0]
+    assert first.sem_edges[0] == (1, 0, "A0") and first.sem_edges[0] is second.sem_edges[0]
+
+
+def _random_conll(n_sentences, seed):
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(40)]
+    deprels = [f"dep{i}" for i in range(12)]
+    roles = [f"A{i}" for i in range(6)]
+    sentences = []
+    for _ in range(n_sentences):
+        n = rng.randint(4, 12)
+        pred = rng.randrange(n)
+        sentences.append(C.AnnotatedSentence(
+            [rng.choice(words) for _ in range(n)],
+            sem_edges=[(pred, v, rng.choice(roles)) for v in range(n)
+                       if v != pred and rng.random() < 0.4],
+            syn_edges=[(rng.randrange(v), v, rng.choice(deprels)) for v in range(1, n)]))
+    return C.serialize_conll(sentences)
+
+
+# Bytes that ingest_conll's result held on the test's corpus before readers
+# shared values (CPython 3.11: one string per token and label occurrence,
+# one tuple per edge); the shared result measured 1,053,272.
+UNSHARED_HELD_BYTES = 4_129_098
+
+
+def test_ingest_conll_result_holds_at_most_half_the_unshared_memory():
+    text = _random_conll(2000, seed=7)
+    # keeps the words and labels interned, so the interpreter's intern table
+    # takes no entry, and cannot resize, while the result is measured
+    warm = C.ingest_conll(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = C.ingest_conll(text)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result == warm and sum(len(s.tokens) for s in result) == 16232
+    assert held <= UNSHARED_HELD_BYTES // 2, held
 
 
 def test_build_vocab_min_count_excludes():
@@ -188,6 +263,19 @@ def test_bpe_file_roundtrip(tmp_path):
     path = tmp_path / "bpe.txt"
     model.save(path)
     assert C.BpeModel.load(path).merges == model.merges
+
+
+def test_equal_bpe_pieces_of_different_words_are_one_object(tmp_path):
+    words = ["banana", "bandana", "cabana", "anagram", "ban", "nab"]
+    model = C.learn_bpe([words * 2], num_merges=4)
+    model.save(tmp_path / "bpe.txt")
+    loaded = C.BpeModel.load(tmp_path / "bpe.txt")
+    assert C.apply_bpe(model, "bandana") == ["ban@@", "d@@", "ana"]
+    shared = {}
+    for m in (model, loaded):  # learned pieces first, then those computed from bpe.txt
+        for word in words:
+            for piece in C.apply_bpe(m, word):
+                assert shared.setdefault(piece, piece) is piece, (word, piece)
 
 
 def _assert_learned_pieces_match_the_table(model, words):
@@ -355,6 +443,9 @@ def test_make_batch_pads_shorter_and_keeps_edges():
     assert list(batch.src_mask.sum(axis=1)) == [3, 5]
     assert not batch.src_mask[0, 3:].any()
     assert batch.sem_edges[0] == [(1, 0, "A0")]
+    # the batch holds each sentence's own edge lists, not copies
+    for i, s in enumerate((s1, s2)):
+        assert batch.sem_edges[i] is s.sem_edges and batch.syn_edges[i] is s.syn_edges
     # every edge endpoint below true length
     for i, edges in enumerate(batch.sem_edges + batch.syn_edges):
         n = batch.src_mask[i % 2].sum()
