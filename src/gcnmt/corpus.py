@@ -16,11 +16,10 @@ line, blank line between sentences. Columns are whitespace separated:
 Every row of a sentence must carry 5 + (number of predicates) columns.
 
 Every reader returns one shared object per distinct value: ``ingest_conll``
-interns tokens and labels and hands out one tuple per distinct edge, BPE
-pieces are interned, and so are the target tokens ``evaluation._read_pairs``
-reads, so a corpus holds each string once however often it occurs. A
-``Batch`` holds its sentences' own edge lists, not copies, so those lists
-must not be mutated.
+interns tokens and labels and hands out one tuple per distinct edge, and
+BPE pieces are interned, so an annotated corpus holds each string once
+however often it occurs. A ``Batch`` holds its sentences' own edge lists,
+not copies, so those lists must not be mutated.
 """
 
 from __future__ import annotations
@@ -148,12 +147,16 @@ def serialize_conll(sentences) -> str:
     """Inverse of ingest_conll; round-trips every well-formed sentence.
 
     Raises CorpusError, naming the sentence (0-based) and position, for
-    what would not read back: an empty token or label, one holding
-    whitespace, or the role "_", which ingest_conll reads as no role.
+    what would not read back: a sentence with no tokens, which ingest_conll
+    reads as no sentence, an empty token or label, one holding whitespace,
+    or the role "_", which ingest_conll reads as no role.
     """
     out = []
     for k, sent in enumerate(sentences):
         sent.validate()
+        if not sent.tokens:
+            raise CorpusError(f"sentence {k}, no tokens: an empty sentence "
+                              f"would not read back")
         for i, tok in enumerate(sent.tokens):
             _check_column(k, f"token {i}", tok)
         heads = {}

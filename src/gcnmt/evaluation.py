@@ -9,7 +9,6 @@ of detokenized output.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -148,7 +147,7 @@ def bleu(hypotheses, references) -> BleuReport:
 
 def _read_pairs(conll_path, tgt_path):
     sentences = ingest_conll(read_text(conll_path))
-    targets = [list(map(sys.intern, line.split())) for line in read_lines(tgt_path)]
+    targets = [line.split() for line in read_lines(tgt_path)]
     if len(sentences) != len(targets):
         raise ValueError(f"{conll_path}: {len(sentences)} sentences but "
                          f"{tgt_path}: {len(targets)} targets")

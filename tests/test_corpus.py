@@ -82,8 +82,9 @@ def test_roundtrip_multi_predicate():
     (["a", "b"], [(0, 1, "x y")], [], r"edge \(0,1\)"),
     (["a", "b"], [], [(1, 0, "A\u20280")], r"edge \(1,0\)"),
     (["a", "b"], [], [(1, 0, " ")], r"edge \(1,0\)"),
+    ([], [], [], "no tokens"),
 ], ids=["role_", "empty_token", "spaced_token", "tabbed_token", "empty_deprel",
-        "spaced_deprel", "line_separator_role", "blank_role"])
+        "spaced_deprel", "line_separator_role", "blank_role", "no_tokens"])
 def test_serialize_conll_rejects_what_would_not_read_back(tokens, syn, sem, where):
     good = C.AnnotatedSentence(["a", "b"], sem_edges=[(0, 1, "A0")], syn_edges=[(0, 1, "x")])
     bad = C.AnnotatedSentence(tokens, sem_edges=sem, syn_edges=syn)
@@ -121,10 +122,9 @@ def _random_conll(n_sentences, seed):
     return C.serialize_conll(sentences)
 
 
-# Bytes that ingest_conll's result held on the test's corpus before readers
-# shared values (CPython 3.11: one string per token and label occurrence,
-# one tuple per edge); the shared result measured 1,053,272.
-UNSHARED_HELD_BYTES = 4_129_098
+def _fresh(text):
+    """An equal string that is a new object, not the interned one."""
+    return "".join(list(text))
 
 
 def test_ingest_conll_result_holds_at_most_half_the_unshared_memory():
@@ -139,10 +139,21 @@ def test_ingest_conll_result_holds_at_most_half_the_unshared_memory():
         result = C.ingest_conll(text)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
+        # the same sentences as the reader built them before it shared
+        # values: one string per token and label occurrence, one tuple per edge
+        before = tracemalloc.get_traced_memory()[0]
+        unshared = [C.AnnotatedSentence(
+            [_fresh(t) for t in s.tokens],
+            sem_edges=[(u, v, _fresh(lab)) for u, v, lab in s.sem_edges],
+            syn_edges=[(u, v, _fresh(lab)) for u, v, lab in s.syn_edges])
+            for s in result]
+        gc.collect()
+        unshared_held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert result == warm and sum(len(s.tokens) for s in result) == 16232
-    assert held <= UNSHARED_HELD_BYTES // 2, held
+    assert result == warm == unshared and sum(len(s.tokens) for s in result) == 16232
+    assert unshared[0].tokens[0] is not result[0].tokens[0]
+    assert held <= unshared_held // 2, (held, unshared_held)
 
 
 def test_build_vocab_min_count_excludes():

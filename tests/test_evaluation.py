@@ -473,17 +473,6 @@ def test_read_pairs_keeps_blank_target_lines(tmp_path):
     assert [t for _, t in pairs] == [["A", "B"], [], ["C", "D"]]
 
 
-def test_read_pairs_targets_share_their_token_strings(tmp_path):
-    sents = [AnnotatedSentence(tokens=["w"], sem_edges=[], syn_edges=[]) for _ in range(2)]
-    conll = tmp_path / "in.conll"
-    tgt = tmp_path / "in.tgt"
-    conll.write_text(serialize_conll(sents))
-    tgt.write_text("the dog saw the\ncat and the dog\n")
-    (_, first), (_, second) = E._read_pairs(conll, tgt)
-    assert first[0] is first[3] is second[2]
-    assert first[1] is second[3]
-
-
 def test_cli_translate_reads_conll_input_with_a_byte_order_mark(tmp_path):
     conll, tgt = _write_tiny_dataset(tmp_path, n=10)
     out = tmp_path / "run"
