@@ -6,6 +6,7 @@ Unknown keys are rejected. CLI flags mirror the same keys.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .corpus import read_text
@@ -105,8 +106,12 @@ class TrainConfig:
     def validate(self) -> None:
         if not (0.0 < self.word_retain <= 1.0 and 0.0 < self.edge_retain <= 1.0):
             raise ConfigError("retain probabilities must lie in (0, 1]")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        # nan fails every comparison, so these bounds reject it too
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate}")
+        if not 0.0 <= self.l2_coeff < math.inf:
+            raise ConfigError(f"l2_coeff must be >= 0 and finite, got {self.l2_coeff}")
         if min(self.epochs, self.batch_size, self.max_sentence_len,
                self.min_count, self.checkpoint_every) < 1:
             raise ConfigError("epochs/batch_size/lengths must be >= 1")

@@ -1,7 +1,7 @@
 """Attention-based GRU decoder with greedy and beam search.
 
 Scoring is additive attention over encoder states; the attention keys
-``states @ v_enc`` are computed once per encode and passed to every step,
+``states @ v_enc`` are computed once per encode and read by every step,
 and the context is one matmul of the weights over the states, so no
 (batch, len, width) product is formed per step. The GRU consumes the
 previous target embedding concatenated with the context vector, and the
@@ -18,13 +18,16 @@ of ``w_out``, the largest read of a beam step. A greedy batch keeps the
 direct product, since its rows have their own (B, len, d) states, and a
 per-row table would hold B * len * (3 hidden + vocab) floats.
 
-Only training records: teacher forcing runs every step's attention and GRU
-update as one tape node (``teacher_forcing_recurrence``, with
-backpropagation through time in its adjoint) and projects every step's
-features once per batch, inside its loss node (``training.nll_loss``).
-Decoding computes in numpy: ``decoder_step`` runs the attention step,
-the GRU step and the projection, and none of them records, so its
-``Tensor`` results have no parents even with gradients enabled.
+Only training records: teacher forcing runs the attention keys, the
+initial state and every step's attention and GRU update as one tape node
+(``teacher_forcing_recurrence``, with backpropagation through time in its
+adjoint) and projects every step's features once per batch, inside its
+loss node (``training.nll_loss``). Decoding computes in numpy:
+``attention_keys``, ``init_state`` and ``decoder_step`` (the attention
+step, the GRU step and the projection) record nothing, so greedy and beam
+search need no ``no_grad`` and their ``Tensor`` results have no parents
+even with gradients enabled. A source row whose every position is masked
+raises ``ValueError`` before the initial state divides by its length.
 
 A greedy batch may mix source lengths: its states are zero-padded to the
 longest source, and ``mask`` keeps the padding out of attention (masked
@@ -55,16 +58,7 @@ from .encoders import (
     gru_cell,
     init_gru,
 )
-from .tensor import (
-    Tensor,
-    gather_rows,
-    log_softmax,
-    matmul,
-    no_grad,
-    node,
-    tanh,
-    weighted_sum,
-)
+from .tensor import Tensor, gather_rows, log_softmax, node
 
 
 @dataclass
@@ -130,18 +124,25 @@ class Hypothesis:
         return self.tokens[:-1] if self.finished else list(self.tokens)
 
 
-def attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
-    """Encoder-side attention projection ``states @ v_enc``; it does not
-    change between decoder steps, so callers compute it once per encode."""
-    return matmul(enc.states, params.v_enc)
+def attention_keys(enc: EncoderOutput, params: AttentionParams) -> np.ndarray:
+    """Encoder-side attention projection ``states @ v_enc`` in numpy; it does
+    not change between decoder steps, so decoding computes it once per encode."""
+    return enc.states.data @ params.v_enc.data
+
+
+def _source_mask(mask) -> np.ndarray:
+    """``mask`` as bool; a row with every source position masked raises the
+    attention error, before anything divides by the row's length."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any(axis=-1).all():
+        raise ValueError("attention: all source positions masked")
+    return mask
 
 
 def _attend(s, keys, mask, attn: AttentionParams):
     """Masked additive attention weights in numpy: (tanh(keys + s u_dec),
     weights), with ``keys`` from ``attention_keys``; shapes as ``attention``."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any(axis=-1).all():
-        raise ValueError("attention: all source positions masked")
+    mask = _source_mask(mask)
     pre = np.tanh(keys + (s @ attn.u_dec.data)[..., None, :])
     scores = np.where(mask, pre @ attn.score_v.data, -np.inf)
     with np.errstate(invalid="ignore"):
@@ -157,7 +158,7 @@ def _context(weights, states):
 
 
 def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
-              keys: Tensor):
+              keys: np.ndarray):
     """Masked additive attention; returns (weights, context), recording nothing.
 
     Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
@@ -165,54 +166,62 @@ def attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionParams,
     Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
     ``keys`` is ``attention_keys(enc, params)``.
     """
-    _, weights = _attend(s_prev.data, keys.data, enc.mask, params)
+    _, weights = _attend(s_prev.data, keys, enc.mask, params)
     return Tensor(weights), Tensor(_context(weights, enc.states.data))
 
 
+def _init_state(states, mask, params: DecoderParams):
+    """The initial state ``tanh(mean @ w_init + b_init)`` in numpy, where
+    ``mean`` is the masked mean of ``states``, one ``_context`` of the
+    weights ``mask / length``; returns (those weights, mean, state)."""
+    m = _source_mask(mask).astype(np.float64)
+    weights = m / m.sum(axis=-1, keepdims=True)
+    mean = _context(weights, states)
+    return weights, mean, np.tanh(mean @ params.w_init.data + params.b_init.data)
+
+
 def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
-    """tanh-affine of the masked average of encoder states, taken with one
-    ``weighted_sum`` of the weights ``mask / length``."""
-    mask = np.asarray(enc.mask, dtype=np.float64)
-    denom = mask.sum(axis=-1, keepdims=True)
-    avg = weighted_sum(mask / denom, enc.states)
-    return tanh(matmul(avg, params.w_init) + params.b_init)
+    """tanh-affine of the masked average of encoder states, recording nothing."""
+    return Tensor(_init_state(enc.states.data, enc.mask, params)[2])
 
 
-def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
-                               params: DecoderParams, keys: Tensor) -> Tensor:
+def teacher_forcing_recurrence(y_prev_ids, enc: EncoderOutput,
+                               params: DecoderParams) -> Tensor:
     """Every step's attention and GRU update under teacher forcing, as one
     tape node; returns the time-major (T * B, F) feature rows ``[s_t;
     context; emb]`` that ``training.nll_loss`` reads.
 
-    ``y_prev_ids`` is (B, T), step t reading column t; ``s0`` is (B, h),
-    ``enc`` holds (B, len, d) states and their mask, and ``keys`` is
-    ``attention_keys(enc, params.attn)``. The target embeddings are gathered
-    once, and each step runs ``_attend`` and the GRU step, the arithmetic
-    of ``decoder_step`` without its projection. The node's parents are the
-    embeddings, ``s0``, the states, the keys, ``u_dec``, ``score_v`` and
-    the nine GRU tensors. Its adjoint runs backpropagation through time
-    with the GRU step adjoint of ``encoders``; after the loop, the
-    gradients of the states, ``score_v``, ``u_dec`` and the GRU weights are
-    one GEMM or batched matmul each. It keeps every step's
-    ``tanh(keys + s u_dec)``, attention weights, GRU inputs, states and
-    gates.
+    ``y_prev_ids`` is (B, T), step t reading column t, and ``enc`` holds
+    (B, len, d) states and their mask. The node computes the attention keys
+    ``states @ v_enc`` and the initial state (``init_state``) itself. The
+    target embeddings are gathered once, and each step runs ``_attend`` and
+    the GRU step, the arithmetic of ``decoder_step`` without its projection.
+    The node's parents are the embeddings, the states, ``v_enc``, ``u_dec``,
+    ``score_v``, ``w_init``, ``b_init`` and the nine GRU tensors. Its
+    adjoint runs backpropagation through time with the GRU step adjoint of
+    ``encoders``; after the loop, the gradients of ``score_v``, ``u_dec``
+    and the GRU weights are one GEMM each, and the states' gradient is its
+    own batched matmul plus the initial state's term plus the keys' term,
+    added in that order. It keeps every step's ``tanh(keys + s u_dec)``,
+    attention weights, GRU inputs, states and gates.
     """
     ids = np.asarray(y_prev_ids, dtype=np.intp)
     emb = gather_rows(params.embedding, ids.T)  # (T, B, emb)
-    mask = np.asarray(enc.mask, dtype=bool)
     a, p = params.attn, params.gru
     states = enc.states.data  # (B, len, d)
+    mean_w, mean, s0 = _init_state(states, enc.mask, params)
+    keys = attention_keys(enc, a)
     steps, B, E = emb.shape
     hidden, width = p.u_z.shape[0], states.shape[-1]
     S = np.empty((steps + 1, B, hidden))  # s0 and every step's state
-    S[0] = s0.data
+    S[0] = s0
     X = np.empty((steps, B, E + width))  # the GRU inputs [emb; context]
     X[..., :E] = emb.data
     PRE = np.empty((steps,) + keys.shape)  # tanh(keys + s u_dec)
-    W = np.empty((steps,) + mask.shape)    # attention weights
+    W = np.empty((steps,) + mean_w.shape)  # attention weights
     Z, R, C = (np.empty((steps, B, hidden)) for _ in range(3))
     for t in range(steps):
-        PRE[t], W[t] = _attend(S[t], keys.data, mask, a)
+        PRE[t], W[t] = _attend(S[t], keys, enc.mask, a)
         X[t, :, E:] = _context(W[t], states)
         x = X[t]
         S[t + 1], Z[t], R[t], C[t] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
@@ -226,7 +235,7 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
         dctx = dX[..., E:]  # the context's gradient, through the GRU and the features
         dscores = np.empty(W.shape)
         dproj = np.empty((steps, B, a.u_dec.shape[1]))
-        dkeys = np.zeros(keys.shape)
+        dkeys = np.zeros(PRE.shape[1:])
         ds = 0.0  # the gradient reaching s_t from step t + 1
         for t in reversed(range(steps)):
             dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(G[t, :, :hidden] + ds, S[t], Z[t],
@@ -240,16 +249,22 @@ def teacher_forcing_recurrence(y_prev_ids, s0: Tensor, enc: EncoderOutput,
             dproj[t] = dpre.sum(axis=1)
             ds = dh + dproj[t] @ a.u_dec.data.T
         dz, dr, dc = (d.reshape(steps * B, hidden) for d in (dZ, dR, dC))
+        dinit = ds * (1.0 - s0 * s0)  # through the initial state's tanh
+        rows, dkeys = states.reshape(-1, width), dkeys.reshape(-1, dkeys.shape[-1])
         dstates = np.matmul(W.transpose(1, 2, 0), dctx.transpose(1, 0, 2))
+        dstates += mean_w[..., None] * (dinit @ params.w_init.data.T)[:, None, :]
+        dstates += (dkeys @ a.v_enc.data.T).reshape(states.shape)
         prev = S[:steps].reshape(-1, hidden)
-        return (dX[..., :E] + G[..., hidden + width:], ds, dstates, dkeys,
+        return (dX[..., :E] + G[..., hidden + width:], dstates, rows.T @ dkeys,
                 prev.T @ dproj.reshape(-1, dproj.shape[-1]),
                 PRE.reshape(-1, PRE.shape[-1]).T @ dscores.reshape(-1),
+                mean.T @ dinit, dinit.sum(axis=0),
                 *_gru_weight_grads(X.reshape(steps * B, -1), prev,
                                    (R * S[:steps]).reshape(-1, hidden), dz, dr, dc))
 
     return node(features.reshape(steps * B, -1),
-                (emb, s0, enc.states, keys, a.u_dec, a.score_v, *p.tensors()), bwd)
+                (emb, enc.states, a.v_enc, a.u_dec, a.score_v, params.w_init,
+                 params.b_init, *p.tensors()), bwd)
 
 
 def context_table(enc: EncoderOutput, params: DecoderParams) -> np.ndarray:
@@ -267,7 +282,7 @@ def context_table(enc: EncoderOutput, params: DecoderParams) -> np.ndarray:
 
 
 def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
-                 params: DecoderParams, keys: Tensor | None = None,
+                 params: DecoderParams, keys: np.ndarray | None = None,
                  table: np.ndarray | None = None):
     """One decoding step in numpy: attention, the GRU update and the
     projection of ``[s_t; context; emb]``; returns (new state, unnormalized
@@ -292,7 +307,7 @@ def decoder_step(y_prev_id, s_prev: Tensor, enc: EncoderOutput,
         return s_t, Tensor(features @ w_out + params.b_out.data)
     if table is None:
         table = context_table(enc, params)
-    _, weights = _attend(s_prev.data, keys.data, enc.mask, params.attn)
+    _, weights = _attend(s_prev.data, keys, enc.mask, params.attn)
     via_context = weights @ table  # (..., 3 * hidden + vocab)
     g, E = params.gru, emb.shape[-1]
     hidden = g.u_z.shape[0]
@@ -310,16 +325,15 @@ def score_sequence(enc: EncoderOutput, params: DecoderParams, tokens) -> float:
     seq = list(tokens)
     if not seq or seq[-1] != EOS:
         seq = seq + [EOS]
-    with no_grad():
-        keys = attention_keys(enc, params.attn)
-        table = context_table(enc, params)
-        s = init_state(enc, params)
-        prev = BOS
-        total = 0.0
-        for tok in seq:
-            s, logits = decoder_step(prev, s, enc, params, keys, table)
-            total += float(log_softmax(logits).data[tok])
-            prev = tok
+    keys = attention_keys(enc, params.attn)
+    table = context_table(enc, params)
+    s = init_state(enc, params)
+    prev = BOS
+    total = 0.0
+    for tok in seq:
+        s, logits = decoder_step(prev, s, enc, params, keys, table)
+        total += float(log_softmax(logits).data[tok])
+        prev = tok
     return total
 
 
@@ -339,21 +353,20 @@ def greedy_decode_batch(enc: EncoderOutput, params: DecoderParams, max_len: int)
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    with no_grad():
-        B = enc.states.shape[0]
-        keys = attention_keys(enc, params.attn)
-        s = init_state(enc, params)
-        prev = np.full(B, BOS, dtype=np.intp)
-        done = np.zeros(B, dtype=bool)
-        steps = []
-        for _ in range(max_len):
-            s, logits = decoder_step(prev, s, enc, params, keys)
-            toks = np.argmax(logits.data, axis=-1)
-            steps.append(toks)
-            done |= toks == EOS
-            prev = np.where(done, EOS, toks)
-            if done.all():
-                break
+    B = enc.states.shape[0]
+    keys = attention_keys(enc, params.attn)
+    s = init_state(enc, params)
+    prev = np.full(B, BOS, dtype=np.intp)
+    done = np.zeros(B, dtype=bool)
+    steps = []
+    for _ in range(max_len):
+        s, logits = decoder_step(prev, s, enc, params, keys)
+        toks = np.argmax(logits.data, axis=-1)
+        steps.append(toks)
+        done |= toks == EOS
+        prev = np.where(done, EOS, toks)
+        if done.all():
+            break
     ids = np.stack(steps)
     eos = ids == EOS
     ends = np.where(eos.any(axis=0), eos.argmax(axis=0), len(steps))
@@ -373,41 +386,40 @@ def beam_decode(enc: EncoderOutput, params: DecoderParams, beam: int,
         raise ValueError("beam must be >= 1")
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    with no_grad():
-        states = init_state(enc, params).data[None]   # (k, h), k live hypotheses
-        prev = np.array([BOS], dtype=np.intp)
-        scores = np.zeros(1)
-        tokens = [[]]
-        completed = []
-        keys = attention_keys(enc, params.attn)
-        table = context_table(enc, params)
-        for _ in range(max_len):
-            # the sentence's (len, d) states are shared by the (k, h) batch
-            s_t, logits = decoder_step(prev, Tensor(states), enc, params, keys, table)
-            vocab = logits.shape[-1]
-            total = (scores[:, None] + log_softmax(logits).data).ravel()
-            n = min(beam, total.size)
-            # every candidate tied with the n-th best, then the exact order
-            kth = -np.partition(-total, n - 1)[n - 1]
-            cand = np.flatnonzero(total >= kth)
-            hyp_idx, tok_idx = np.divmod(cand, vocab)
-            top = np.lexsort((hyp_idx, tok_idx, -total[cand]))[:n]
-            keep = []
-            for j in top:
-                h, tok = int(hyp_idx[j]), int(tok_idx[j])
-                if tok == EOS:
-                    completed.append(Hypothesis(tokens=tokens[h] + [tok],
-                                                score=float(total[cand[j]]),
-                                                state=Tensor(s_t.data[h])))
-                else:
-                    keep.append(j)
-            if not keep:
-                break
-            tokens = [tokens[hyp_idx[j]] + [int(tok_idx[j])] for j in keep]
-            states = s_t.data[hyp_idx[keep]]
-            prev = tok_idx[keep]
-            scores = total[cand[keep]]
-        if completed:
-            return max(completed, key=lambda h: h.score)
-        return Hypothesis(tokens=tokens[0], score=float(scores[0]),
-                          state=Tensor(states[0]))
+    states = init_state(enc, params).data[None]   # (k, h), k live hypotheses
+    prev = np.array([BOS], dtype=np.intp)
+    scores = np.zeros(1)
+    tokens = [[]]
+    completed = []
+    keys = attention_keys(enc, params.attn)
+    table = context_table(enc, params)
+    for _ in range(max_len):
+        # the sentence's (len, d) states are shared by the (k, h) batch
+        s_t, logits = decoder_step(prev, Tensor(states), enc, params, keys, table)
+        vocab = logits.shape[-1]
+        total = (scores[:, None] + log_softmax(logits).data).ravel()
+        n = min(beam, total.size)
+        # every candidate tied with the n-th best, then the exact order
+        kth = -np.partition(-total, n - 1)[n - 1]
+        cand = np.flatnonzero(total >= kth)
+        hyp_idx, tok_idx = np.divmod(cand, vocab)
+        top = np.lexsort((hyp_idx, tok_idx, -total[cand]))[:n]
+        keep = []
+        for j in top:
+            h, tok = int(hyp_idx[j]), int(tok_idx[j])
+            if tok == EOS:
+                completed.append(Hypothesis(tokens=tokens[h] + [tok],
+                                            score=float(total[cand[j]]),
+                                            state=Tensor(s_t.data[h])))
+            else:
+                keep.append(j)
+        if not keep:
+            break
+        tokens = [tokens[hyp_idx[j]] + [int(tok_idx[j])] for j in keep]
+        states = s_t.data[hyp_idx[keep]]
+        prev = tok_idx[keep]
+        scores = total[cand[keep]]
+    if completed:
+        return max(completed, key=lambda h: h.score)
+    return Hypothesis(tokens=tokens[0], score=float(scores[0]),
+                      state=Tensor(states[0]))

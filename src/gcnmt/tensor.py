@@ -9,14 +9,14 @@ and a layer may call it too: the whole-sequence GRU and the GCN layer
 projected NLL loss (``training``) compute their forward pass in numpy and
 record one node with a hand-derived adjoint that keeps only the arrays it
 needs. The module holds only what training records, plus ``log_softmax``,
-which decoding reads scores from; decoding's attention and GRU steps are
-plain numpy. Every array an adjoint returns is ``backward``'s to write
-(``node`` states the rule), so ``backward`` adds each later gradient in
-place into the first one to reach a node and hands a leaf its gradient
-without a copy. Every adjoint returns dense arrays: ``gather_rows`` and
-``slice_rows`` hand back a zero array of the parent's shape holding the
-rows they read, which costs nothing extra because training gathers from
-each embedding once per step.
+which decoding reads scores from; the rest of decoding (attention keys,
+initial state, attention and GRU steps) is plain numpy. Every array an
+adjoint returns is ``backward``'s to write (``node`` states the rule), so
+``backward`` adds each later gradient in place into the first one to reach
+a node and hands a leaf its gradient without a copy. Every adjoint returns
+dense arrays: ``gather_rows`` and ``slice_rows`` hand back a zero array of
+the parent's shape holding the rows they read, which costs nothing extra
+because training gathers from each embedding once per step.
 ``backward`` consumes the graph it walks: each node drops its parents and
 its adjoint once the adjoint has run, so the tape is freed as it goes, and
 a second ``backward`` through the same nodes raises ``ValueError``. One
@@ -41,10 +41,8 @@ __all__ = [
     "matmul",
     "add",
     "relu",
-    "tanh",
     "log_softmax",
     "concat",
-    "weighted_sum",
     "gather_rows",
     "slice_rows",
     "reshape",
@@ -181,12 +179,6 @@ def relu(a) -> Tensor:
     return node(data, (a,), lambda g: (g * (a.data > 0.0),))
 
 
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.tanh(a.data)
-    return node(data, (a,), lambda g: (g * (1.0 - data * data),))
-
-
 def log_softmax(a) -> Tensor:
     """Log of the exp-normalization over the last axis."""
     a = _as_tensor(a)
@@ -208,28 +200,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
         return tuple(np.split(g, sizes, axis=axis))
 
     return node(data, tuple(ts), bwd)
-
-
-def weighted_sum(w, a) -> Tensor:
-    """``sum_i w[..., i] * a[..., i, :]``: weights ``w`` (..., n) over rows
-    ``a`` (..., n, d), or over one ``(n, d)`` shared by every leading index,
-    give (..., d). One ``np.matmul``; no (..., n, d) product is kept."""
-    w, a = _as_tensor(w), _as_tensor(a)
-    if w.ndim == 0 or a.ndim < 2:
-        raise ShapeError(f"weighted_sum needs a >=1-d w and a >=2-d a, "
-                         f"got {w.shape} and {a.shape}")
-    try:
-        data = np.matmul(w.data[..., None, :], a.data)[..., 0, :]
-    except ValueError as e:
-        raise ShapeError(f"weighted_sum shapes {w.shape} and {a.shape} "
-                         f"are incompatible") from e
-
-    def bwd(g):
-        gw = np.matmul(a.data, g[..., :, None])[..., 0]
-        ga = w.data[..., :, None] * g[..., None, :]
-        return _unbroadcast(gw, w.shape), _unbroadcast(ga, a.shape)
-
-    return node(data, (w, a), bwd)
 
 
 def gather_rows(a, idx) -> Tensor:

@@ -4,8 +4,8 @@ Batches are bucketed by exact source length, so a batched forward pass is
 numerically identical to encoding each sentence alone. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
 draw from one generator in a fixed order. Teacher forcing runs the decoder
-recurrence over every step as one tape node
-(``decoder.teacher_forcing_recurrence``); the output projection,
+over every step, with its attention keys and initial state, as one tape
+node (``decoder.teacher_forcing_recurrence``); the output projection,
 log-softmax, target picks and masked mean over every step of a batch are
 then one more (``nll_loss``) over its features, ``w_out`` and ``b_out``.
 A training step clears the gradients before its forward pass, so the
@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
 from .corpus import PAD, SPECIALS, UNK, Batch, bucket_indices, make_batch
-from .decoder import attention_keys, init_state, teacher_forcing_recurrence
+from .decoder import teacher_forcing_recurrence
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
 from .model import Model, build_model, save_model
@@ -187,8 +187,7 @@ def teacher_forcing_loss(model: Model, batch: Batch, train_cfg: TrainConfig,
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
     dec = model.decoder
-    features = teacher_forcing_recurrence(tgt_in, init_state(enc, dec), enc, dec,
-                                          attention_keys(enc, dec.attn))
+    features = teacher_forcing_recurrence(tgt_in, enc, dec)
     # one projection and loss over every step: (T·B, F) rows in time-major order
     return nll_loss(features, tgt_out.T.ravel(), mask.T.ravel(), dec.w_out, dec.b_out)
 

@@ -7,13 +7,18 @@ implementation must match in tokens, and in scores and states within
 1e-9. Each step is the direct formula, independent of ``decoder_step``:
 ``layer_oracle.reference_recurrence_step`` (the embedding row, attention
 and the GRU update) and the projection ``[s_t; context; emb] @ w_out +
-b_out`` of its features.
+b_out`` of its features, from ``layer_oracle.reference_init_state`` over
+the keys of ``layer_oracle.reference_attention_keys``.
 """
 
 from gcnmt.corpus import BOS, EOS
-from gcnmt.decoder import Hypothesis, attention_keys, init_state
+from gcnmt.decoder import Hypothesis
 from gcnmt.tensor import log_softmax, matmul, no_grad
-from layer_oracle import reference_recurrence_step
+from layer_oracle import (
+    reference_attention_keys,
+    reference_init_state,
+    reference_recurrence_step,
+)
 
 
 def reference_step(y_prev_id, s_prev, enc, params, keys):
@@ -29,8 +34,9 @@ def reference_beam_decode(enc, params, beam: int, max_len: int) -> Hypothesis:
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     with no_grad():
-        keys = attention_keys(enc, params.attn)
-        live = [Hypothesis(tokens=[], score=0.0, state=init_state(enc, params))]
+        keys = reference_attention_keys(enc, params.attn)
+        live = [Hypothesis(tokens=[], score=0.0,
+                           state=reference_init_state(enc, params))]
         completed = []
         for _ in range(max_len):
             candidates = []

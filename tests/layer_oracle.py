@@ -1,29 +1,32 @@
 """Reference layers composed of tape operations, one node per operation.
 
 These are the original bodies of ``gcnmt.encoders.gru_cell``,
-``gcnmt.decoder.attention``, ``gcnmt.decoder.init_state``,
-``gcnmt.encoders.gcn_layer`` and ``gcnmt.training.nll_loss``, kept
-verbatim as the oracle that the implementations must match in value and,
-where they record, in every gradient; ``assert_matches_reference`` makes
-that comparison. ``gru_cell`` and ``attention`` now compute decoding's
-steps in numpy and record nothing, so they are checked in value only.
-``reference_recurrence_step`` composes one teacher-forcing step from them
-(the embedding row, attention and the GRU update), and the whole-sequence
-nodes ``gcnmt.encoders.gru_sequence`` and
+``gcnmt.decoder.attention_keys``, ``gcnmt.decoder.attention``,
+``gcnmt.decoder.init_state``, ``gcnmt.encoders.gcn_layer`` and
+``gcnmt.training.nll_loss``, kept verbatim as the oracle that the
+implementations must match in value and, where they record, in every
+gradient; ``assert_matches_reference`` makes that comparison.
+``gru_cell``, ``attention_keys``, ``attention`` and ``init_state`` now
+compute decoding's steps in numpy and record nothing, so they are checked
+in value only. ``reference_recurrence_step`` composes one teacher-forcing
+step from them (the embedding row, attention and the GRU update), and the
+whole-sequence nodes ``gcnmt.encoders.gru_sequence`` and
 ``gcnmt.decoder.teacher_forcing_recurrence`` are checked against their
 per-step compositions, one ``reference_gru_cell`` or
-``reference_recurrence_step`` per step. ``scatter_add_rows`` is the tape op
-the composed GCN needs. The composed ops the package no longer records
-(``sub``, ``mul``, ``neg``, ``sigmoid``, ``softmax``, ``tsum``) come from
-``tape_ops``, and each operator the bodies used on tensors is spelled as
-the call it made (``a * b`` is ``mul(a, b)``), so the oracles compute what
-they computed before, bit for bit.
+``reference_recurrence_step`` per step (the latter from
+``reference_init_state`` over ``reference_attention_keys``).
+``scatter_add_rows`` is the tape op the composed GCN needs. The composed
+ops the package no longer records (``sub``, ``mul``, ``neg``,
+``sigmoid``, ``tanh``, ``softmax``, ``tsum``) come from ``tape_ops``, and
+each operator the bodies used on tensors is spelled as the call it made
+(``a * b`` is ``mul(a, b)``), so the oracles compute what they computed
+before, bit for bit.
 """
 
 import numpy as np
 import numpy.testing as npt
 
-from gcnmt.decoder import AttentionParams, DecoderParams, attention_keys
+from gcnmt.decoder import AttentionParams, DecoderParams
 from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
 from gcnmt.tensor import (
     Tensor,
@@ -35,9 +38,8 @@ from gcnmt.tensor import (
     node,
     relu,
     reshape,
-    tanh,
 )
-from tape_ops import mul, neg, sigmoid, softmax, stack0, sub, tsum
+from tape_ops import mul, neg, sigmoid, softmax, stack0, sub, tanh, tsum
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -71,23 +73,30 @@ def reference_gru_sequence(xs, params: GruParams, reverse: bool = False):
     return stack0(states)
 
 
+def reference_attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
+    """The attention keys ``states @ v_enc`` as one tape ``matmul``."""
+    return matmul(enc.states, params.v_enc)
+
+
 def reference_recurrence_step(y_prev_id, s_prev, enc: EncoderOutput,
                               params: DecoderParams, keys):
     """One teacher-forcing step: the embedding row, attention (``keys`` from
-    ``attention_keys``) and the GRU update; returns (new state, output
-    features ``[s_t; context; emb]``)."""
+    ``reference_attention_keys``) and the GRU update; returns (new state,
+    output features ``[s_t; context; emb]``)."""
     emb = gather_rows(params.embedding, np.asarray(y_prev_id, dtype=np.intp))
     _, context = reference_attention(s_prev, enc, params.attn, keys)
     s_t = reference_gru_cell(concat([emb, context], axis=-1), s_prev, params.gru)
     return s_t, concat([s_t, context, emb], axis=-1)
 
 
-def reference_teacher_forcing_recurrence(y_prev_ids, s0, enc: EncoderOutput,
-                                         params: DecoderParams, keys):
+def reference_teacher_forcing_recurrence(y_prev_ids, enc: EncoderOutput,
+                                         params: DecoderParams):
     """Every step's ``[s_t; context; emb]`` features under teacher forcing,
-    one ``reference_recurrence_step`` per step, as time-major (T * B, F) rows."""
+    one ``reference_recurrence_step`` per step from ``reference_init_state``
+    over ``reference_attention_keys``, as time-major (T * B, F) rows."""
     ids = np.asarray(y_prev_ids)
-    s, features = s0, []
+    keys = reference_attention_keys(enc, params.attn)
+    s, features = reference_init_state(enc, params), []
     for t in range(ids.shape[1]):
         s, f = reference_recurrence_step(ids[:, t], s, enc, params, keys)
         features.append(f)
@@ -101,13 +110,14 @@ def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionPar
     Per sentence: s_prev (h,), states (len, d) -> weights (len,), context (d,).
     Batched: s_prev (B, h), states (B, len, d) -> (B, len), (B, d).
     Beam: s_prev (k, h), one sentence's states (len, d) -> (k, len), (k, d).
-    ``keys`` is ``attention_keys(enc, params)``, computed here when omitted.
+    ``keys`` is ``reference_attention_keys(enc, params)``, computed here when
+    omitted.
     """
     states = enc.states
     if not bool(np.asarray(enc.mask).any(axis=-1).all()):
         raise ValueError("attention: all source positions masked")
     if keys is None:
-        keys = attention_keys(enc, params)
+        keys = reference_attention_keys(enc, params)
     proj_s = matmul(s_prev, params.u_dec)
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
     scores = matmul(tanh(keys + proj_s), params.score_v)

@@ -1,10 +1,11 @@
 """Tape operations that the tests compose and ``gcnmt`` never records.
 
-``gcnmt.tensor`` keeps only the operations the package runs. The oracles
-(``layer_oracle``, ``tf_oracle``) and the tests also need ``sub``, ``mul``,
-``neg``, ``sigmoid``, ``softmax``, ``stack0`` and ``tsum``, each one node
-with its adjoint under the rule ``tensor.node`` states, and ``grad_check``,
-which compares ``backward`` against central differences. ``Tensor`` has no
+``gcnmt.tensor`` keeps only the operations the package records. The
+oracles (``layer_oracle``, ``tf_oracle``, ``beam_oracle``) and the tests
+also need ``sub``, ``mul``, ``neg``, ``sigmoid``, ``tanh``, ``softmax``,
+``stack0``, ``tsum`` and ``weighted_sum``, each one node with its adjoint
+under the rule ``tensor.node`` states, and ``grad_check``, which compares
+``backward`` against central differences. ``Tensor`` has no
 ``-``, ``*``, ``/`` or unary ``-`` operator: ``a * b`` is written
 ``mul(a, b)``, ``a - b`` ``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a``
 ``neg(a)`` and ``a / s`` ``mul(a, 1.0 / float(s))``, the calls those
@@ -64,6 +65,12 @@ def sigmoid(a) -> Tensor:
     return node(data, (a,), lambda g: (g * data * (1.0 - data),))
 
 
+def tanh(a) -> Tensor:
+    a = _as_tensor(a)
+    data = np.tanh(a.data)
+    return node(data, (a,), lambda g: (g * (1.0 - data * data),))
+
+
 def softmax(a, mask=None) -> Tensor:
     """Exp-normalize over the last axis; ``mask`` (True = keep) zeroes entries exactly."""
     a = _as_tensor(a)
@@ -99,6 +106,28 @@ def tsum(a, axis=None) -> Tensor:
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return node(data, (a,), bwd)
+
+
+def weighted_sum(w, a) -> Tensor:
+    """``sum_i w[..., i] * a[..., i, :]``: weights ``w`` (..., n) over rows
+    ``a`` (..., n, d), or over one ``(n, d)`` shared by every leading index,
+    give (..., d). One ``np.matmul``; no (..., n, d) product is kept."""
+    w, a = _as_tensor(w), _as_tensor(a)
+    if w.ndim == 0 or a.ndim < 2:
+        raise ShapeError(f"weighted_sum needs a >=1-d w and a >=2-d a, "
+                         f"got {w.shape} and {a.shape}")
+    try:
+        data = np.matmul(w.data[..., None, :], a.data)[..., 0, :]
+    except ValueError as e:
+        raise ShapeError(f"weighted_sum shapes {w.shape} and {a.shape} "
+                         f"are incompatible") from e
+
+    def bwd(g):
+        gw = np.matmul(a.data, g[..., :, None])[..., 0]
+        ga = w.data[..., :, None] * g[..., None, :]
+        return _unbroadcast(gw, w.shape), _unbroadcast(ga, a.shape)
+
+    return node(data, (w, a), bwd)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -13,6 +14,7 @@ from gcnmt.encoders import EncoderOutput
 from layer_oracle import (
     assert_matches_reference,
     reference_attention,
+    reference_attention_keys,
     reference_init_state,
     reference_recurrence_step,
     reference_teacher_forcing_recurrence,
@@ -397,7 +399,8 @@ def test_decoder_step_matches_composed_per_step_oracle(y, s_shape, states_shape,
     enc = _enc(rng.uniform(-1, 1, states_shape), mask)
     keys = D.attention_keys(enc, params.attn)
     s_t, logits = D.decoder_step(np.asarray(y), s, enc, params, keys)
-    want_s, features = reference_recurrence_step(y, s, enc, params, keys)
+    want_s, features = reference_recurrence_step(
+        y, s, enc, params, reference_attention_keys(enc, params.attn))
     want_logits = T.matmul(features, params.w_out) + params.b_out
     npt.assert_allclose(s_t.data, want_s.data, rtol=0, atol=1e-12)
     npt.assert_allclose(logits.data, want_logits.data, rtol=0, atol=1e-12)
@@ -447,8 +450,19 @@ def test_batched_step_keeps_the_direct_product():
     npt.assert_array_equal(logits.data, features @ params.w_out.data + params.b_out.data)
 
 
-def test_decoding_records_nothing_with_gradients_enabled():
+def test_decoding_records_nothing_with_gradients_enabled(monkeypatch):
     # no no_grad here: the parameters and the encoder states require grad
+    recorded = []
+    real = T.node
+
+    def spy(data, parents, backward_fn):
+        out = real(data, parents, backward_fn)
+        if out._backward is not None:
+            recorded.append(parents)
+        return out
+
+    for mod in (T, D):
+        monkeypatch.setattr(mod, "node", spy)
     params = _decoder(vocab=6, seed=18, scale=3.0)
     rng = np.random.default_rng(19)
     states = T.Tensor(rng.uniform(-1, 1, (2, 4, 4)), requires_grad=True)
@@ -456,17 +470,25 @@ def test_decoding_records_nothing_with_gradients_enabled():
                                                       [True, True, False, False]]))
     s = T.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
     keys = D.attention_keys(enc, params.attn)
-    assert keys.requires_grad  # training's ops record on these inputs
     x = T.Tensor(rng.uniform(-1, 1, (2, 3 + 4)), requires_grad=True)
     outs = [*D.attention(s, enc, params.attn, keys), D.gru_cell(x, s, params.gru),
-            *D.decoder_step(np.array([BOS, 3]), s, enc, params, keys)]
+            *D.decoder_step(np.array([BOS, 3]), s, enc, params, keys),
+            D.init_state(enc, params)]
     for out in outs:
         assert out._parents == () and not out.requires_grad
+    assert recorded == []
     T.backward(sum((TO.tsum(TO.mul(o, o)) for o in outs), T.Tensor(0.0)))
+    recorded.clear()
     D.greedy_decode_batch(enc, params, max_len=4)
+    sentence = EncoderOutput(states=T.Tensor(states.data[1, :2], requires_grad=True),
+                             mask=np.array([True, True]))
+    best = D.beam_decode(sentence, params, beam=3, max_len=4)
+    D.score_sequence(sentence, params, best.tokens)
+    assert recorded == [] and best.state._parents == ()
     for name, p in params.named().items():
         assert p.requires_grad and p.grad is None, name
     assert states.grad is None and s.grad is None and x.grad is None
+    assert sentence.states.grad is None
 
 
 _INIT_MASKS = {
@@ -488,61 +510,46 @@ def test_init_state_matches_composed_oracle(case):
         mask = np.asarray(_INIT_MASKS[case])
         states = T.Tensor(rng.uniform(-1, 1, mask.shape + (4,)), requires_grad=True)
     enc = EncoderOutput(states=states, mask=mask)
-    leaves = {"states": states, "w_init": params.w_init, "b_init": params.b_init}
-    assert_matches_reference(lambda: D.init_state(enc, params),
-                             lambda: reference_init_state(enc, params), leaves)
-
-
-def test_init_state_gradients_on_a_padded_batch():
-    params = _decoder(width=4, hid=4, seed=14)
-    states = T.Tensor(np.random.default_rng(15).uniform(-1, 1, (3, 5, 4)),
-                      requires_grad=True)
-    mask = np.asarray(_INIT_MASKS["padded-batch"])
-    named = {"states": states, "w_init": params.w_init, "b_init": params.b_init}
-
-    def f(_):
-        s = D.init_state(EncoderOutput(states=states, mask=mask), params)
-        return TO.tsum(TO.mul(s, T.Tensor(np.arange(12.0).reshape(3, 4) - 5.0)))
-
-    report = TO.grad_check(f, named, epsilon=1e-4, tolerance=1e-4)
-    assert all(e.ok for e in report.values())
+    got = D.init_state(enc, params)
+    assert got._parents == ()
+    npt.assert_allclose(got.data, reference_init_state(enc, params).data,
+                        rtol=0, atol=1e-12)
 
 
 def _recurrence_case(steps, seed):
-    """Decoder parameters, ids, ``s0``, a two-sentence encoding whose first
-    row is padded, keys, and the leaves the recurrence node reads."""
+    """Decoder parameters, ids, a two-sentence encoding whose first row is
+    padded, and the leaves the recurrence node reads."""
     params = _decoder(vocab=7, emb=3, hid=4, width=5, attn=3, seed=seed, scale=10.0)
     rng = np.random.default_rng(seed + 1)
     states = T.Tensor(rng.uniform(-1, 1, (2, 4, 5)), requires_grad=True)
     enc = EncoderOutput(states=states, mask=np.array([[True, True, True, False],
                                                       [True, True, True, True]]))
-    keys = T.Tensor(rng.uniform(-1, 1, (2, 4, 3)), requires_grad=True)
-    s0 = T.Tensor(rng.uniform(-1, 1, (2, 4)), requires_grad=True)
     ids = rng.integers(0, 7, (2, steps))
-    leaves = {"s0": s0, "states": states, "keys": keys,
-              "embedding": params.embedding, "u_dec": params.attn.u_dec,
-              "score_v": params.attn.score_v, **params.gru.named("gru")}
-    return params, ids, s0, enc, keys, leaves
+    leaves = {"states": states, "embedding": params.embedding,
+              "v_enc": params.attn.v_enc, "u_dec": params.attn.u_dec,
+              "score_v": params.attn.score_v, "w_init": params.w_init,
+              "b_init": params.b_init, **params.gru.named("gru")}
+    return params, ids, enc, leaves
 
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_teacher_forcing_recurrence_matches_per_step_oracle(steps):
-    params, ids, s0, enc, keys, leaves = _recurrence_case(steps, seed=20)
-    out = D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+    params, ids, enc, leaves = _recurrence_case(steps, seed=20)
+    out = D.teacher_forcing_recurrence(ids, enc, params)
     assert out.shape == (steps * 2, 4 + 5 + 3)
     assert_matches_reference(
-        lambda: D.teacher_forcing_recurrence(ids, s0, enc, params, keys),
-        lambda: reference_teacher_forcing_recurrence(ids, s0, enc, params, keys),
+        lambda: D.teacher_forcing_recurrence(ids, enc, params),
+        lambda: reference_teacher_forcing_recurrence(ids, enc, params),
         leaves)
 
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_teacher_forcing_recurrence_gradients_vs_finite_differences(steps):
-    params, ids, s0, enc, keys, leaves = _recurrence_case(steps, seed=22)
+    params, ids, enc, leaves = _recurrence_case(steps, seed=22)
     weights = T.Tensor(np.random.default_rng(24).uniform(-1, 1, (steps * 2, 12)))
 
     def f(_):
-        out = D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+        out = D.teacher_forcing_recurrence(ids, enc, params)
         return TO.tsum(TO.mul(out, weights))
 
     report = TO.grad_check(f, leaves)
@@ -552,10 +559,29 @@ def test_teacher_forcing_recurrence_gradients_vs_finite_differences(steps):
 
 
 def test_teacher_forcing_recurrence_rejects_a_fully_masked_row_as_attention_does():
-    params, ids, s0, enc, keys, _ = _recurrence_case(2, seed=26)
+    params, ids, enc, _ = _recurrence_case(2, seed=26)
     enc = EncoderOutput(states=enc.states, mask=np.array([[False] * 4, [True] * 4]))
     with pytest.raises(ValueError) as attention_error:
-        D.attention(s0, enc, params.attn, keys)
+        D.attention(T.Tensor(np.zeros((2, 4))), enc, params.attn,
+                    D.attention_keys(enc, params.attn))
     with pytest.raises(ValueError) as recurrence_error:
-        D.teacher_forcing_recurrence(ids, s0, enc, params, keys)
+        D.teacher_forcing_recurrence(ids, enc, params)
     assert str(recurrence_error.value) == str(attention_error.value)
+
+
+def test_a_fully_masked_source_row_raises_before_any_division():
+    # the initial state divides by each row's length: the mask is checked
+    # first, so no "invalid value" warning comes before the ValueError
+    params = _decoder(vocab=6, seed=27, scale=3.0)
+    states = np.random.default_rng(28).uniform(-1, 1, (2, 3, 4))
+    batch = _enc(states, mask=[[False] * 3, [True] * 3])
+    sentence = _enc(states[0], mask=[False] * 3)
+    calls = [lambda: D.greedy_decode_batch(batch, params, max_len=3),
+             lambda: D.beam_decode(sentence, params, beam=2, max_len=3),
+             lambda: D.score_sequence(sentence, params, [4]),
+             lambda: D.teacher_forcing_recurrence([[1, 4], [2, 3]], batch, params)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="attention: all source positions masked"):
+                call()

@@ -164,6 +164,18 @@ def test_parse_config_rejects_bad_value_and_missing_equals():
         CFG.parse_config("just some words\n")
 
 
+@pytest.mark.parametrize("key, value", [("learning_rate", "nan"), ("learning_rate", "inf"),
+                                        ("l2_coeff", "nan"), ("l2_coeff", "-1")])
+def test_parse_config_rejects_non_finite_rates_and_negative_l2(key, value):
+    # a nan learning rate would turn every parameter into nan on the first step
+    with pytest.raises(CFG.ConfigError, match=key):
+        CFG.parse_config(f"{key} = {value}\n")
+
+
+def test_parse_config_accepts_zero_l2():
+    assert CFG.parse_config("l2_coeff = 0\n")[1].l2_coeff == 0.0
+
+
 def test_recipe_parse_gives_blocks_and_rejects_bad_ones():
     for text, blocks in [("none", []), ("sem:1", [(("sem",), 1)]),
                          ("syn:3", [(("syn",), 3)]),

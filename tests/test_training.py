@@ -673,7 +673,7 @@ def test_teacher_forcing_projects_and_keys_once_per_batch():
                 consumers[id(p)].append(node)
         stack.extend(node._parents)
     for key, op in ((id(model.decoder.w_out), "nll_loss."),
-                    (id(model.decoder.attn.v_enc), "matmul.")):
+                    (id(model.decoder.attn.v_enc), "teacher_forcing_recurrence.")):
         assert len(consumers[key]) == 1
         assert consumers[key][0]._backward.__qualname__.startswith(op)
     assert batch.tgt.shape[1] - 1 > 1  # more than one decoder step was taken

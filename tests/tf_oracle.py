@@ -1,9 +1,10 @@
 """Reference teacher forcing, in two forms that the fused loss must match.
 
-``reference_teacher_forcing_loss`` runs one composed step
-(``layer_oracle.reference_recurrence_step``), attention keys and output
-projection ``matmul(f, w_out) + b_out`` per time step and stacks the
-logits to (T, B, vocab): the original per-step body of
+``reference_teacher_forcing_loss`` builds the attention keys with a tape
+``matmul`` and the initial state with ``layer_oracle.reference_init_state``,
+runs one composed step (``layer_oracle.reference_recurrence_step``) and
+output projection ``matmul(f, w_out) + b_out`` per time step and stacks
+the logits to (T, B, vocab): the original per-step body of
 ``gcnmt.training.teacher_forcing_loss``, which the batched implementation
 must match in loss and in every parameter gradient.
 
@@ -17,18 +18,22 @@ takes the loss. It does the same arithmetic in the same order as
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
 Every tape op used here is one ``gcnmt`` records, except ``stack0``; it and
 the other ops ``gcnmt`` does not record (``sub``, ``mul``, ``neg``,
-``sigmoid``, ``softmax``, ``tsum``) and ``grad_check`` live in
-``tape_ops``.
+``sigmoid``, ``tanh``, ``softmax``, ``tsum``, ``weighted_sum``) and
+``grad_check`` live in ``tape_ops``.
 """
 
 import numpy as np
 
 from gcnmt.corpus import PAD
-from gcnmt.decoder import attention_keys, init_state, teacher_forcing_recurrence
+from gcnmt.decoder import teacher_forcing_recurrence
 from gcnmt.encoders import encode_pipeline
 from gcnmt.tensor import Tensor, matmul, node
 from gcnmt.training import word_dropout
-from layer_oracle import reference_recurrence_step
+from layer_oracle import (
+    reference_attention_keys,
+    reference_init_state,
+    reference_recurrence_step,
+)
 from tape_ops import stack0
 
 
@@ -82,11 +87,11 @@ def reference_teacher_forcing_loss(model, batch, train_cfg, rng):
     """Cross-entropy of the batch under teacher forcing, step by step."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
-    s = init_state(enc, dec)
+    s = reference_init_state(enc, dec)
+    keys = reference_attention_keys(enc, dec.attn)
     step_logits = []
     for t in range(tgt_in.shape[1]):
-        s, f = reference_recurrence_step(tgt_in[:, t], s, enc, dec,
-                                         attention_keys(enc, dec.attn))
+        s, f = reference_recurrence_step(tgt_in[:, t], s, enc, dec, keys)
         step_logits.append(matmul(f, dec.w_out) + dec.b_out)
     all_logits = stack0(step_logits)  # (T, B, vocab)
     return logits_nll_loss(all_logits, tgt_out.T, mask.T)
@@ -97,7 +102,6 @@ def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
     features and a separate loss node."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
-    features = teacher_forcing_recurrence(tgt_in, init_state(enc, dec), enc, dec,
-                                          attention_keys(enc, dec.attn))
+    features = teacher_forcing_recurrence(tgt_in, enc, dec)
     logits = matmul(features, dec.w_out) + dec.b_out
     return logits_nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
