@@ -178,10 +178,21 @@ def parse_config(text: str, origin: str = "<config>"):
 
 
 def dump_config(exp: ExperimentConfig, train: TrainConfig, paths: DataPaths) -> str:
+    """The config text that ``parse_config`` reads back as these sections.
+
+    ``parse_config`` cuts a line at ``#`` and strips its value, and a file
+    reads ``\r`` as a line break, so a value holding ``#``, ``\n`` or
+    ``\r``, or with leading or trailing whitespace, raises ``ConfigError``
+    naming its key instead of being written as a different value.
+    """
     lines = []
     for section in (exp, train, paths):
         for f in fields(section):
-            lines.append(f"{f.name} = {getattr(section, f.name)}")
+            value = str(getattr(section, f.name))
+            if value != value.strip() or any(c in value for c in "#\n\r"):
+                raise ConfigError(f"{f.name} = {value!r} would not read back "
+                                  "from a config file")
+            lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -520,14 +520,14 @@ def make_batch(pairs, src_vocab: Vocabulary, tgt_vocab: Vocabulary, bpe=None,
                  syn_edges=syn_edges, src_mask=src_mask)
 
 
-def bucket_indices(pairs, batch_size: int, rng=None):
-    """Indices of ``pairs`` grouped into batches of uniform source length."""
-    order = list(range(len(pairs)))
-    if rng is not None:
-        rng.shuffle(order)
+def bucket_indices(pairs, batch_size: int):
+    """Indices of ``pairs`` grouped into batches of uniform source length,
+    in ascending length and then input order; translation encodes these
+    buckets. Training cuts its batches across lengths instead
+    (``training.bucket_batches``)."""
     buckets = {}
-    for i in order:
-        buckets.setdefault(len(pairs[i][0].tokens), []).append(i)
+    for i, (sent, _) in enumerate(pairs):
+        buckets.setdefault(len(sent.tokens), []).append(i)
     return [group[i:i + batch_size]
             for group in (buckets[length] for length in sorted(buckets))
             for i in range(0, len(group), batch_size)]

@@ -10,7 +10,9 @@ scalar gates are all learned. Layers stack, each wrapped in a residual
 connection, and a layer may read the semantic graph, the syntactic graph,
 both at once (distinct W per graph, shared self-loop) or neither
 (self-loop ablation). Each graph reaches the GCN as one ``(E, 3)`` array
-of (head, dependent, label id) rows, built once per batch.
+of (head, dependent, label id) rows, built once per batch. A batch may
+mix source lengths: the base encoders take its padding mask
+(``encode_pipeline``).
 
 ``gru_sequence`` and ``gcn_layer`` compute in numpy and record one tape
 node each (``tensor.node``) with a hand-derived adjoint, which keeps only
@@ -150,11 +152,17 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
     return Tensor(_gru_gates(x @ p.w_z.data, x @ p.w_r.data, x @ p.w_h.data, h, p)[0])
 
 
-def gru_sequence(xs, params: GruParams, reverse: bool = False):
+def gru_sequence(xs, params: GruParams, reverse: bool = False, mask=None):
     """Every state of a GRU run from a zero state over the leading axis of
     ``xs``, (n, in) or (n, batch, in); the output is (n, hidden) or
     (n, batch, hidden), position by position. With ``reverse`` the GRU
     reads the last position first, so output ``t`` has read ``n-1 .. t``.
+
+    ``mask``, shaped like ``xs`` without its last axis, is False where the
+    state is held at zero: the state read next is the zero start state, and
+    the adjoint drops the gradient reaching that state. With ``reverse``
+    and each row's padding after its real positions, a row's real states
+    are those of its real positions run alone.
 
     One tape node over ``xs`` and the nine parameters. The input
     projections ``x @ w_*`` are one GEMM each over all n * batch rows, and
@@ -170,6 +178,7 @@ def gru_sequence(xs, params: GruParams, reverse: bool = False):
         raise ValueError("gru_sequence: empty input")
     X = _fold(xs_t.data)
     B = X.shape[0] // n
+    held = None if mask is None else ~np.asarray(mask, dtype=bool).reshape(n, B)
     XZ, XR, XH = ((X @ w.data).reshape(n, B, hidden) for w in (p.w_z, p.w_r, p.w_h))
     Z, R, C = (np.empty((n, B, hidden)) for _ in range(3))
     S = np.zeros((n + 1, B, hidden))  # the zero start state and every output
@@ -178,14 +187,18 @@ def gru_sequence(xs, params: GruParams, reverse: bool = False):
     order = range(n - 1, -1, -1) if reverse else range(n)
     for t in order:
         out[t], Z[t], R[t], C[t] = _gru_gates(XZ[t], XR[t], XH[t], prev[t], p)
+        if held is not None:
+            out[t, held[t]] = 0.0
 
     def bwd(g):
         g = g.reshape(n, B, hidden)
         dZ, dR, dC = (np.empty((n, B, hidden)) for _ in range(3))
         dh = 0.0
         for t in reversed(order):
-            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(g[t] + dh, prev[t], Z[t], R[t],
-                                                        C[t], p)
+            gt = g[t] + dh
+            if held is not None:
+                gt[held[t]] = 0.0
+            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(gt, prev[t], Z[t], R[t], C[t], p)
         dz, dr, dc = _fold(dZ), _fold(dR), _fold(dC)
         return (_gru_input_grad(dz, dr, dc, p).reshape(xs_t.shape),
                 *_gru_weight_grads(X, _fold(prev), _fold(R * prev), dz, dr, dc))
@@ -193,26 +206,36 @@ def gru_sequence(xs, params: GruParams, reverse: bool = False):
     return node(out.reshape(xs_t.shape[:-1] + (hidden,)), (xs_t, *p.tensors()), bwd)
 
 
-def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams):
+def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams, mask=None):
     """Concatenate forward and backward GRU states per position.
 
     ``embeddings`` is (len, emb) for one sentence or (len, batch, emb) for a
-    batch; the output matches with last dimension 2 * hidden.
+    batch; the output matches with last dimension 2 * hidden. ``mask``
+    (len, batch), True on real positions, marks each row's right padding:
+    the backward GRU holds its zero state there (``gru_sequence``), so every
+    real position's output is that of the row encoded alone. The forward
+    GRU needs no mask, since the padding comes after every real position.
     """
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    return concat([gru_sequence(emb, fwd), gru_sequence(emb, bwd, reverse=True)],
-                  axis=-1)
+    return concat([gru_sequence(emb, fwd),
+                   gru_sequence(emb, bwd, reverse=True, mask=mask)], axis=-1)
 
 
-def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor):
+def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, mask=None):
     """Per-position affine over a zero-padded window, ReLU. The window is
-    ``w_filter``'s row count over the embedding width, and must be odd."""
+    ``w_filter``'s row count over the embedding width, and must be odd.
+    Where ``mask`` (len, batch) is False the window reads zeros, as past
+    either end, so every real position's output is that of the row encoded
+    alone."""
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
     n = emb.shape[0]
     window, rest = divmod(w_filter.shape[0], emb.shape[-1])
     if rest or window % 2 == 0:
         raise ValueError(f"cnn filter of {w_filter.shape[0]} rows is not an odd "
                          f"window over embeddings of width {emb.shape[-1]}")
+    if mask is not None:
+        keep = np.asarray(mask, dtype=np.float64)[..., None]
+        emb = node(emb.data * keep, (emb,), lambda g: (g * keep,))
     pad = Tensor(np.zeros((window // 2,) + emb.shape[1:]))
     padded = concat([pad, emb, pad], axis=0)
     # shift k is emb moved by k - window // 2 rows, zeros past either end
@@ -233,8 +256,8 @@ class BiRNN:
         return {**self.gru_fwd.named(f"{prefix}.gru_fwd"),
                 **self.gru_bwd.named(f"{prefix}.gru_bwd")}
 
-    def __call__(self, embeddings):
-        return birnn_encode(embeddings, self.gru_fwd, self.gru_bwd)
+    def __call__(self, embeddings, mask=None):
+        return birnn_encode(embeddings, self.gru_fwd, self.gru_bwd, mask)
 
 
 @dataclass
@@ -248,8 +271,8 @@ class CNN:
     def named(self, prefix: str):
         return {f"{prefix}.cnn.w": self.w, f"{prefix}.cnn.b": self.b}
 
-    def __call__(self, embeddings):
-        return cnn_encode(embeddings, self.w, self.b)
+    def __call__(self, embeddings, mask=None):
+        return cnn_encode(embeddings, self.w, self.b, mask)
 
 
 @dataclass
@@ -440,13 +463,19 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
 
     ``src_ids`` overrides ``batch.src`` (the training loop passes
     word-dropped ids). Edge dropout applies only when ``mode == "train"``.
+    A batch may mix source lengths: the base encoder gets its padding mask,
+    and the GCN needs none, since no edge reaches a padded position. Every
+    real position's state is then that of its
+    sentence encoded alone, up to rounding; padded states are not, and
+    ``mask`` keeps them out of the decoder. A batch with no padding passes
+    no mask and runs the unmasked code.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"mode must be train or infer, got {mode!r}")
     ids = batch.src if src_ids is None else src_ids
     B, L = ids.shape
     emb = gather_rows(params.embedding, ids.T)  # (L, B, emb)
-    base = params.base(emb)
+    base = params.base(emb, None if batch.src_mask.all() else batch.src_mask.T)
     d = base.shape[-1]
     H = reshape(transpose(base, (1, 0, 2)), (B * L, d))
 

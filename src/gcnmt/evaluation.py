@@ -52,9 +52,11 @@ def translate_corpus(model, pairs, src_vocab, tgt_vocab, bpe,
     returns detokenized word lists in input order.
 
     The one corpus-translation loop: sentences are encoded in exact-length
-    buckets of at most ``train_cfg.batch_size`` with no length limit, since
-    the base encoders have no mask. Greedy decoding gathers consecutive
-    buckets into groups of at most ``batch_size`` sentences that may mix
+    buckets of at most ``train_cfg.batch_size`` with no length limit
+    (``bucket_indices``). The encoders would take a padded batch, but
+    encoding a whole decode group at once holds the group's working set and
+    costs more peak memory than it saves time. Greedy decoding gathers
+    consecutive buckets into groups of at most ``batch_size`` sentences that may mix
     source lengths: each group is zero-padded to its longest source, and the
     decoder masks the padding in attention and in its initial state. A group
     is decoded as soon as the next bucket would overflow it. Beam search

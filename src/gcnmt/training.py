@@ -1,7 +1,9 @@
 """Maximum-likelihood training: loss, dropout, Adam, the training loop.
 
-Batches are bucketed by exact source length, so a batched forward pass is
-numerically identical to encoding each sentence alone. The loop is
+A batch is a chunk of the epoch's pairs sorted by source length
+(``bucket_batches``), so it may mix lengths; the base encoders mask its
+padding (``encoders.encode_pipeline``), so its loss and gradients are
+those of its sentences encoded alone, up to rounding. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
 draw from one generator in a fixed order. Teacher forcing runs the decoder
 over every step, with its attention keys and initial state, as one tape
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig, TrainConfig
-from .corpus import PAD, SPECIALS, UNK, Batch, bucket_indices, make_batch
+from .corpus import PAD, SPECIALS, UNK, Batch, make_batch
 from .decoder import teacher_forcing_recurrence
 from .encoders import encode_pipeline
 from .evaluation import bleu, translate_corpus
@@ -193,10 +195,23 @@ def teacher_forcing_loss(model: Model, batch: Batch, train_cfg: TrainConfig,
 
 
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):
-    """Group sentence pairs into batches of uniform source length."""
-    return [make_batch([pairs[i] for i in idx], src_vocab, tgt_vocab, bpe,
-                       max_len=train_cfg.max_sentence_len)
-            for idx in bucket_indices(pairs, train_cfg.batch_size, rng)]
+    """Training batches of at most ``train_cfg.batch_size`` pairs.
+
+    The pairs are shuffled once with ``rng`` (left in input order without
+    one), sorted stably by source length and cut into consecutive chunks,
+    so the batches run in ascending length and a chunk mixes lengths only
+    where it crosses from one to the next. That is one draw per epoch, and
+    on a corpus of one source length the same batches and generator state
+    as grouping the shuffled pairs by exact length.
+    """
+    order = list(range(len(pairs)))
+    if rng is not None:
+        rng.shuffle(order)
+    order.sort(key=lambda i: len(pairs[i][0].tokens))
+    size = train_cfg.batch_size
+    return [make_batch([pairs[i] for i in order[lo:lo + size]], src_vocab, tgt_vocab,
+                       bpe, max_len=train_cfg.max_sentence_len)
+            for lo in range(0, len(order), size)]
 
 
 @dataclass

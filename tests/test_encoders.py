@@ -6,8 +6,9 @@ import pytest
 
 from gcnmt import encoders as E
 from gcnmt import tensor as T
-from gcnmt.config import ExperimentConfig
+from gcnmt.config import ExperimentConfig, TrainConfig
 from gcnmt.corpus import AnnotatedSentence, LabelVocab, Vocabulary, make_batch
+from gcnmt.evaluation import translate_corpus
 from gcnmt.model import build_model
 from layer_oracle import (
     _outputs_and_grads,
@@ -113,6 +114,32 @@ def test_gru_sequence_matches_per_step_oracle_and_finite_differences(n, batch, r
     weights = T.Tensor(rng.uniform(-1, 1, out.shape))
     report = TO.grad_check(
         lambda q: TO.tsum(TO.mul(E.gru_sequence(q["xs"], p, reverse), weights)), leaves)
+    assert all(e.ok for e in report.values()), report
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_gru_sequence_holds_the_zero_state_where_masked(reverse):
+    # over each row's right padding the state is exactly 0.0; run in
+    # reverse, each row's real states are those of the row run alone; the
+    # adjoint matches finite differences through weights on every position
+    rng = np.random.default_rng(35)
+    p = E.init_gru(rng, 3, 4)
+    for t in p.tensors():
+        t.data[...] = rng.uniform(-1, 1, t.shape)
+    lengths = [5, 2, 4]
+    xs = T.Tensor(rng.uniform(-1, 1, (5, 3, 3)), requires_grad=True)
+    mask = np.arange(5)[:, None] < np.array(lengths)  # (n, batch)
+    out = E.gru_sequence(xs, p, reverse, mask).data
+    assert np.array_equal(out[~mask], np.zeros((int((~mask).sum()), 4)))
+    if reverse:
+        for b, n in enumerate(lengths):
+            alone = E.gru_sequence(xs.data[:n, b], p, reverse).data
+            npt.assert_allclose(out[:n, b], alone, rtol=0, atol=1e-14)
+    weights = T.Tensor(rng.uniform(-1, 1, out.shape))
+    leaves = {"xs": xs, **p.named("gru")}
+    report = TO.grad_check(
+        lambda q: TO.tsum(TO.mul(E.gru_sequence(q["xs"], p, reverse, mask), weights)),
+        leaves)
     assert all(e.ok for e in report.values()), report
 
 
@@ -728,3 +755,51 @@ def test_pipeline_batched_matches_single_sentence():
     single = E.encode_pipeline(make_batch([pair], vocab, vocab), cfg, stack)
     batched = E.encode_pipeline(make_batch([pair, other], vocab, vocab), cfg, stack)
     npt.assert_allclose(batched.states.data[0], single.states.data[0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_pipeline_padded_batch_matches_each_sentence_alone(encoder):
+    # rows of lengths 3, 5 and 2: every real position's state is that of
+    # its sentence encoded alone, through the masked base encoder and the GCN
+    vocab = Vocabulary(["a", "b", "c"])
+    sents = [AnnotatedSentence(tokens=["a", "b", "c"], sem_edges=[(1, 0, "A0")],
+                               syn_edges=[(0, 2, "obj")]),
+             AnnotatedSentence(tokens=["c", "b", "a", "a", "b"],
+                               sem_edges=[(0, 4, "A1"), (2, 1, "A0")],
+                               syn_edges=[(4, 3, "obj")]),
+             AnnotatedSentence(tokens=["b", "c"], sem_edges=[(1, 0, "A1")],
+                               syn_edges=[])]
+    pairs = [(s, ["x"]) for s in sents]
+    cfg, stack = _build("syn:1+sem:1", encoder)
+    batch = make_batch(pairs, vocab, vocab)
+    padded = E.encode_pipeline(batch, cfg, stack).states.data
+    for i, pair in enumerate(pairs):
+        alone = E.encode_pipeline(make_batch([pair], vocab, vocab), cfg, stack)
+        n = len(pair[0].tokens)
+        npt.assert_allclose(padded[i, :n], alone.states.data[0], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_unpadded_batches_and_translation_pass_no_mask(monkeypatch, encoder):
+    # a batch with no padding runs the unmasked base encoder (whose states
+    # the baseline tests above pin), and translation encodes only
+    # exact-length buckets, so it never runs a masked one
+    name = "birnn_encode" if encoder == "birnn" else "cnn_encode"
+    masks = []
+    real = getattr(E, name)
+
+    def spy(*args):
+        masks.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(E, name, spy)
+    batch, vocab = _toy_batch()
+    cfg, stack = _build("sem:1", encoder)
+    E.encode_pipeline(batch, cfg, stack)
+    assert masks == [None]
+    sents = [AnnotatedSentence(tokens=toks, sem_edges=[]) for toks in
+             (["a", "b"], ["c", "a", "b"], ["b"], ["a", "c"])]
+    model = build_model(cfg, 7, 5, _labels(), np.random.default_rng(1))
+    translate_corpus(model, [(s, []) for s in sents], vocab, vocab, None,
+                     TrainConfig(batch_size=4))
+    assert masks == [None] * 4  # the toy batch, then buckets of lengths 1, 2, 3

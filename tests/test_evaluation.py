@@ -145,6 +145,26 @@ def test_parse_config_roundtrip_and_comments():
     assert (exp2, trn2, paths2) == (exp, trn, paths)
 
 
+def test_dump_config_round_trips_the_defaults(tmp_path):
+    sections = (CFG.ExperimentConfig(), CFG.TrainConfig(), CFG.DataPaths())
+    path = tmp_path / "run.cfg"
+    path.write_text(CFG.dump_config(*sections), encoding="utf-8")
+    assert CFG.load_config(path) == sections
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", "runs/#1"), ("out_dir", "runs/#1 "), ("train_conll", " a.conll"),
+    ("train_tgt", "a.tgt\t"), ("val_conll", "a\nb"), ("test_tgt", "a\rb"),
+    ("recipe", "sem:1 "),
+])
+def test_dump_config_refuses_a_value_that_would_not_read_back(key, value):
+    sections = [CFG.ExperimentConfig(), CFG.TrainConfig(), CFG.DataPaths()]
+    i = next(i for i, s in enumerate(sections) if hasattr(s, key))
+    sections[i] = dataclasses.replace(sections[i], **{key: value})
+    with pytest.raises(CFG.ConfigError, match=key):
+        CFG.dump_config(*sections)
+
+
 def test_load_config_ignores_a_byte_order_mark(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("\ufeffencoder = cnn\nepochs = 3\n", encoding="utf-8")
@@ -678,7 +698,8 @@ def test_translate_corpus_groups_buckets_and_matches_per_sentence_greedy(
     pairs = _mixed_length_corpus([3, 2, 4, 1, 3, 2], seed=4)
     exp = CFG.ExperimentConfig(recipe="sem:1", emb_size=8, hidden_size=8,
                                attn_size=8, max_decode_len=8, bpe_merges=0)
-    trn = CFG.TrainConfig(epochs=8, batch_size=8, learning_rate=0.05,
+    # 24 epochs of 2 batches of 8: 48 Adam steps
+    trn = CFG.TrainConfig(epochs=24, batch_size=8, learning_rate=0.05,
                           min_count=1, rng_seed=2, word_retain=1.0,
                           edge_retain=1.0)
     prep = E.preprocess(pairs, exp, trn)

@@ -585,6 +585,7 @@ def _adjoint_cases(x, rng):
     dec = D.build_decoder(6, 2, 4, 3, 2, rng)  # vocab, emb, hidden, enc width, attn
     enc = E.EncoderOutput(states=x(2, 3, 3), mask=np.array([[True, True, False],
                                                             [True, True, True]]))
+    pad = np.array([[True, True], [True, False], [True, False]])  # (len, batch)
     return {
         "add": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(3)), (x(1, 3), x(2, 1))],
         "sub": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(1, 3))],
@@ -604,7 +605,9 @@ def _adjoint_cases(x, rng):
         "slice_rows": [(x(4, 3), 1, 3)],
         "reshape": [(x(2, 3), (3, 2))],
         "transpose": [(x(2, 3), (1, 0))],
-        "gru_sequence": [(x(3, 2, 3), gru), (x(2, 3), gru, True)],
+        "gru_sequence": [(x(3, 2, 3), gru), (x(2, 3), gru, True),
+                         (x(3, 2, 3), gru, True, pad)],
+        "cnn_encode": [(x(3, 2, 2), x(6, 4), x(4)), (x(3, 2, 2), x(6, 4), x(4), pad)],
         "teacher_forcing_recurrence": [([[1, 4, 2], [5, 0, 3]], enc, dec)],
         "gcn_layer": [(x(3, 4), edges, gcn),
                       (x(3, 4), edges, gcn, 0.5, np.random.default_rng(40))],

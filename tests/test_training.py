@@ -15,10 +15,11 @@ from gcnmt import encoders as E
 from gcnmt import tensor as T
 from gcnmt import training as TR
 from gcnmt.config import ExperimentConfig, TrainConfig
-from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence
+from gcnmt.corpus import BOS, EOS, PAD, UNK, AnnotatedSentence, Vocabulary
 from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
+from batch_oracle import exact_length_indices
 from layer_oracle import assert_matches_reference, reference_nll_loss
 import tape_ops as TO
 from test_acceptance import _reorder_corpus
@@ -560,15 +561,54 @@ def _toy_setup(recipe="none", seed=0):
     return pairs, exp, tc, prep
 
 
-def test_bucket_batches_uniform_length_and_complete():
-    pairs, exp, tc, prep = _toy_setup()
-    long_sent = AnnotatedSentence(tokens=["a", "b", "c", "a"],
-                                  sem_edges=[], syn_edges=[])
-    pairs = pairs + [(long_sent, ["x"])]
-    batches = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
-    assert sum(b.size for b in batches) == 3
-    for b in batches:
-        assert b.src_mask.all()
+def _numbered_pairs(lengths):
+    """One pair per entry of ``lengths``, with a source of that length and a
+    one-token target naming the pair, and vocabularies covering both."""
+    pairs = [(AnnotatedSentence(tokens=[f"w{i % 5}"] * n, sem_edges=[], syn_edges=[]),
+              [f"t{i}"]) for i, n in enumerate(lengths)]
+    src_vocab = Vocabulary([f"w{i}" for i in range(5)])
+    tgt_vocab = Vocabulary([tgt[0] for _, tgt in pairs])
+    return pairs, src_vocab, tgt_vocab
+
+
+def _pair_indices(batch, tgt_vocab):
+    """The pair index of each row of a batch of ``_numbered_pairs``."""
+    return [int(tgt_vocab.token(t)[1:]) for t in batch.tgt[:, 1]]
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("batch_size", [1, 3, 4, 64])
+def test_bucket_batches_are_ascending_chunks_holding_every_pair_once(seed, batch_size):
+    lengths = np.random.default_rng(10).integers(1, 9, size=23).tolist()
+    pairs, src_vocab, tgt_vocab = _numbered_pairs(lengths)
+    tc = TrainConfig(batch_size=batch_size)
+    rng = None if seed is None else np.random.default_rng(seed)
+    batches = TR.bucket_batches(pairs, src_vocab, tgt_vocab, None, tc, rng)
+    rows = [_pair_indices(b, tgt_vocab) for b in batches]
+    order = [i for r in rows for i in r]
+    assert sorted(order) == list(range(len(pairs)))
+    assert all(len(r) == batch_size for r in rows[:-1]) and 1 <= len(rows[-1]) <= batch_size
+    assert [lengths[i] for i in order] == sorted(lengths)
+    for batch, r in zip(batches, rows):
+        assert batch.src_mask.sum(axis=1).tolist() == [lengths[i] for i in r]
+        assert batch.src.shape[1] == max(lengths[i] for i in r)
+    if seed is None:  # no shuffle: equal lengths keep their input order
+        assert order == sorted(range(len(pairs)), key=lengths.__getitem__)
+    if batch_size > 1:
+        assert not all(b.src_mask.all() for b in batches)  # some batch is padded
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_pairs,batch_size", [(1, 1), (7, 3), (10, 5), (33, 8), (20, 64)])
+def test_bucket_batches_match_exact_length_grouping_on_one_length(seed, n_pairs,
+                                                                  batch_size):
+    pairs, src_vocab, tgt_vocab = _numbered_pairs([1 + seed] * n_pairs)
+    tc = TrainConfig(batch_size=batch_size)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    batches = TR.bucket_batches(pairs, src_vocab, tgt_vocab, None, tc, rng)
+    assert [_pair_indices(b, tgt_vocab) for b in batches] == \
+        exact_length_indices(pairs, batch_size, ref_rng)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_teacher_forcing_loss_batch_matches_singles():
@@ -621,6 +661,71 @@ def _loss_and_grads(loss_fn, model, batch, tc, rng):
     loss = loss_fn(model, batch, tc, rng)
     T.backward(loss)
     return loss.item(), {k: p.grad for k, p in params.items()}
+
+
+def _padded_setup(encoder, lengths=(8, 11, 15), target_lengths=(3, 7, 2)):
+    """A model and one pair per source length, each source with a semantic
+    edge and a syntactic chain, the targets of uneven lengths; no dropout."""
+    rng = np.random.default_rng(21)
+    words = ["a", "b", "c", "d", "e", "f", "g"]
+    pairs = []
+    for n, m in zip(lengths, target_lengths):
+        toks = [words[i] for i in rng.integers(0, len(words), n)]
+        sent = AnnotatedSentence(
+            tokens=toks, sem_edges=[(1, 0, "A0"), (1, n - 1, "A1")],
+            syn_edges=[(i + 1, i, "dep") for i in range(n - 1)])
+        pairs.append((sent, [words[i].upper() for i in rng.integers(0, len(words), m)]))
+    exp = ExperimentConfig(encoder=encoder, recipe="syn:1+sem:1", emb_size=5,
+                           hidden_size=6, attn_size=4, cnn_window=3,
+                           decode="greedy", max_decode_len=5, bpe_merges=0)
+    tc = TrainConfig(batch_size=len(pairs), min_count=1, word_retain=1.0,
+                     edge_retain=1.0)
+    prep = preprocess(pairs, exp, tc)
+    model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                        prep.label_vocabs, np.random.default_rng(5))
+    return model, pairs, prep, tc
+
+
+def _token_weighted(model, pairs, prep, tc):
+    """The loss and gradients of one batch of ``pairs``, each times the
+    batch's number of target tokens: the sum of its sentences' terms."""
+    (batch,) = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
+    tokens = int((batch.tgt[:, 1:] != PAD).sum())
+    loss, grads = _loss_and_grads(TR.teacher_forcing_loss, model, batch, tc, None)
+    return batch, loss * tokens, {k: g * tokens for k, g in grads.items()}
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_padded_batch_loss_and_gradients_are_the_sum_of_its_sentences(encoder):
+    model, pairs, prep, tc = _padded_setup(encoder)
+    batch, loss, grads = _token_weighted(model, pairs, prep, tc)
+    assert batch.src_mask.sum(axis=1).tolist() == [8, 11, 15]
+    want_loss, want = 0.0, {k: 0.0 for k in grads}
+    for pair in pairs:
+        _, term, term_grads = _token_weighted(model, [pair], prep, tc)
+        want_loss += term
+        for k, g in term_grads.items():
+            want[k] = want[k] + g
+    assert abs(loss - want_loss) <= 1e-12
+    for name, g in grads.items():
+        npt.assert_allclose(g, want[name], rtol=0, atol=1e-12, err_msg=name)
+    # not vacuous: every base-encoder weight has a gradient to compare
+    assert all(np.abs(g).max() > 1e-6 for k, g in grads.items()
+               if k.startswith("encoder.") and k != "encoder.embedding")
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_full_model_gradcheck_on_a_padded_batch(encoder):
+    model, pairs, prep, tc = _padded_setup(encoder, lengths=(3, 5, 4),
+                                           target_lengths=(1, 3, 2))
+    (batch,) = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
+    assert not batch.src_mask.all()
+
+    def f(_):
+        return TR.teacher_forcing_loss(model, batch, tc, None)
+
+    report = TO.grad_check(f, model.parameters(), epsilon=1e-4, tolerance=1e-4)
+    assert all(e.ok for e in report.values()), report
 
 
 @pytest.mark.parametrize("encoder", ["birnn", "cnn"])
