@@ -19,10 +19,12 @@ direct product, since its rows have their own (B, len, d) states, and a
 per-row table would hold B * len * (3 hidden + vocab) floats.
 
 Only training records: teacher forcing runs the attention keys, the
-initial state and every step's attention and GRU update as one tape node
-(``teacher_forcing_recurrence``, with backpropagation through time in its
-adjoint) and projects every step's features once per batch, inside its
-loss node (``training.nll_loss``). Decoding computes in numpy:
+initial state and every real step's attention and GRU update as one tape
+node (``teacher_forcing_recurrence``, with backpropagation through time in
+its adjoint). It sorts the rows by target length once, so each step runs
+over the prefix of rows still inside their target, and returns the real
+steps' features only, which ``training.nll_loss`` projects once per batch
+inside its loss node. Decoding computes in numpy:
 ``attention_keys``, ``init_state`` and ``decoder_step`` (the attention
 step, the GRU step and the projection) record nothing, so greedy and beam
 search need no ``no_grad`` and their ``Tensor`` results have no parents
@@ -185,86 +187,132 @@ def init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
     return Tensor(_init_state(enc.states.data, enc.mask, params)[2])
 
 
-def teacher_forcing_recurrence(y_prev_ids, enc: EncoderOutput,
-                               params: DecoderParams) -> Tensor:
-    """Every step's attention and GRU update under teacher forcing, as one
-    tape node; returns the time-major (T * B, F) feature rows ``[s_t;
-    context; emb]`` that ``training.nll_loss`` reads.
+def _target_lengths(mask, shape) -> np.ndarray:
+    """Each row's number of real target steps from its ``(B, T)`` mask; a
+    row that is not a non-empty left-aligned run of True raises
+    ``ValueError`` naming it."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != shape:
+        raise ValueError(f"teacher_forcing_recurrence: mask {mask.shape} "
+                         f"does not match ids {shape}")
+    lengths = mask.sum(axis=1)
+    bad = (lengths == 0) | (mask != (np.arange(shape[1]) < lengths[:, None])).any(axis=1)
+    if bad.any():
+        raise ValueError(f"teacher_forcing_recurrence: target mask row "
+                         f"{np.flatnonzero(bad)[0]} is not a non-empty "
+                         f"left-aligned run of real steps")
+    return lengths
 
-    ``y_prev_ids`` is (B, T), step t reading column t, and ``enc`` holds
-    (B, len, d) states and their mask. The node computes the attention keys
-    ``states @ v_enc`` and the initial state (``init_state``) itself. The
-    target embeddings are gathered once, and each step runs ``_attend`` and
-    the GRU step, the arithmetic of ``decoder_step`` without its projection.
-    The node's parents are the embeddings, the states, ``v_enc``, ``u_dec``,
+
+def teacher_forcing_recurrence(y_prev_ids, mask, enc: EncoderOutput,
+                               params: DecoderParams) -> Tensor:
+    """Every real step's attention and GRU update under teacher forcing,
+    as one tape node; returns the feature rows ``[s_t; context; emb]`` of
+    the real steps, time-major and each step's rows in batch order, so
+    their targets are ``tgt_out.T[mask.T]``: the rows ``training.nll_loss``
+    reads.
+
+    ``y_prev_ids`` is (B, T), step t reading column t, and ``mask`` (B, T)
+    is True on real steps, each row's a non-empty left-aligned run (else
+    ``ValueError`` naming the row, before any arithmetic). ``enc`` holds
+    (B, len, d) states and their mask. The node sorts the rows once,
+    stably, by real length, longest first, and works on sorted copies of
+    the states, the source mask and the ids, so the rows still inside their
+    target at step t are a prefix: the step runs on views of it, and a
+    padded step is neither attended, updated nor returned. The node
+    computes the attention keys ``states @ v_enc`` and the initial state
+    (``init_state``) itself. The target embeddings of the real steps are
+    gathered once, and each step runs ``_attend`` and the GRU step, the
+    arithmetic of ``decoder_step`` without its projection. The node's
+    parents are those embeddings, the states, ``v_enc``, ``u_dec``,
     ``score_v``, ``w_init``, ``b_init`` and the nine GRU tensors. Its
-    adjoint runs backpropagation through time with the GRU step adjoint of
-    ``encoders``; after the loop, the gradients of ``score_v``, ``u_dec``
-    and the GRU weights are one GEMM each, and the states' gradient is its
-    own batched matmul plus the initial state's term plus the keys' term,
-    added in that order. It keeps every step's ``tanh(keys + s u_dec)``,
-    attention weights, GRU inputs, states and gates.
+    adjoint reads each step's rows of the output gradient back in sorted
+    order and runs backpropagation through time over the same prefixes
+    with the GRU step adjoint of ``encoders``; after the loop, the
+    gradients of ``score_v``, ``u_dec`` and the GRU weights are one GEMM
+    each over the real steps, and the states' gradient is its own batched
+    matmul (the attention weights and the context's gradient are zero
+    outside each step's prefix) plus the initial state's term plus the
+    keys' term, added in that order, then put back in batch order. It
+    keeps every real step's ``tanh(keys + s u_dec)``, attention weights,
+    GRU inputs, states and gates. With every row of one length the sort is
+    the identity and the arithmetic is that of a full grid.
     """
     ids = np.asarray(y_prev_ids, dtype=np.intp)
-    emb = gather_rows(params.embedding, ids.T)  # (T, B, emb)
+    lengths = _target_lengths(mask, ids.shape)
+    order = np.argsort(-lengths, kind="stable")  # longest first
+    pos = np.argsort(order)  # each row's place in that order
+    steps, B = int(lengths.max()), len(lengths)
+    inside = np.arange(steps)[:, None] < lengths  # (steps, B), the real steps
+    live = inside.sum(axis=1)  # rows inside their target at step t: a prefix of order
+    off = np.concatenate([[0], np.cumsum(live)])  # step t's rows: off[t]:off[t + 1]
+    take = (off[:-1, None] + pos)[inside]  # each returned row among the sorted ones
+    emb = gather_rows(params.embedding, ids.T[:steps, order][inside[:, order]])  # (N, emb)
     a, p = params.attn, params.gru
-    states = enc.states.data  # (B, len, d)
-    mean_w, mean, s0 = _init_state(states, enc.mask, params)
-    keys = attention_keys(enc, a)
-    steps, B, E = emb.shape
+    states = enc.states.data[order]  # (B, len, d)
+    src_mask = np.asarray(enc.mask)[order]
+    mean_w, mean, s0 = _init_state(states, src_mask, params)
+    keys = states @ a.v_enc.data
+    N, E = emb.shape
     hidden, width = p.u_z.shape[0], states.shape[-1]
-    S = np.empty((steps + 1, B, hidden))  # s0 and every step's state
-    S[0] = s0
-    X = np.empty((steps, B, E + width))  # the GRU inputs [emb; context]
-    X[..., :E] = emb.data
-    PRE = np.empty((steps,) + keys.shape)  # tanh(keys + s u_dec)
-    W = np.empty((steps,) + mean_w.shape)  # attention weights
-    Z, R, C = (np.empty((steps, B, hidden)) for _ in range(3))
+    H, S = np.empty((N, hidden)), np.empty((N, hidden))  # the state read, the new one
+    X = np.empty((N, E + width))  # the GRU inputs [emb; context]
+    X[:, :E] = emb.data
+    PRE = np.empty((N,) + keys.shape[1:])  # tanh(keys + s u_dec)
+    W = np.zeros((steps,) + mean_w.shape)  # attention weights, 0 outside the prefix
+    Z, R, C = (np.empty((N, hidden)) for _ in range(3))
+    s = s0
     for t in range(steps):
-        PRE[t], W[t] = _attend(S[t], keys, enc.mask, a)
-        X[t, :, E:] = _context(W[t], states)
-        x = X[t]
-        S[t + 1], Z[t], R[t], C[t] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
-                                                x @ p.w_h.data, S[t], p)
-    features = np.concatenate([S[1:], X[..., E:], X[..., :E]], axis=-1)
+        k, rows = live[t], slice(off[t], off[t + 1])
+        H[rows] = s[:k]
+        PRE[rows], W[t, :k] = _attend(H[rows], keys[:k], src_mask[:k], a)
+        X[rows, E:] = _context(W[t, :k], states[:k])
+        x = X[rows]
+        S[rows], Z[rows], R[rows], C[rows] = _gru_gates(x @ p.w_z.data, x @ p.w_r.data,
+                                                        x @ p.w_h.data, H[rows], p)
+        s = S[rows]
+    features = np.concatenate([S, X[:, E:], X[:, :E]], axis=-1)[take]
+
+    back = np.argsort(take)  # each sorted real row's place among the returned ones
 
     def bwd(g):
-        G = g.reshape(steps, B, -1)
-        dZ, dR, dC = (np.empty((steps, B, hidden)) for _ in range(3))
-        dX = np.empty(X.shape)
-        dctx = dX[..., E:]  # the context's gradient, through the GRU and the features
-        dscores = np.empty(W.shape)
-        dproj = np.empty((steps, B, a.u_dec.shape[1]))
-        dkeys = np.zeros(PRE.shape[1:])
-        ds = 0.0  # the gradient reaching s_t from step t + 1
+        dZ, dR, dC = (np.empty((N, hidden)) for _ in range(3))
+        demb = np.empty((N, E))
+        dctx = np.zeros((steps, B, width))  # the context's gradient, 0 outside the prefix
+        dscores = np.empty((N,) + W.shape[2:])
+        dproj = np.empty((N, a.u_dec.shape[1]))
+        dkeys = np.zeros(keys.shape)
+        ds = np.zeros((live[-1], hidden))  # the gradient reaching s_t from step t + 1
         for t in reversed(range(steps)):
-            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(G[t, :, :hidden] + ds, S[t], Z[t],
-                                                        R[t], C[t], p)
-            dX[t] = _gru_input_grad(dZ[t], dR[t], dC[t], p)
-            dctx[t] += G[t, :, hidden:hidden + width]
-            dw = np.matmul(states, dctx[t][:, :, None])[..., 0]
-            dscores[t] = W[t] * (dw - (dw * W[t]).sum(axis=-1, keepdims=True))
-            dpre = dscores[t][..., None] * a.score_v.data * (1.0 - PRE[t] * PRE[t])
-            dkeys += dpre
-            dproj[t] = dpre.sum(axis=1)
-            ds = dh + dproj[t] @ a.u_dec.data.T
-        dz, dr, dc = (d.reshape(steps * B, hidden) for d in (dZ, dR, dC))
+            k, rows = live[t], slice(off[t], off[t + 1])
+            gt = g[back[rows]]  # step t's rows of g, in sorted order
+            gs = gt[:, :hidden]
+            gs[:len(ds)] += ds  # rows that left at step t + 1 get none
+            dZ[rows], dR[rows], dC[rows], dh = _gru_step_adjoint(gs, H[rows], Z[rows],
+                                                                 R[rows], C[rows], p)
+            dx = _gru_input_grad(dZ[rows], dR[rows], dC[rows], p)
+            demb[rows] = dx[:, :E]
+            dctx[t, :k] = dx[:, E:] + gt[:, hidden:hidden + width]
+            dw = np.matmul(states[:k], dctx[t, :k, :, None])[..., 0]
+            w = W[t, :k]
+            dscores[rows] = w * (dw - (dw * w).sum(axis=-1, keepdims=True))
+            dpre = dscores[rows][..., None] * a.score_v.data * (1.0 - PRE[rows] * PRE[rows])
+            dkeys[:k] += dpre
+            dproj[rows] = dpre.sum(axis=1)
+            ds = dh + dproj[rows] @ a.u_dec.data.T
+        demb += g[back, hidden + width:]
         dinit = ds * (1.0 - s0 * s0)  # through the initial state's tanh
-        rows, dkeys = states.reshape(-1, width), dkeys.reshape(-1, dkeys.shape[-1])
+        flat, dkeys = states.reshape(-1, width), dkeys.reshape(-1, dkeys.shape[-1])
         dstates = np.matmul(W.transpose(1, 2, 0), dctx.transpose(1, 0, 2))
         dstates += mean_w[..., None] * (dinit @ params.w_init.data.T)[:, None, :]
         dstates += (dkeys @ a.v_enc.data.T).reshape(states.shape)
-        prev = S[:steps].reshape(-1, hidden)
-        return (dX[..., :E] + G[..., hidden + width:], dstates, rows.T @ dkeys,
-                prev.T @ dproj.reshape(-1, dproj.shape[-1]),
-                PRE.reshape(-1, PRE.shape[-1]).T @ dscores.reshape(-1),
+        return (demb, dstates[pos], flat.T @ dkeys,
+                H.T @ dproj, PRE.reshape(-1, PRE.shape[-1]).T @ dscores.reshape(-1),
                 mean.T @ dinit, dinit.sum(axis=0),
-                *_gru_weight_grads(X.reshape(steps * B, -1), prev,
-                                   (R * S[:steps]).reshape(-1, hidden), dz, dr, dc))
+                *_gru_weight_grads(X, H, R * H, dZ, dR, dC))
 
-    return node(features.reshape(steps * B, -1),
-                (emb, enc.states, a.v_enc, a.u_dec, a.score_v, params.w_init,
-                 params.b_init, *p.tensors()), bwd)
+    return node(features, (emb, enc.states, a.v_enc, a.u_dec, a.score_v, params.w_init,
+                           params.b_init, *p.tensors()), bwd)
 
 
 def context_table(enc: EncoderOutput, params: DecoderParams) -> np.ndarray:

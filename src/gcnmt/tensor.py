@@ -320,10 +320,12 @@ def save_checkpoint(path, params: dict) -> None:
     arrays in C order, whatever the layout of each ``.data``.
 
     The container is numpy's ``.npz`` format: a zip archive holding one
-    ``.npy`` member per parameter path.
+    ``.npy`` member per parameter path, written to exactly ``path`` (given
+    a path, ``np.savez`` would append ``.npz`` to one without that suffix).
     """
-    np.savez(path, **{name: np.asarray(p.data, dtype="<f8", order="C")
-                      for name, p in params.items()})
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: np.asarray(p.data, dtype="<f8", order="C")
+                        for name, p in params.items()})
 
 
 _READ_BYTES = 1 << 18  # bytes per read from an archive member

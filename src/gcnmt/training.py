@@ -6,10 +6,12 @@ padding (``encoders.encode_pipeline``), so its loss and gradients are
 those of its sentences encoded alone, up to rounding. The loop is
 deterministic given the seed: initialization, shuffling and dropout all
 draw from one generator in a fixed order. Teacher forcing runs the decoder
-over every step, with its attention keys and initial state, as one tape
-node (``decoder.teacher_forcing_recurrence``); the output projection,
-log-softmax, target picks and masked mean over every step of a batch are
-then one more (``nll_loss``) over its features, ``w_out`` and ``b_out``.
+over the real target steps, with its attention keys and initial state, as
+one tape node (``decoder.teacher_forcing_recurrence``), which returns only
+those steps' features; the output projection, log-softmax, target picks
+and mean over them are then one more (``nll_loss``) over the features,
+``w_out`` and ``b_out``, so a padded target step is neither recurred nor
+projected.
 A training step clears the gradients before its forward pass, so the
 previous step's gradients are freed before the new tape is recorded, and
 ``backward`` hands the gradients the fused nodes return to the parameters
@@ -38,17 +40,17 @@ from .tensor import Tensor, backward, load_checkpoint, node, zero_grads
 _LSE_ROWS = 64
 
 
-def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
+def nll_loss(x, targets, w_out: Tensor, b_out: Tensor) -> Tensor:
     """Mean negative log-likelihood of the logits ``x @ w_out + b_out`` over
-    unmasked steps.
+    the rows of ``x``, every one a real target step.
 
-    ``w_out`` is (F, vocab) and ``b_out`` (vocab,); ``targets`` and ``mask``
-    match the leading axes of ``x``. One tape node over ``x``, ``w_out`` and
-    ``b_out``: it keeps one logits-sized buffer, holding the log-softmax
-    (its log-sum-exp takes ``exp`` a block of ``_LSE_ROWS`` rows at a time,
-    each row reduced on its own), and its adjoint turns that buffer into
-    the logit gradient
-    ``(exp(log_softmax) - onehot) * mask * g / total`` in place, so no other
+    ``w_out`` is (F, vocab) and ``b_out`` (vocab,); ``targets`` matches the
+    leading axes of ``x``, and zero rows raise ``ValueError``. One tape node
+    over ``x``, ``w_out`` and ``b_out``: it keeps one logits-sized buffer,
+    holding the log-softmax (its log-sum-exp takes ``exp`` a block of
+    ``_LSE_ROWS`` rows at a time, each row reduced on its own), and its
+    adjoint turns that buffer into the logit gradient
+    ``(exp(log_softmax) - onehot) * g / rows`` in place, so no other
     logits-sized array is kept or built by the adjoint. The gradients it
     returns are new arrays (``tensor.node``). Each operation and its order
     are those of the projection, the bias add and the log-softmax composed,
@@ -56,14 +58,12 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
     """
     x_t = x if isinstance(x, Tensor) else Tensor(x)
     targets = np.asarray(targets, dtype=np.intp)
-    mask = np.asarray(mask, dtype=np.float64)
-    if x_t.shape[:-1] != targets.shape or targets.shape != mask.shape:
+    if x_t.shape[:-1] != targets.shape:
         raise ValueError(
-            f"nll_loss shapes disagree: x {x_t.shape}, "
-            f"targets {targets.shape}, mask {mask.shape}")
-    total = mask.sum()
-    if total == 0:
-        raise ValueError("nll_loss: all target steps masked")
+            f"nll_loss shapes disagree: x {x_t.shape}, targets {targets.shape}")
+    if targets.size == 0:
+        raise ValueError("nll_loss: no target steps")
+    scale = 1.0 / targets.size
     buf = np.matmul(x_t.data, w_out.data)
     buf += b_out.data
     buf -= buf.max(axis=-1, keepdims=True)
@@ -77,14 +77,13 @@ def nll_loss(x, targets, mask, w_out: Tensor, b_out: Tensor) -> Tensor:
                                                 out=lse[lo:lo + _LSE_ROWS])
     flat -= np.log(lse, out=lse)  # log-softmax
     rows, cols = np.arange(targets.size), targets.ravel()
-    picks = flat[rows, cols]
-    loss = -(picks * mask.ravel()).sum() * (1.0 / total)
+    loss = -flat[rows, cols].sum() * scale
 
     def bwd(g):
         d = np.exp(buf, out=buf)  # the log-softmax is not needed again
         d2 = d.reshape(-1, vocab)
         d2[rows, cols] -= 1.0
-        d *= (g * (1.0 / total) * mask)[..., None]
+        d *= g * scale
         x2 = x_t.data.reshape(-1, x_t.shape[-1])
         return (d2 @ w_out.data.T).reshape(x_t.shape), x2.T @ d2, d2.sum(axis=0)
 
@@ -189,9 +188,9 @@ def teacher_forcing_loss(model: Model, batch: Batch, train_cfg: TrainConfig,
                           edge_retain=train_cfg.edge_retain, rng=rng,
                           src_ids=src_ids)
     dec = model.decoder
-    features = teacher_forcing_recurrence(tgt_in, enc, dec)
-    # one projection and loss over every step: (T·B, F) rows in time-major order
-    return nll_loss(features, tgt_out.T.ravel(), mask.T.ravel(), dec.w_out, dec.b_out)
+    features = teacher_forcing_recurrence(tgt_in, mask, enc, dec)
+    # one projection and loss over the real steps, time-major
+    return nll_loss(features, tgt_out.T[mask.T], dec.w_out, dec.b_out)
 
 
 def bucket_batches(pairs, src_vocab, tgt_vocab, bpe, train_cfg: TrainConfig, rng=None):

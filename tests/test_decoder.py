@@ -532,30 +532,49 @@ def _recurrence_case(steps, seed):
     return params, ids, enc, leaves
 
 
+def _target_masks(steps):
+    """Every step real, then (with more than one step) the first row one
+    step shorter: its rows are then not sorted by length."""
+    full = np.ones((2, steps), dtype=bool)
+    if steps == 1:
+        return [full]
+    short = full.copy()
+    short[0, -1] = False
+    return [full, short]
+
+
+def _real_rows(out, mask):
+    """The rows of a time-major (T * B, F) grid at ``mask.T``, as a tape op."""
+    return T.gather_rows(out, np.flatnonzero(np.asarray(mask).T))
+
+
 @pytest.mark.parametrize("steps", [1, 3])
 def test_teacher_forcing_recurrence_matches_per_step_oracle(steps):
     params, ids, enc, leaves = _recurrence_case(steps, seed=20)
-    out = D.teacher_forcing_recurrence(ids, enc, params)
-    assert out.shape == (steps * 2, 4 + 5 + 3)
-    assert_matches_reference(
-        lambda: D.teacher_forcing_recurrence(ids, enc, params),
-        lambda: reference_teacher_forcing_recurrence(ids, enc, params),
-        leaves)
+    for mask in _target_masks(steps):
+        out = D.teacher_forcing_recurrence(ids, mask, enc, params)
+        assert out.shape == (mask.sum(), 4 + 5 + 3)
+        assert_matches_reference(
+            lambda: D.teacher_forcing_recurrence(ids, mask, enc, params),
+            lambda: _real_rows(reference_teacher_forcing_recurrence(ids, enc, params),
+                               mask),
+            leaves)
 
 
 @pytest.mark.parametrize("steps", [1, 3])
 def test_teacher_forcing_recurrence_gradients_vs_finite_differences(steps):
     params, ids, enc, leaves = _recurrence_case(steps, seed=22)
-    weights = T.Tensor(np.random.default_rng(24).uniform(-1, 1, (steps * 2, 12)))
+    for mask in _target_masks(steps):
+        weights = T.Tensor(np.random.default_rng(24).uniform(-1, 1, (mask.sum(), 12)))
 
-    def f(_):
-        out = D.teacher_forcing_recurrence(ids, enc, params)
-        return TO.tsum(TO.mul(out, weights))
+        def f(_):
+            out = D.teacher_forcing_recurrence(ids, mask, enc, params)
+            return TO.tsum(TO.mul(out, weights))
 
-    report = TO.grad_check(f, leaves)
-    assert all(e.ok for e in report.values()), report
-    # the padded source position gets no gradient, and the rest do
-    assert not enc.states.grad[0, 3].any() and enc.states.grad[0, :3].all()
+        report = TO.grad_check(f, leaves)
+        assert all(e.ok for e in report.values()), report
+        # the padded source position gets no gradient, and the rest do
+        assert not enc.states.grad[0, 3].any() and enc.states.grad[0, :3].all()
 
 
 def test_teacher_forcing_recurrence_rejects_a_fully_masked_row_as_attention_does():
@@ -565,8 +584,24 @@ def test_teacher_forcing_recurrence_rejects_a_fully_masked_row_as_attention_does
         D.attention(T.Tensor(np.zeros((2, 4))), enc, params.attn,
                     D.attention_keys(enc, params.attn))
     with pytest.raises(ValueError) as recurrence_error:
-        D.teacher_forcing_recurrence(ids, enc, params)
+        D.teacher_forcing_recurrence(ids, np.ones((2, 2), bool), enc, params)
     assert str(recurrence_error.value) == str(attention_error.value)
+
+
+@pytest.mark.parametrize("row", [[True, False, True], [False, True, True],
+                                 [False, False, False]],
+                         ids=["gap", "late-start", "empty"])
+def test_teacher_forcing_recurrence_rejects_a_target_row_not_a_left_aligned_run(
+        row, monkeypatch):
+    params, ids, enc, _ = _recurrence_case(3, seed=28)
+    # a fully masked source row would raise the attention error if any
+    # arithmetic ran first, and nothing may be gathered
+    enc = EncoderOutput(states=enc.states, mask=np.array([[False] * 4, [True] * 4]))
+    gathered = []
+    monkeypatch.setattr(D, "gather_rows", lambda *args: gathered.append(args))
+    with pytest.raises(ValueError, match="target mask row 1 is not"):
+        D.teacher_forcing_recurrence(ids, [[True, True, False], row], enc, params)
+    assert gathered == []
 
 
 def test_a_fully_masked_source_row_raises_before_any_division():
@@ -579,7 +614,8 @@ def test_a_fully_masked_source_row_raises_before_any_division():
     calls = [lambda: D.greedy_decode_batch(batch, params, max_len=3),
              lambda: D.beam_decode(sentence, params, beam=2, max_len=3),
              lambda: D.score_sequence(sentence, params, [4]),
-             lambda: D.teacher_forcing_recurrence([[1, 4], [2, 3]], batch, params)]
+             lambda: D.teacher_forcing_recurrence([[1, 4], [2, 3]], [[True, True]] * 2,
+                                                  batch, params)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:

@@ -586,6 +586,7 @@ def _adjoint_cases(x, rng):
     enc = E.EncoderOutput(states=x(2, 3, 3), mask=np.array([[True, True, False],
                                                             [True, True, True]]))
     pad = np.array([[True, True], [True, False], [True, False]])  # (len, batch)
+    tgt = np.array([[True, False, False], [True, True, True]])  # (batch, steps)
     return {
         "add": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(3)), (x(1, 3), x(2, 1))],
         "sub": [(x(2, 3), x(2, 3)), (s, s), (x(2, 3), x(1, 3))],
@@ -608,10 +609,11 @@ def _adjoint_cases(x, rng):
         "gru_sequence": [(x(3, 2, 3), gru), (x(2, 3), gru, True),
                          (x(3, 2, 3), gru, True, pad)],
         "cnn_encode": [(x(3, 2, 2), x(6, 4), x(4)), (x(3, 2, 2), x(6, 4), x(4), pad)],
-        "teacher_forcing_recurrence": [([[1, 4, 2], [5, 0, 3]], enc, dec)],
+        "teacher_forcing_recurrence": [([[1, 4, 2], [5, 0, 3]], m, enc, dec)
+                                       for m in (np.ones((2, 3), bool), tgt)],
         "gcn_layer": [(x(3, 4), edges, gcn),
                       (x(3, 4), edges, gcn, 0.5, np.random.default_rng(40))],
-        "nll_loss": [(x(3, 4), [1, 4, 0], [1.0, 1.0, 0.0], x(4, 5), x(5))],
+        "nll_loss": [(x(3, 4), [1, 4, 0], x(4, 5), x(5))],
     }
 
 

@@ -20,7 +20,11 @@ from gcnmt.evaluation import bleu, preprocess, translate_corpus
 from gcnmt.model import build_model, load_model_params, save_model
 from adam_oracle import reference_adam_step
 from batch_oracle import exact_length_indices
-from layer_oracle import assert_matches_reference, reference_nll_loss
+from layer_oracle import (
+    assert_matches_reference,
+    reference_nll_loss,
+    reference_teacher_forcing_recurrence,
+)
 import tape_ops as TO
 from test_acceptance import _reorder_corpus
 from tf_oracle import (
@@ -37,21 +41,21 @@ def _identity_projection(vocab):
             T.Tensor(np.zeros(vocab), requires_grad=True))
 
 
-def _nll(logits, targets, mask):
+def _nll(logits, targets):
     logits = np.asarray(logits)
-    return TR.nll_loss(logits, targets, mask, *_identity_projection(logits.shape[-1]))
+    return TR.nll_loss(logits, targets, *_identity_projection(logits.shape[-1]))
 
 
 def test_nll_certain_correct_prediction_is_zero():
     logits = np.array([[100.0, 0.0, 0.0]])
-    loss = _nll(logits, [0], [1.0])
+    loss = _nll(logits, [0])
     assert loss.item() < 1e-12
 
 
 def test_nll_uniform_logits_is_log_vocab():
     for vocab in (2, 5, 17):
         logits = np.zeros((3, vocab))
-        loss = _nll(logits, [0] * 3, [1.0] * 3)
+        loss = _nll(logits, [0] * 3)
         npt.assert_allclose(loss.item(), math.log(vocab), rtol=1e-12)
 
 
@@ -61,17 +65,22 @@ def test_nll_two_step_hand_case():
     p1 = math.exp(1) / (math.exp(1) + 2)
     p2 = 1 / (1 + math.exp(2) + 1)
     expected = -(math.log(p1) + math.log(p2)) / 2
-    loss = _nll(logits, [0, 2], [1.0, 1.0])
+    loss = _nll(logits, [0, 2])
     npt.assert_allclose(loss.item(), expected, rtol=1e-12)
 
 
 def test_nll_mask_excludes_padding_steps():
+    # nll_loss reads real steps only: on the rows a mask selects it is the
+    # masked loss over the full grid, and the padded row adds nothing
     logits = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
-    masked = _nll(logits, [0, 2], [1.0, 0.0])
-    alone = _nll(logits[:1], [0], [1.0])
-    npt.assert_allclose(masked.item(), alone.item(), rtol=1e-12)
-    with pytest.raises(ValueError):
-        _nll(logits, [0, 2], [0.0, 0.0])
+    targets, mask = np.array([0, 2]), np.array([1.0, 0.0])
+    real = _nll(logits[mask > 0], targets[mask > 0])
+    alone = _nll(logits[:1], [0])
+    npt.assert_allclose(real.item(), alone.item(), rtol=1e-12)
+    npt.assert_allclose(real.item(), logits_nll_loss(logits, targets, mask).item(),
+                        rtol=1e-12)
+    with pytest.raises(ValueError, match="no target steps"):
+        _nll(logits[:0], targets[:0])
 
 
 def test_nll_gradients():
@@ -80,7 +89,7 @@ def test_nll_gradients():
                             requires_grad=True), "w": w, "b": b}
 
     def f(p):
-        return TR.nll_loss(p["x"], [1, 3, 0], [1.0, 1.0, 0.0], p["w"], p["b"])
+        return TR.nll_loss(p["x"], [1, 3, 0], p["w"], p["b"])
 
     report = TO.grad_check(f, params)
     for name in params:
@@ -96,24 +105,30 @@ def test_nll_matches_composed_oracle_and_is_one_node(lead):
     targets = rng.integers(0, 7, lead)
     mask = (rng.random(lead) < 0.7).astype(float)
     mask.flat[0] = 1.0
+    real = np.flatnonzero(mask)
+    # the real rows alone against the oracle's masked loss over the full grid
     assert_matches_reference(
-        lambda: TR.nll_loss(x, targets, mask, w, b),
+        lambda: TR.nll_loss(T.gather_rows(T.reshape(x, (-1, 4)), real),
+                            targets.ravel()[real], w, b),
         lambda: reference_nll_loss(T.matmul(x, w) + b, targets, mask),
         {"x": x, "w": w, "b": b})
-    assert TR.nll_loss(x, targets, mask, w, b)._parents == (x, w, b)
+    assert_matches_reference(
+        lambda: TR.nll_loss(x, targets, w, b),
+        lambda: reference_nll_loss(T.matmul(x, w) + b, targets, np.ones(lead)),
+        {"x": x, "w": w, "b": b})
+    assert TR.nll_loss(x, targets, w, b)._parents == (x, w, b)
 
 
 def test_nll_forward_takes_exp_in_blocks_with_the_same_bits():
     rng = np.random.default_rng(14)
-    rows, vocab = 400, 1952  # the largest train-gcn batch: 6 full blocks and a part
+    rows, vocab = 400, 1952  # train-gcn's vocabulary; 6 full blocks and a part
     x = T.Tensor(rng.uniform(-1, 1, (rows, 8)), requires_grad=True)
     w = T.Tensor(rng.uniform(-1, 1, (8, vocab)), requires_grad=True)
     b = T.Tensor(rng.uniform(-1, 1, vocab), requires_grad=True)
     targets = rng.integers(0, vocab, rows)
-    mask = (rng.random(rows) < 0.9).astype(float)
     tracemalloc.start()
     try:
-        loss = TR.nll_loss(x, targets, mask, w, b)
+        loss = TR.nll_loss(x, targets, w, b)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -122,7 +137,7 @@ def test_nll_forward_takes_exp_in_blocks_with_the_same_bits():
     T.backward(loss)
     got = [loss.item()] + [t.grad for t in (x, w, b)]
     T.zero_grads({"x": x, "w": w, "b": b})
-    want_loss = logits_nll_loss(T.matmul(x, w) + b, targets, mask)
+    want_loss = logits_nll_loss(T.matmul(x, w) + b, targets, np.ones(rows))
     T.backward(want_loss)
     assert got[0] == want_loss.item()
     for g, t in zip(got[1:], (x, w, b)):
@@ -302,6 +317,20 @@ def test_adam_updates_parameters_rebound_by_load_model_params(tmp_path):
         assert p.data is loaded[k]
         npt.assert_allclose(p.data, ref[k], rtol=1e-15, atol=0)
         assert not np.array_equal(p.data, stored[k])
+
+
+def test_save_model_writes_exactly_the_path_it_is_given(tmp_path):
+    # np.savez given a path appends ".npz" to one without that suffix
+    _, exp, _, prep = _toy_setup()
+    saved, loaded = (build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                                 prep.label_vocabs, np.random.default_rng(n))
+                     for n in (1, 2))
+    path = tmp_path / "model.ckpt"
+    save_model(path, saved)
+    assert sorted(tmp_path.iterdir()) == [path]
+    load_model_params(path, loaded)
+    for k, p in saved.parameters().items():
+        npt.assert_array_equal(loaded.parameters()[k].data, p.data, err_msg=k)
 
 
 def _model_and_checkpoint(tmp_path, widths=8):
@@ -653,6 +682,35 @@ def _mixed_target_setup(encoder, recipe):
     model = build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
                         prep.label_vocabs, np.random.default_rng(5))
     return model, batch, tc
+
+
+def test_recurrence_returns_the_real_steps_of_the_full_grid():
+    # target rows of 2, 5 and 3 real steps, not sorted by length: the node
+    # returns the oracle's full grid at mask.T, and padded steps get nothing
+    model, batch, _ = _mixed_target_setup("birnn", "syn:1+sem:1")
+    tgt_in, mask = batch.tgt[:, :-1], batch.tgt[:, 1:] != PAD
+    assert mask.sum(axis=1).tolist() == [2, 5, 3]
+    enc = E.encode_pipeline(batch, model.config, model.encoder)
+    enc = E.EncoderOutput(states=T.Tensor(enc.states.data, requires_grad=True),
+                          mask=enc.mask)
+    dec = model.decoder
+    out = D.teacher_forcing_recurrence(tgt_in, mask, enc, dec)
+    full = reference_teacher_forcing_recurrence(tgt_in, enc, dec).data
+    assert out.shape == (mask.sum(), full.shape[-1])
+    npt.assert_allclose(out.data, full.reshape(mask.shape[1], 3, -1)[mask.T],
+                        rtol=0, atol=1e-12)
+    weights = T.Tensor(np.random.default_rng(29).uniform(-1, 1, out.shape))
+    leaves = {"states": enc.states, **dec.named()}
+
+    def f(_):
+        return TO.tsum(TO.mul(D.teacher_forcing_recurrence(tgt_in, mask, enc, dec),
+                              weights))
+
+    report = TO.grad_check(f, leaves)
+    assert all(e.ok for e in report.values()), report
+    # EOS and PAD are read only at padded steps, BOS at every row's first
+    grad = dec.embedding.grad
+    assert not grad[EOS].any() and not grad[PAD].any() and grad[BOS].all()
 
 
 def _loss_and_grads(loss_fn, model, batch, tc, rng):

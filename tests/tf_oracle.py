@@ -10,10 +10,11 @@ must match in loss and in every parameter gradient.
 
 ``composed_teacher_forcing_loss`` is the batched body as it was before the
 projection and the loss became one node: the same recurrence node as
-``gcnmt.training.teacher_forcing_loss`` builds the features, then
-``matmul(features, w_out) + b_out`` projects them and ``logits_nll_loss``
-takes the loss. It does the same arithmetic in the same order as
-``gcnmt.training.nll_loss``, so the two must agree bit for bit.
+``gcnmt.training.teacher_forcing_loss`` builds the features of the real
+steps, then ``matmul(features, w_out) + b_out`` projects them and
+``logits_nll_loss`` takes the loss under an all-ones mask. It does the
+same arithmetic in the same order as ``gcnmt.training.nll_loss``, so the
+two must agree bit for bit.
 
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
 Every tape op used here is one ``gcnmt`` records, except ``stack0``; it and
@@ -102,6 +103,7 @@ def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
     features and a separate loss node."""
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
-    features = teacher_forcing_recurrence(tgt_in, enc, dec)
+    features = teacher_forcing_recurrence(tgt_in, mask, enc, dec)
     logits = matmul(features, dec.w_out) + dec.b_out
-    return logits_nll_loss(logits, tgt_out.T.ravel(), mask.T.ravel())
+    targets = tgt_out.T[mask.T]
+    return logits_nll_loss(logits, targets, np.ones(targets.shape))
