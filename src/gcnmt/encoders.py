@@ -14,19 +14,22 @@ of (head, dependent, label id) rows, built once per batch. A batch may
 mix source lengths: the base encoders take its padding mask
 (``encode_pipeline``).
 
-``gru_sequence`` and ``gcn_layer`` compute in numpy and record one tape
-node each (``tensor.node``) with a hand-derived adjoint, which keeps only
-the arrays it reads: the GRU's gates and candidate for every step; the
-GCN's output, self-loop transform and gate, and each direction's pre-gate
-messages, gates and dropout mask. Source rows are gathered again from
-``H`` in the adjoint. The BiRNN runs each direction as one
-``gru_sequence`` node, in training and in inference. ``gru_cell`` is one
-GRU step in numpy that records nothing; it serves the decoder's inference
+``birnn_encode``, ``cnn_encode`` and ``gcn_layer`` compute in numpy and
+record one tape node each (``tensor.node``) with a hand-derived adjoint,
+which keeps only the arrays it reads: the GRU's gates and candidate for
+every step of both directions; the CNN's window stack and output; the
+GCN's ReLU mask, self-loop transform and gate, and each direction's
+pre-gate messages, gates and dropout mask. Source rows are gathered again
+from ``H`` in the adjoint. Each base encoder takes time-major ``(len,
+batch, emb)`` embeddings and returns batch-major ``(batch * len, width)``
+rows, the layout the GCN reads, and each GCN layer adds its residual input
+inside its node, so the encoder records only these layer nodes between
+the embedding lookup and the final ``reshape``. ``gru_cell`` is one GRU
+step in numpy that records nothing; it serves the decoder's inference
 steps. The GRU step, its adjoint and its weight gradients are written
 once here and shared with the decoder's teacher-forcing node. Every
-gradient an adjoint returns is a new array, which ``backward`` may write,
-and the GCN's adjoint reuses its incoming gradient as its first buffer
-(``tensor.node``).
+gradient an adjoint returns is a new array or its incoming gradient,
+which ``backward`` may write (``tensor.node``).
 """
 
 from __future__ import annotations
@@ -34,20 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ConfigError, ExperimentConfig
 from .corpus import Batch
-from .tensor import (
-    Tensor,
-    concat,
-    gather_rows,
-    matmul,
-    node,
-    relu,
-    reshape,
-    slice_rows,
-    transpose,
-)
+from .tensor import Tensor, gather_rows, node, reshape
 
 INIT_SCALE = 0.08
 
@@ -143,7 +137,7 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
         h' = z * h + (1 - z) * cand
 
     Decoding runs it once per step; training runs whole sequences
-    (``gru_sequence`` and ``decoder.teacher_forcing_recurrence``) through
+    (``birnn_encode`` and ``decoder.teacher_forcing_recurrence``) through
     the same step code.
     """
     x, h = (v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
@@ -152,33 +146,19 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
     return Tensor(_gru_gates(x @ p.w_z.data, x @ p.w_r.data, x @ p.w_h.data, h, p)[0])
 
 
-def gru_sequence(xs, params: GruParams, reverse: bool = False, mask=None):
-    """Every state of a GRU run from a zero state over the leading axis of
-    ``xs``, (n, in) or (n, batch, in); the output is (n, hidden) or
-    (n, batch, hidden), position by position. With ``reverse`` the GRU
-    reads the last position first, so output ``t`` has read ``n-1 .. t``.
+def _gru_run(X, n: int, p: GruParams, reverse: bool, held):
+    """A GRU run from a zero state over ``n`` positions of the rows ``X``
+    (n * batch, in), time-major: (states, saved), the states (n, batch,
+    hidden) position by position, and ``saved`` what ``_gru_adjoint``
+    reads. With ``reverse`` the GRU reads the last position first, so
+    state ``t`` has read ``n-1 .. t``. Where ``held`` (n, batch), if not
+    None, is True the state is held at zero.
 
-    ``mask``, shaped like ``xs`` without its last axis, is False where the
-    state is held at zero: the state read next is the zero start state, and
-    the adjoint drops the gradient reaching that state. With ``reverse``
-    and each row's padding after its real positions, a row's real states
-    are those of its real positions run alone.
-
-    One tape node over ``xs`` and the nine parameters. The input
-    projections ``x @ w_*`` are one GEMM each over all n * batch rows, and
+    The input projections ``x @ w_*`` are one GEMM each over all rows, and
     the loop does only the recurrent ``h @ u_*`` products, step by step as
-    ``gru_cell`` does. The adjoint runs backpropagation through time one
-    step adjoint at a time, then forms the input gradient and each weight
-    gradient with one GEMM over every row.
+    ``gru_cell`` does.
     """
-    xs_t = xs if isinstance(xs, Tensor) else Tensor(xs)
-    p = params
-    n, hidden = xs_t.shape[0], p.u_z.shape[0]
-    if n < 1:
-        raise ValueError("gru_sequence: empty input")
-    X = _fold(xs_t.data)
-    B = X.shape[0] // n
-    held = None if mask is None else ~np.asarray(mask, dtype=bool).reshape(n, B)
+    B, hidden = X.shape[0] // n, p.u_z.shape[0]
     XZ, XR, XH = ((X @ w.data).reshape(n, B, hidden) for w in (p.w_z, p.w_r, p.w_h))
     Z, R, C = (np.empty((n, B, hidden)) for _ in range(3))
     S = np.zeros((n + 1, B, hidden))  # the zero start state and every output
@@ -189,58 +169,107 @@ def gru_sequence(xs, params: GruParams, reverse: bool = False, mask=None):
         out[t], Z[t], R[t], C[t] = _gru_gates(XZ[t], XR[t], XH[t], prev[t], p)
         if held is not None:
             out[t, held[t]] = 0.0
+    return out, (X, prev, Z, R, C, order, held, p)
 
-    def bwd(g):
-        g = g.reshape(n, B, hidden)
-        dZ, dR, dC = (np.empty((n, B, hidden)) for _ in range(3))
-        dh = 0.0
-        for t in reversed(order):
-            gt = g[t] + dh
-            if held is not None:
-                gt[held[t]] = 0.0
-            dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(gt, prev[t], Z[t], R[t], C[t], p)
-        dz, dr, dc = _fold(dZ), _fold(dR), _fold(dC)
-        return (_gru_input_grad(dz, dr, dc, p).reshape(xs_t.shape),
-                *_gru_weight_grads(X, _fold(prev), _fold(R * prev), dz, dr, dc))
 
-    return node(out.reshape(xs_t.shape[:-1] + (hidden,)), (xs_t, *p.tensors()), bwd)
+def _gru_adjoint(g, X, prev, Z, R, C, order, held, p: GruParams):
+    """Backpropagation through time of a ``_gru_run`` for the gradient
+    ``g`` (n, batch, hidden) of its states, one step adjoint at a time; the
+    gradient reaching a held state is dropped. Returns the input gradient
+    (n * batch, in) and the nine weight gradients in ``GruParams`` order,
+    each one GEMM over every row."""
+    dZ, dR, dC = (np.empty_like(Z) for _ in range(3))
+    dh = 0.0
+    for t in reversed(order):
+        gt = g[t] + dh
+        if held is not None:
+            gt[held[t]] = 0.0
+        dZ[t], dR[t], dC[t], dh = _gru_step_adjoint(gt, prev[t], Z[t], R[t], C[t], p)
+    dz, dr, dc = _fold(dZ), _fold(dR), _fold(dC)
+    return (_gru_input_grad(dz, dr, dc, p),
+            _gru_weight_grads(X, _fold(prev), _fold(R * prev), dz, dr, dc))
 
 
 def birnn_encode(embeddings, fwd: GruParams, bwd: GruParams, mask=None):
-    """Concatenate forward and backward GRU states per position.
+    """Forward and backward GRU states per position, concatenated, as
+    batch-major rows.
 
-    ``embeddings`` is (len, emb) for one sentence or (len, batch, emb) for a
-    batch; the output matches with last dimension 2 * hidden. ``mask``
-    (len, batch), True on real positions, marks each row's right padding:
-    the backward GRU holds its zero state there (``gru_sequence``), so every
-    real position's output is that of the row encoded alone. The forward
-    GRU needs no mask, since the padding comes after every real position.
+    ``embeddings`` is (len, batch, emb); the output is (batch * len,
+    2 * hidden), row ``b * len + t`` holding position ``t`` of sentence
+    ``b``. ``mask`` (len, batch), True on real positions, marks each row's
+    right padding: the backward GRU holds its zero state there and drops
+    the gradient reaching it, so every real position's output is that of
+    the row encoded alone. The forward GRU needs no mask, since the padding
+    comes after every real position.
+
+    One tape node over the embeddings and both directions' parameters. Its
+    adjoint runs both directions' BPTT and adds their input gradients.
     """
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    return concat([gru_sequence(emb, fwd),
-                   gru_sequence(emb, bwd, reverse=True, mask=mask)], axis=-1)
+    n, B, _ = emb.shape
+    if n < 1:
+        raise ValueError("birnn_encode: empty input")
+    X = _fold(emb.data)
+    held = None if mask is None else ~np.asarray(mask, dtype=bool).reshape(n, B)
+    hidden = fwd.u_z.shape[0]
+    out = np.empty((B, n, 2, hidden))
+    runs = []
+    for k, (p, reverse, h) in enumerate(((fwd, False, None), (bwd, True, held))):
+        states, saved = _gru_run(X, n, p, reverse, h)
+        out[:, :, k] = states.transpose(1, 0, 2)
+        runs.append(saved)
+
+    def adjoint(g):
+        g = g.reshape(B, n, 2, hidden)
+        (dx_f, w_f), (dx_b, w_b) = (_gru_adjoint(g[:, :, k].transpose(1, 0, 2), *saved)
+                                    for k, saved in enumerate(runs))
+        return ((dx_f + dx_b).reshape(emb.shape), *w_f, *w_b)
+
+    return node(out.reshape(B * n, 2 * hidden), (emb, *fwd.tensors(), *bwd.tensors()),
+                adjoint)
 
 
 def cnn_encode(embeddings, w_filter: Tensor, b_filter: Tensor, mask=None):
-    """Per-position affine over a zero-padded window, ReLU. The window is
-    ``w_filter``'s row count over the embedding width, and must be odd.
-    Where ``mask`` (len, batch) is False the window reads zeros, as past
-    either end, so every real position's output is that of the row encoded
-    alone."""
+    """Per-position affine over a zero-padded window, ReLU, as batch-major
+    rows.
+
+    ``embeddings`` is (len, batch, emb); the output is (batch * len,
+    hidden), row ``b * len + t`` holding position ``t`` of sentence ``b``.
+    The window is ``w_filter``'s row count over the embedding width, and
+    must be odd. Where ``mask`` (len, batch) is False the window reads
+    zeros, as past either end, so every real position's output is that of
+    the row encoded alone.
+
+    One tape node over the embeddings and the filter: the window stack
+    (batch * len, window * emb) is built once and goes through one GEMM.
+    """
     emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
-    n = emb.shape[0]
-    window, rest = divmod(w_filter.shape[0], emb.shape[-1])
+    n, B, e = emb.shape
+    window, rest = divmod(w_filter.shape[0], e)
     if rest or window % 2 == 0:
         raise ValueError(f"cnn filter of {w_filter.shape[0]} rows is not an odd "
-                         f"window over embeddings of width {emb.shape[-1]}")
-    if mask is not None:
-        keep = np.asarray(mask, dtype=np.float64)[..., None]
-        emb = node(emb.data * keep, (emb,), lambda g: (g * keep,))
-    pad = Tensor(np.zeros((window // 2,) + emb.shape[1:]))
-    padded = concat([pad, emb, pad], axis=0)
-    # shift k is emb moved by k - window // 2 rows, zeros past either end
-    shifts = [slice_rows(padded, k, k + n) for k in range(window)]
-    return relu(matmul(concat(shifts, axis=-1), w_filter) + b_filter)
+                         f"window over embeddings of width {e}")
+    half = window // 2
+    keep = 1.0 if mask is None else np.asarray(mask, dtype=np.float64)[..., None]
+    padded = np.zeros((B, n + 2 * half, e))
+    padded[:, half:half + n] = (emb.data * keep).transpose(1, 0, 2)
+    # window slot k of position t reads position t + k - half
+    stack = sliding_window_view(padded, window, axis=1).transpose(0, 1, 3, 2)
+    stack = stack.reshape(B * n, window * e)
+    out = stack @ w_filter.data
+    out += b_filter.data
+    np.maximum(out, 0.0, out=out)
+
+    def adjoint(g):
+        dy = np.multiply(g, out > 0.0, out=g)  # g is ours (tensor.node)
+        d_stack = (dy @ w_filter.data.T).reshape(B, n, window, e)
+        d_padded = np.zeros((B, n + 2 * half, e))
+        for k in range(window):
+            d_padded[:, k:k + n] += d_stack[:, :, k]
+        d_emb = d_padded[:, half:half + n].transpose(1, 0, 2) * keep
+        return d_emb, stack.T @ dy, dy.sum(axis=0)
+
+    return node(out, (emb, w_filter, b_filter), adjoint)
 
 
 # Base encoders, one replaceable part under the GCN stack. They call the
@@ -342,7 +371,8 @@ def _add_rows(acc, idx, rows):
 
 
 def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=None):
-    """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
+    """Apply one gated GCN layer with its residual connection to node
+    states ``H`` (n_nodes, d): the output is the layer's ReLU plus ``H``.
 
     ``edges`` maps graph name -> an ``(E, 3)`` array (or a list) of
     (head, dep, label_id) rows. During training each annotated-edge
@@ -388,10 +418,12 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
             _add_rows(total, dst, gated)
             parents += [w, b, gw, gb]
             saved.append((src, dst, labs, w, b, gw, gb, msg, g, keep))
-    out = np.maximum(total, 0.0)
+    active = total > 0.0
+    out = np.maximum(total, 0.0, out=total)
+    out += X
 
     def bwd(grad):
-        dt = np.multiply(grad, out > 0.0, out=grad)  # grad is ours (tensor.node)
+        dt = grad * active  # grad itself is the residual's gradient
         d_loop = dt * loop_gate
         d_gate = (dt * loop).sum(axis=1, keepdims=True) * loop_gate * (1.0 - loop_gate)
         dX = d_loop @ params.w_loop.data.T + d_gate * params.gate_w_loop.data
@@ -406,6 +438,7 @@ def gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0, rng=No
             grads += [h_src.T @ d_msg, _add_rows(np.zeros_like(b.data), labs, d_msg),
                       (h_src.T @ d_pre)[:, 0],
                       _add_rows(np.zeros_like(gb.data), labs, d_pre[:, 0])]
+        dX += grad
         return grads
 
     return node(out, parents, bwd)
@@ -475,9 +508,8 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
     ids = batch.src if src_ids is None else src_ids
     B, L = ids.shape
     emb = gather_rows(params.embedding, ids.T)  # (L, B, emb)
-    base = params.base(emb, None if batch.src_mask.all() else batch.src_mask.T)
-    d = base.shape[-1]
-    H = reshape(transpose(base, (1, 0, 2)), (B * L, d))
+    H = params.base(emb, None if batch.src_mask.all() else batch.src_mask.T)
+    d = H.shape[-1]  # H holds sentence i's position t in row i * L + t
 
     retain = edge_retain if mode == "train" else 1.0
     arrays = {}  # graph -> (E, 3) edges in sentence order, sentence i at i * L
@@ -492,6 +524,6 @@ def encode_pipeline(batch: Batch, config: ExperimentConfig, params: EncoderStack
     for layers, (graphs, _) in zip(params.blocks, config.blocks):
         edges = {g: arrays[g] for g in graphs}
         for layer in layers:
-            H = gcn_layer(H, edges, layer, edge_retain=retain, rng=rng) + H
+            H = gcn_layer(H, edges, layer, edge_retain=retain, rng=rng)
     states = reshape(H, (B, L, d))
     return EncoderOutput(states=states, mask=batch.src_mask.copy())

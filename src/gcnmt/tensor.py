@@ -4,19 +4,22 @@ Values live in row-major numpy arrays. Every operation on tensors that
 require gradients records its inputs and an adjoint rule; ``backward``
 replays those rules in reverse topological order and accumulates
 gradients additively. ``node`` is the constructor every operation uses,
-and a layer may call it too: the whole-sequence GRU and the GCN layer
+and each layer calls it: the BiRNN, the CNN and the GCN layer
 (``encoders``), teacher forcing's decoder recurrence (``decoder``) and the
 projected NLL loss (``training``) compute their forward pass in numpy and
 record one node with a hand-derived adjoint that keeps only the arrays it
-needs. The module holds only what training records, plus ``log_softmax``,
+needs. Besides ``node`` the module holds only the two ops that join those
+layers, ``gather_rows`` (the embedding lookups) and ``reshape`` (the
+encoder's rows as ``(batch, len, width)`` states), plus ``log_softmax``,
 which decoding reads scores from; the rest of decoding (attention keys,
-initial state, attention and GRU steps) is plain numpy. Every array an
-adjoint returns is ``backward``'s to write (``node`` states the rule), so
-``backward`` adds each later gradient in place into the first one to reach
-a node and hands a leaf its gradient without a copy. Every adjoint returns
-dense arrays: ``gather_rows`` and ``slice_rows`` hand back a zero array of
-the parent's shape holding the rows they read, which costs nothing extra
-because training gathers from each embedding once per step.
+initial state, attention and GRU steps) is plain numpy. ``Tensor`` has no
+operators. Every array an adjoint returns is ``backward``'s to write
+(``node`` states the rule), so ``backward`` adds each later gradient in
+place into the first one to reach a node and hands a leaf its gradient
+without a copy. Every adjoint returns dense arrays: ``gather_rows`` hands
+back a zero array of the parent's shape holding the rows it read, which
+costs nothing extra because training gathers from each embedding once
+per step.
 ``backward`` consumes the graph it walks: each node drops its parents and
 its adjoint once the adjoint has run, so the tape is freed as it goes, and
 a second ``backward`` through the same nodes raises ``ValueError``. One
@@ -29,6 +32,7 @@ the parameters' arrays.
 from __future__ import annotations
 
 import contextlib
+import os
 import zipfile
 
 import numpy as np
@@ -38,15 +42,9 @@ __all__ = [
     "ShapeError",
     "no_grad",
     "node",
-    "matmul",
-    "add",
-    "relu",
     "log_softmax",
-    "concat",
     "gather_rows",
-    "slice_rows",
     "reshape",
-    "transpose",
     "backward",
     "zero_grads",
     "save_checkpoint",
@@ -99,12 +97,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
 
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -129,56 +121,6 @@ def node(data, parents, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Sum gradient over axes that were broadcast in the forward pass."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, s in enumerate(shape):
-        if s == 1 and g.shape[i] != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    try:
-        data = a.data + b.data
-    except ValueError as e:
-        raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from e
-
-    def bwd(g):
-        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-        return ga, (gb.copy() if np.may_share_memory(ga, gb) else gb)
-
-    return node(data, (a, b), bwd)
-
-
-def matmul(a, b) -> Tensor:
-    """``a`` (..., k) times ``b`` (k, m) or (k,); each gradient is one GEMM."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim == 0 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul needs a >=1-d a and a 1-d or 2-d b, "
-                         f"got {a.shape} and {b.shape}")
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible") from e
-
-    def bwd(g):
-        A2 = a.data.reshape(-1, a.shape[-1])
-        B2 = b.data if b.ndim == 2 else b.data[:, None]
-        G2 = g.reshape(A2.shape[0], B2.shape[1])
-        return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
-
-    return node(data, (a, b), bwd)
-
-
-def relu(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.maximum(a.data, 0.0)
-    return node(data, (a,), lambda g: (g * (a.data > 0.0),))
-
-
 def log_softmax(a) -> Tensor:
     """Log of the exp-normalization over the last axis."""
     a = _as_tensor(a)
@@ -189,17 +131,6 @@ def log_softmax(a) -> Tensor:
         return (g - np.exp(lsm) * g.sum(axis=-1, keepdims=True),)
 
     return node(lsm, (a,), bwd)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = np.cumsum([t.shape[axis] for t in ts])[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, sizes, axis=axis))
-
-    return node(data, tuple(ts), bwd)
 
 
 def gather_rows(a, idx) -> Tensor:
@@ -216,29 +147,10 @@ def gather_rows(a, idx) -> Tensor:
     return node(data, (a,), bwd)
 
 
-def slice_rows(a, start: int, stop: int) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data[start:stop].copy()
-
-    def bwd(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        return (ga,)
-
-    return node(data, (a,), bwd)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)
     return node(data, (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    data = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-    return node(data, (a,), lambda g: (np.transpose(g, inv),))
 
 
 def _consumed(g):
@@ -322,10 +234,22 @@ def save_checkpoint(path, params: dict) -> None:
     The container is numpy's ``.npz`` format: a zip archive holding one
     ``.npy`` member per parameter path, written to exactly ``path`` (given
     a path, ``np.savez`` would append ``.npz`` to one without that suffix).
+    The archive is written to a new file beside ``path`` and then renamed
+    onto it, so a write that fails or is interrupted leaves any earlier
+    file at ``path`` whole and removes its own partial file.
     """
-    with open(path, "wb") as fh:
-        np.savez(fh, **{name: np.asarray(p.data, dtype="<f8", order="C")
-                        for name, p in params.items()})
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            np.savez(fh, **{name: np.asarray(p.data, dtype="<f8", order="C")
+                            for name, p in params.items()})
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 _READ_BYTES = 1 << 18  # bytes per read from an archive member

@@ -13,18 +13,19 @@ the keys of ``layer_oracle.reference_attention_keys``.
 
 from gcnmt.corpus import BOS, EOS
 from gcnmt.decoder import Hypothesis
-from gcnmt.tensor import log_softmax, matmul, no_grad
+from gcnmt.tensor import log_softmax, no_grad
 from layer_oracle import (
     reference_attention_keys,
     reference_init_state,
     reference_recurrence_step,
 )
+from tape_ops import add, matmul
 
 
 def reference_step(y_prev_id, s_prev, enc, params, keys):
     """(new state, logits) of one step by the direct formula."""
     s_t, features = reference_recurrence_step(y_prev_id, s_prev, enc, params, keys)
-    return s_t, matmul(features, params.w_out) + params.b_out
+    return s_t, add(matmul(features, params.w_out), params.b_out)
 
 
 def reference_beam_decode(enc, params, beam: int, max_len: int) -> Hypothesis:

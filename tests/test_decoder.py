@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -401,7 +402,7 @@ def test_decoder_step_matches_composed_per_step_oracle(y, s_shape, states_shape,
     s_t, logits = D.decoder_step(np.asarray(y), s, enc, params, keys)
     want_s, features = reference_recurrence_step(
         y, s, enc, params, reference_attention_keys(enc, params.attn))
-    want_logits = T.matmul(features, params.w_out) + params.b_out
+    want_logits = TO.add(TO.matmul(features, params.w_out), params.b_out)
     npt.assert_allclose(s_t.data, want_s.data, rtol=0, atol=1e-12)
     npt.assert_allclose(logits.data, want_logits.data, rtol=0, atol=1e-12)
 
@@ -477,7 +478,7 @@ def test_decoding_records_nothing_with_gradients_enabled(monkeypatch):
     for out in outs:
         assert out._parents == () and not out.requires_grad
     assert recorded == []
-    T.backward(sum((TO.tsum(TO.mul(o, o)) for o in outs), T.Tensor(0.0)))
+    T.backward(functools.reduce(TO.add, [TO.tsum(TO.mul(o, o)) for o in outs]))
     recorded.clear()
     D.greedy_decode_batch(enc, params, max_len=4)
     sentence = EncoderOutput(states=T.Tensor(states.data[1, :2], requires_grad=True),

@@ -14,8 +14,9 @@ from layer_oracle import (
     _outputs_and_grads,
     assert_matches_reference,
     reference_gcn_layer,
+    reference_birnn_encode,
+    reference_cnn_encode,
     reference_gru_cell,
-    reference_gru_sequence,
 )
 import tape_ops as TO
 
@@ -70,10 +71,11 @@ def test_gru_cell_matches_composed_oracle(lead):
 
 
 def test_gru_steps_add_weight_gradients_in_place():
-    # two whole-sequence nodes share one GruParams: the second adjoint to
-    # run adds its weight gradients into the first one's arrays
+    # two BiRNN nodes share their GruParams: the second adjoint to run adds
+    # its weight gradients into the first one's arrays
     rng = np.random.default_rng(36)
-    p = E.init_gru(rng, 3, 4)
+    fwd, bwd = E.init_gru(rng, 3, 4), E.init_gru(rng, 3, 4)
+    weights = fwd.tensors() + bwd.tensors()
     returned = []  # per adjoint run: (its weight gradients, copies of them)
 
     def recording(adjoint):
@@ -83,38 +85,65 @@ def test_gru_steps_add_weight_gradients_in_place():
             return grads
         return run
 
-    loss = T.Tensor(0.0)
+    terms = []
     for _ in range(2):
-        out = E.gru_sequence(T.Tensor(rng.uniform(-1, 1, (3, 2, 3))), p)
+        out = E.birnn_encode(T.Tensor(rng.uniform(-1, 1, (3, 2, 3))), fwd, bwd)
         out._backward = recording(out._backward)
-        loss = loss + TO.tsum(TO.mul(out, T.Tensor(rng.uniform(-1, 1, out.shape))))
-    T.backward(loss)
+        terms.append(TO.tsum(TO.mul(out, T.Tensor(rng.uniform(-1, 1, out.shape)))))
+    T.backward(TO.add(*terms))
     assert len(returned) == 2
     (first, v0), (_, v1) = returned
-    for i, w in enumerate(p.tensors()):
+    for i, w in enumerate(weights):
         assert w.grad is first[i]  # the later node adds into the first one: no copy
         npt.assert_array_equal(w.grad, v0[i] + v1[i])
 
 
-@pytest.mark.parametrize("n", [1, 2, 6])
-@pytest.mark.parametrize("batch", [(), (2,)], ids=["sentence", "batch"])
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
-def test_gru_sequence_matches_per_step_oracle_and_finite_differences(n, batch, reverse):
-    rng = np.random.default_rng(33)
-    p = E.init_gru(rng, 3, 4)
-    for t in p.tensors():  # weights large enough that every gradient shows
+def _padding_mask(n, lengths):
+    """(n, batch), True on each row's first ``lengths[b]`` positions."""
+    return np.arange(n)[:, None] < np.array(lengths)
+
+
+def _birnn_setup(seed, n, batch):
+    """Two GRUs with weights large enough that every gradient shows, and
+    (n, batch, 3) embeddings that require gradients."""
+    rng = np.random.default_rng(seed)
+    fwd, bwd = E.init_gru(rng, 3, 4), E.init_gru(rng, 3, 4)
+    for t in fwd.tensors() + bwd.tensors():
         t.data[...] = rng.uniform(-1, 1, t.shape)
-    xs = T.Tensor(rng.uniform(-1, 1, (n,) + batch + (3,)), requires_grad=True)
-    leaves = {"xs": xs, **p.named("gru")}
-    out = E.gru_sequence(xs, p, reverse)
-    assert out.shape == (n,) + batch + (4,)
-    assert all(t._backward is None for t in out._parents)  # one node
-    assert_matches_reference(lambda: E.gru_sequence(xs, p, reverse),
-                             lambda: reference_gru_sequence(xs, p, reverse), leaves)
+    xs = T.Tensor(rng.uniform(-1, 1, (n, batch, 3)), requires_grad=True)
+    return rng, fwd, bwd, xs, {"xs": xs, **fwd.named("fwd"), **bwd.named("bwd")}
+
+
+@pytest.mark.parametrize("n", [1, 2, 6])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_birnn_matches_per_step_oracle_and_finite_differences(n, masked):
+    # masked: rows of n, about n / 3 and n - 2 real positions
+    rng, fwd, bwd, xs, leaves = _birnn_setup(33, n, 3)
+    mask = _padding_mask(n, [n, max(1, n // 3), max(1, n - 2)]) if masked else None
+    out = E.birnn_encode(xs, fwd, bwd, mask)
+    assert out.shape == (3 * n, 8)
+    assert out._parents == (xs, *fwd.tensors(), *bwd.tensors())  # one node
+    assert_matches_reference(lambda: E.birnn_encode(xs, fwd, bwd, mask),
+                             lambda: reference_birnn_encode(xs, fwd, bwd, mask), leaves)
     weights = T.Tensor(rng.uniform(-1, 1, out.shape))
     report = TO.grad_check(
-        lambda q: TO.tsum(TO.mul(E.gru_sequence(q["xs"], p, reverse), weights)), leaves)
+        lambda q: TO.tsum(TO.mul(E.birnn_encode(q["xs"], fwd, bwd, mask), weights)), leaves)
     assert all(e.ok for e in report.values()), report
+
+
+def _gru_sequence(xs, p, reverse, mask=None):
+    """One direction of ``birnn_encode`` as a node of its own: the states
+    (n, batch, hidden) of a GRU run over ``xs`` (n, batch, in), held at
+    zero where ``mask`` is False."""
+    n = xs.shape[0]
+    held = None if mask is None else ~mask
+    states, saved = E._gru_run(E._fold(xs.data), n, p, reverse, held)
+
+    def adjoint(g):
+        dx, dw = E._gru_adjoint(g, *saved)
+        return (dx.reshape(xs.shape), *dw)
+
+    return T.node(states, (xs, *p.tensors()), adjoint)
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
@@ -128,39 +157,55 @@ def test_gru_sequence_holds_the_zero_state_where_masked(reverse):
         t.data[...] = rng.uniform(-1, 1, t.shape)
     lengths = [5, 2, 4]
     xs = T.Tensor(rng.uniform(-1, 1, (5, 3, 3)), requires_grad=True)
-    mask = np.arange(5)[:, None] < np.array(lengths)  # (n, batch)
-    out = E.gru_sequence(xs, p, reverse, mask).data
+    mask = _padding_mask(5, lengths)
+    out = _gru_sequence(xs, p, reverse, mask).data
     assert np.array_equal(out[~mask], np.zeros((int((~mask).sum()), 4)))
     if reverse:
         for b, n in enumerate(lengths):
-            alone = E.gru_sequence(xs.data[:n, b], p, reverse).data
-            npt.assert_allclose(out[:n, b], alone, rtol=0, atol=1e-14)
+            alone = _gru_sequence(T.Tensor(xs.data[:n, b:b + 1]), p, reverse).data
+            npt.assert_allclose(out[:n, b], alone[:, 0], rtol=0, atol=1e-14)
     weights = T.Tensor(rng.uniform(-1, 1, out.shape))
     leaves = {"xs": xs, **p.named("gru")}
     report = TO.grad_check(
-        lambda q: TO.tsum(TO.mul(E.gru_sequence(q["xs"], p, reverse, mask), weights)),
+        lambda q: TO.tsum(TO.mul(_gru_sequence(q["xs"], p, reverse, mask), weights)),
         leaves)
     assert all(e.ok for e in report.values()), report
 
 
-def test_birnn_records_one_node_per_direction():
+def test_birnn_holds_the_backward_zero_state_where_masked():
+    # over each row's right padding the backward state is exactly 0.0, and
+    # each row's real positions are those of the row encoded alone; the
+    # adjoint matches finite differences through weights on every position
+    rng, fwd, bwd, xs, leaves = _birnn_setup(35, 5, 3)
+    lengths = [5, 2, 4]
+    mask = _padding_mask(5, lengths)
+    out = E.birnn_encode(xs, fwd, bwd, mask).data.reshape(3, 5, 8)
+    assert np.array_equal(out[~mask.T][:, 4:], np.zeros((int((~mask).sum()), 4)))
+    for b, n in enumerate(lengths):
+        alone = E.birnn_encode(xs.data[:n, b:b + 1], fwd, bwd).data
+        npt.assert_allclose(out[b, :n], alone, rtol=0, atol=1e-14)
+    weights = T.Tensor(rng.uniform(-1, 1, (15, 8)))
+    report = TO.grad_check(
+        lambda q: TO.tsum(TO.mul(E.birnn_encode(q["xs"], fwd, bwd, mask), weights)), leaves)
+    assert all(e.ok for e in report.values()), report
+
+
+def test_birnn_records_one_node():
     rng = np.random.default_rng(34)
     fwd, bwd = E.init_gru(rng, 3, 2), E.init_gru(rng, 3, 2)
     emb = T.Tensor(rng.uniform(-1, 1, (5, 2, 3)), requires_grad=True)
     out = E.birnn_encode(emb, fwd, bwd)
-    directions = out._parents
-    assert [d._parents for d in directions] == [(emb, *fwd.tensors()),
-                                                (emb, *bwd.tensors())]
+    assert out._parents == (emb, *fwd.tensors(), *bwd.tensors())
 
 
 def test_birnn_len1_concat_of_both_directions():
     rng = np.random.default_rng(4)
     fwd, bwd = E.init_gru(rng, 3, 2), E.init_gru(rng, 3, 2)
-    emb = T.Tensor(rng.uniform(-1, 1, (1, 3)))
+    emb = T.Tensor(rng.uniform(-1, 1, (1, 1, 3)))
     out = E.birnn_encode(emb, fwd, bwd)
     assert out.shape == (1, 4)
-    f = E.gru_cell(T.Tensor(emb.data[0]), T.Tensor(np.zeros(2)), fwd)
-    b = E.gru_cell(T.Tensor(emb.data[0]), T.Tensor(np.zeros(2)), bwd)
+    f = E.gru_cell(T.Tensor(emb.data[0, 0]), T.Tensor(np.zeros(2)), fwd)
+    b = E.gru_cell(T.Tensor(emb.data[0, 0]), T.Tensor(np.zeros(2)), bwd)
     npt.assert_allclose(out.data[0], np.concatenate([f.data, b.data]), rtol=1e-12)
 
 
@@ -168,7 +213,7 @@ def test_birnn_len3_manual_unroll():
     fwd = scalar_gru(0.3, -0.2, 0.1, 0.5, 0.4, -0.1, 0.7, -0.6, 0.2)
     bwd = scalar_gru(-0.4, 0.2, 0.0, 0.1, -0.3, 0.2, 0.5, 0.6, -0.2)
     xs = [0.5, -1.0, 0.25]
-    out = E.birnn_encode(T.Tensor(np.array(xs)[:, None]), fwd, bwd)
+    out = E.birnn_encode(T.Tensor(np.array(xs)[:, None, None]), fwd, bwd)
     hf = 0.0
     fstates = []
     for x in xs:
@@ -187,24 +232,25 @@ def test_birnn_output_width_shape_law():
     rng = np.random.default_rng(5)
     fwd, bwd = E.init_gru(rng, 4, 3), E.init_gru(rng, 4, 3)
     for n in (1, 2, 7):
-        out = E.birnn_encode(T.Tensor(rng.uniform(-1, 1, (n, 4))), fwd, bwd)
-        assert out.shape == (n, 6)
+        for batch in (1, 3):
+            out = E.birnn_encode(T.Tensor(rng.uniform(-1, 1, (n, batch, 4))), fwd, bwd)
+            assert out.shape == (batch * n, 6)
 
 
 def test_birnn_rejects_empty_input():
     rng = np.random.default_rng(5)
     fwd, bwd = E.init_gru(rng, 4, 3), E.init_gru(rng, 4, 3)
     with pytest.raises(ValueError):
-        E.birnn_encode(T.Tensor(np.zeros((0, 4))), fwd, bwd)
+        E.birnn_encode(T.Tensor(np.zeros((0, 1, 4))), fwd, bwd)
 
 
 def test_cnn_window1_is_positionwise():
     rng = np.random.default_rng(6)
     w = T.Tensor(rng.uniform(-1, 1, (3, 2)))
     b = T.Tensor(rng.uniform(-1, 1, 2))
-    emb = rng.uniform(-1, 1, (4, 3))
+    emb = rng.uniform(-1, 1, (4, 1, 3))
     out = E.cnn_encode(T.Tensor(emb), w, b)
-    expected = np.maximum(emb @ w.data + b.data, 0.0)
+    expected = np.maximum(emb[:, 0] @ w.data + b.data, 0.0)
     npt.assert_allclose(out.data, expected, rtol=1e-12)
 
 
@@ -213,7 +259,7 @@ def test_cnn_len2_window3_hand_computation():
     w = rng.uniform(-1, 1, (6, 2))
     b = rng.uniform(-1, 1, 2)
     emb = rng.uniform(-1, 1, (2, 2))
-    out = E.cnn_encode(T.Tensor(emb), T.Tensor(w), T.Tensor(b))
+    out = E.cnn_encode(T.Tensor(emb[:, None]), T.Tensor(w), T.Tensor(b))
     win0 = np.concatenate([np.zeros(2), emb[0], emb[1]])  # left boundary pad
     win1 = np.concatenate([emb[0], emb[1], np.zeros(2)])  # right boundary pad
     expected = np.maximum(np.stack([win0, win1]) @ w + b, 0.0)
@@ -224,8 +270,8 @@ def test_cnn_translation_equivariance_away_from_boundaries():
     rng = np.random.default_rng(8)
     w = T.Tensor(rng.uniform(-1, 1, (9, 4)))
     b = T.Tensor(rng.uniform(-1, 1, 4))
-    emb = rng.uniform(-1, 1, (6, 3))
-    shifted = np.vstack([np.zeros((1, 3)), emb[:-1]])
+    emb = rng.uniform(-1, 1, (6, 1, 3))
+    shifted = np.concatenate([np.zeros((1, 1, 3)), emb[:-1]])
     out = E.cnn_encode(T.Tensor(emb), w, b).data
     out_shift = E.cnn_encode(T.Tensor(shifted), w, b).data
     # interior rows only: both boundaries see zero padding
@@ -234,33 +280,35 @@ def test_cnn_translation_equivariance_away_from_boundaries():
 
 def test_cnn_rejects_even_window():
     with pytest.raises(ValueError):
-        E.cnn_encode(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((4, 2))),
+        E.cnn_encode(T.Tensor(np.zeros((2, 1, 2))), T.Tensor(np.zeros((4, 2))),
                      T.Tensor(np.zeros(2)))
 
 
 def test_cnn_rejects_a_filter_of_no_whole_window():
     # 5 filter rows over embeddings of width 2 are no whole window
     with pytest.raises(ValueError):
-        E.cnn_encode(T.Tensor(np.zeros((2, 2))), T.Tensor(np.zeros((5, 2))),
+        E.cnn_encode(T.Tensor(np.zeros((2, 1, 2))), T.Tensor(np.zeros((5, 2))),
                      T.Tensor(np.zeros(2)))
 
 
 def _cnn_oracle(emb, w, b, window):
-    """Zero-padded windows built position by position in numpy."""
+    """Zero-padded windows built position by position in numpy, over
+    (len, batch, emb) embeddings, as batch-major rows."""
     n, half = emb.shape[0], window // 2
     zero = np.zeros_like(emb[0])
     windows = [np.concatenate([emb[j] if 0 <= j < n else zero
                                for j in range(i - half, i + half + 1)], axis=-1)
                for i in range(n)]
-    return np.maximum(np.stack(windows) @ w + b, 0.0)
+    out = np.maximum(np.stack(windows) @ w + b, 0.0)
+    return out.transpose(1, 0, 2).reshape(-1, out.shape[-1])
 
 
 @pytest.mark.parametrize("window", [1, 3, 5, 7])
-@pytest.mark.parametrize("lead", [(), (2,)])
+@pytest.mark.parametrize("lead", [(1,), (2,)])
 @pytest.mark.parametrize("n", [1, 2, 6])
 def test_cnn_matches_padded_window_oracle_and_finite_differences(window, lead, n):
     # with n <= window // 2 the outer shifts lie wholly in the zero padding
-    rng = np.random.default_rng(100 * window + 10 * len(lead) + n)
+    rng = np.random.default_rng(100 * window + 10 * (lead[0] - 1) + n)
     params = {"emb": T.Tensor(rng.uniform(-1, 1, (n,) + lead + (2,)), requires_grad=True),
               "w": T.Tensor(rng.uniform(-1, 1, (window * 2, 3)), requires_grad=True),
               "b": T.Tensor(rng.uniform(-1, 1, 3), requires_grad=True)}
@@ -276,12 +324,36 @@ def test_cnn_matches_padded_window_oracle_and_finite_differences(window, lead, n
     assert all(e.ok for e in report.values()), report
 
 
+@pytest.mark.parametrize("window", [1, 3, 5])
+@pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+def test_cnn_matches_composed_oracle(window, masked):
+    # one node; its forward values are the composed convolution's bit for
+    # bit, its gradients within 1e-12, and grad_check holds
+    rng = np.random.default_rng(60 + window)
+    n = 5
+    emb = T.Tensor(rng.uniform(-1, 1, (n, 3, 2)), requires_grad=True)
+    w = T.Tensor(rng.uniform(-1, 1, (window * 2, 4)), requires_grad=True)
+    b = T.Tensor(rng.uniform(-1, 1, 4), requires_grad=True)
+    mask = _padding_mask(n, [5, 2, 4]) if masked else None
+    leaves = {"emb": emb, "w": w, "b": b}
+    out = E.cnn_encode(emb, w, b, mask)
+    assert out._parents == (emb, w, b)
+    npt.assert_array_equal(out.data, reference_cnn_encode(emb, w, b, mask).data)
+    assert_matches_reference(lambda: E.cnn_encode(emb, w, b, mask),
+                             lambda: reference_cnn_encode(emb, w, b, mask), leaves)
+    weights = T.Tensor(rng.uniform(-1, 1, out.shape))
+    report = TO.grad_check(
+        lambda p: TO.tsum(TO.mul(E.cnn_encode(p["emb"], p["w"], p["b"], mask), weights)),
+        leaves)
+    assert all(e.ok for e in report.values()), report
+
+
 def test_birnn_batch_gradients_vs_finite_differences():
     rng = np.random.default_rng(11)
     fwd, bwd = E.init_gru(rng, 3, 2), E.init_gru(rng, 3, 2)
     params = {"emb": T.Tensor(rng.uniform(-1, 1, (3, 2, 3)), requires_grad=True),
               **fwd.named("fwd"), **bwd.named("bwd")}
-    weights = T.Tensor(rng.uniform(-1, 1, (3, 2, 4)))
+    weights = T.Tensor(rng.uniform(-1, 1, (6, 4)))
 
     def f(p):
         return TO.tsum(TO.mul(E.birnn_encode(p["emb"], fwd, bwd), weights))
@@ -310,9 +382,9 @@ def _gate_through_layer(layer, h_u, direction, label_id):
         t.data[...] = 1.0
     h_u = np.asarray(h_u, dtype=float)
     H = np.zeros((2, h_u.size))
-    if direction == "loop":
+    if direction == "loop":  # node 0 reads its own state: take off the residual
         H[0] = h_u
-        return E.gcn_layer(T.Tensor(H), {"sem": []}, layer).data[0, 0]
+        return E.gcn_layer(T.Tensor(H), {"sem": []}, layer).data[0, 0] - H[0, 0]
     layer.b_loop.data[...] = 0.0  # silence the self-loop message
     node = 1 if direction == "in" else 0
     H[1 - node] = h_u
@@ -364,11 +436,11 @@ def test_gcn_selfloop_identity():
     layer.gate_b_loop.data[...] = 40.0  # gate saturates to 1
     H = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
     out = E.gcn_layer(T.Tensor(H), {"sem": []}, layer)
-    npt.assert_allclose(out.data, np.maximum(H, 0.0), atol=1e-9)
+    npt.assert_allclose(out.data, np.maximum(H, 0.0) + H, atol=1e-9)
 
 
 def manual_gcn(H, edges, layer, graph="sem"):
-    """Brute-force per-edge accumulation with plain numpy."""
+    """Brute-force per-edge accumulation with plain numpy, plus the residual."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     n, d = H.shape
     gp = layer.graphs[graph]
@@ -381,7 +453,7 @@ def manual_gcn(H, edges, layer, graph="sem"):
         total[v] += g * (H[u] @ gp.w_in.data + gp.b_in.data[lab])
         g = sig(H[v] @ gp.gate_w_out.data + gp.gate_b_out.data[lab])
         total[u] += g * (H[v] @ gp.w_out.data + gp.b_out.data[lab])
-    return np.maximum(total, 0.0)
+    return np.maximum(total, 0.0) + H
 
 
 def test_gcn_chain_matches_per_edge_oracle():
@@ -550,7 +622,7 @@ def test_gcn_locality_on_path_graph():
         def run(h0):
             h = T.Tensor(h0)
             for layer in layers:
-                h = E.gcn_layer(h, edges, layer) + h
+                h = E.gcn_layer(h, edges, layer)
             return h.data
 
         base = run(H)
@@ -593,8 +665,7 @@ def test_pipeline_baseline_equals_base_encoder():
     out = E.encode_pipeline(batch, cfg, stack)
     emb = T.gather_rows(stack.embedding, batch.src.T)
     base = E.birnn_encode(emb, stack.base.gru_fwd, stack.base.gru_bwd)
-    npt.assert_array_equal(out.states.data,
-                           np.transpose(base.data, (1, 0, 2)))
+    npt.assert_array_equal(out.states.data, base.data.reshape(2, 3, 6))
 
 
 def test_pipeline_selfloop_recipe_ignores_edges():
@@ -620,15 +691,14 @@ def test_pipeline_sem_two_layers_matches_manual_composition():
     cfg, stack = _build("sem:2")
     out = E.encode_pipeline(batch, cfg, stack).states.data
     emb = T.gather_rows(stack.embedding, batch.src.T)
-    base = E.birnn_encode(emb, stack.base.gru_fwd, stack.base.gru_bwd)
+    H = E.birnn_encode(emb, stack.base.gru_fwd, stack.base.gru_bwd)
     B, L, d = 2, 3, 6
-    H = T.Tensor(np.transpose(base.data, (1, 0, 2)).reshape(B * L, d))
     vocab = stack.label_vocabs["sem"]
     flat = []
     for i, edges in enumerate(batch.sem_edges):
         flat.extend((i * L + u, i * L + v, vocab.id(lab)) for u, v, lab in edges)
     for layer in stack.blocks[0]:
-        H = E.gcn_layer(H, {"sem": flat}, layer) + H
+        H = E.gcn_layer(H, {"sem": flat}, layer)
     npt.assert_allclose(out, H.data.reshape(B, L, d), rtol=1e-12)
 
 
@@ -688,7 +758,7 @@ def test_pipeline_cnn_baseline_equals_cnn_encode():
     out = E.encode_pipeline(batch, cfg, stack)
     emb = T.gather_rows(stack.embedding, batch.src.T)
     base = E.cnn_encode(emb, stack.base.w, stack.base.b)
-    npt.assert_array_equal(out.states.data, np.transpose(base.data, (1, 0, 2)))
+    npt.assert_array_equal(out.states.data, base.data.reshape(2, 3, 3))
 
 
 # Checkpoint layout: parameter path and shape, in the order the archive holds

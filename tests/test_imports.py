@@ -1,10 +1,12 @@
-"""The package's import graph: imports at module top, no cycles."""
+"""The package's import graph: imports at module top, no cycles; and one
+home per tape op: ``gcnmt.tensor`` or the tests' ``tape_ops``."""
 
 import ast
 from pathlib import Path
 
 import gcnmt
 from gcnmt import tensor
+import tape_ops
 
 PACKAGE = Path(gcnmt.__file__).parent
 
@@ -112,3 +114,16 @@ def test_exports_match_definitions():
             own = getattr(node, "name", None) if module == "tensor" else None
             used |= _loaded_names(node) - {own}
     assert sorted(public - used) == []
+
+
+_ARITHMETIC = {f"__{op}__" for base in ("add", "sub", "mul", "matmul", "truediv",
+                                        "floordiv", "mod", "pow")
+               for op in (base, "r" + base, "i" + base)} | {"__neg__", "__pos__", "__abs__"}
+
+
+def test_each_op_has_one_home_and_tensor_has_no_operators():
+    test_only = {name for name, v in vars(tape_ops).items()
+                 if not name.startswith("_") and getattr(v, "__module__", None) == "tape_ops"}
+    assert {"add", "matmul", "relu", "concat", "slice_rows", "transpose"} <= test_only
+    assert sorted(test_only & set(tensor.__all__)) == []
+    assert sorted(_ARITHMETIC & set(vars(tensor.Tensor))) == []

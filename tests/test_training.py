@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import inspect
 import io
@@ -110,11 +111,11 @@ def test_nll_matches_composed_oracle_and_is_one_node(lead):
     assert_matches_reference(
         lambda: TR.nll_loss(T.gather_rows(T.reshape(x, (-1, 4)), real),
                             targets.ravel()[real], w, b),
-        lambda: reference_nll_loss(T.matmul(x, w) + b, targets, mask),
+        lambda: reference_nll_loss(TO.add(TO.matmul(x, w), b), targets, mask),
         {"x": x, "w": w, "b": b})
     assert_matches_reference(
         lambda: TR.nll_loss(x, targets, w, b),
-        lambda: reference_nll_loss(T.matmul(x, w) + b, targets, np.ones(lead)),
+        lambda: reference_nll_loss(TO.add(TO.matmul(x, w), b), targets, np.ones(lead)),
         {"x": x, "w": w, "b": b})
     assert TR.nll_loss(x, targets, w, b)._parents == (x, w, b)
 
@@ -137,7 +138,7 @@ def test_nll_forward_takes_exp_in_blocks_with_the_same_bits():
     T.backward(loss)
     got = [loss.item()] + [t.grad for t in (x, w, b)]
     T.zero_grads({"x": x, "w": w, "b": b})
-    want_loss = logits_nll_loss(T.matmul(x, w) + b, targets, np.ones(rows))
+    want_loss = logits_nll_loss(TO.add(TO.matmul(x, w), b), targets, np.ones(rows))
     T.backward(want_loss)
     assert got[0] == want_loss.item()
     for g, t in zip(got[1:], (x, w, b)):
@@ -330,6 +331,30 @@ def test_save_model_writes_exactly_the_path_it_is_given(tmp_path):
     assert sorted(tmp_path.iterdir()) == [path]
     load_model_params(path, loaded)
     for k, p in saved.parameters().items():
+        npt.assert_array_equal(loaded.parameters()[k].data, p.data, err_msg=k)
+
+
+def test_a_failed_checkpoint_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    # the write raises after some bytes: the earlier file still loads to its
+    # old values, and no partial file is left beside it
+    _, exp, _, prep = _toy_setup()
+    old, new, loaded = (build_model(exp, len(prep.src_vocab), len(prep.tgt_vocab),
+                                    prep.label_vocabs, np.random.default_rng(n))
+                        for n in (1, 2, 3))
+    path = tmp_path / "best.npz"
+    save_model(path, old)
+
+    def failing_savez(fh, **arrays):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        save_model(path, new)
+    monkeypatch.undo()
+    assert sorted(tmp_path.iterdir()) == [path]
+    load_model_params(path, loaded)
+    for k, p in old.parameters().items():
         npt.assert_array_equal(loaded.parameters()[k].data, p.data, err_msg=k)
 
 
@@ -880,9 +905,32 @@ def test_every_public_tensor_op_records_in_a_training_step(monkeypatch):
     for encoder in ("birnn", "cnn"):
         model, batch, tc = _mixed_target_setup(encoder, "syn:1+sem:1")
         T.backward(TR.teacher_forcing_loss(model, batch, tc, np.random.default_rng(3)))
-    assert {"gru_sequence", "gcn_layer", "teacher_forcing_recurrence",
+    assert {"birnn_encode", "cnn_encode", "gcn_layer", "teacher_forcing_recurrence",
             "nll_loss"} <= recorded
     assert sorted(set(T.__all__) - _NOT_OPS - {"log_softmax"} - recorded) == []
+
+
+@pytest.mark.parametrize("encoder", ["birnn", "cnn"])
+def test_a_training_step_records_only_layer_nodes(encoder):
+    # a padded syn:1+sem:1 batch under dropout: the two embedding lookups,
+    # the base encoder, one node per GCN layer (its residual inside), the
+    # reshape to (batch, len, width) states, the recurrence and the loss
+    model, pairs, prep, tc = _padded_setup(encoder)
+    tc = dataclasses.replace(tc, word_retain=0.8, edge_retain=0.8)
+    (batch,) = TR.bucket_batches(pairs, prep.src_vocab, prep.tgt_vocab, None, tc)
+    assert not batch.src_mask.all()
+    loss = TR.teacher_forcing_loss(model, batch, tc, np.random.default_rng(3))
+    census, seen, stack = collections.Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            census[node._backward.__qualname__.split(".")[0]] += 1
+        stack.extend(node._parents)
+    assert census == {"gather_rows": 2, f"{encoder}_encode": 1, "gcn_layer": 2,
+                      "reshape": 1, "teacher_forcing_recurrence": 1, "nll_loss": 1}
 
 
 def test_a_training_step_gathers_from_each_parameter_once(monkeypatch):

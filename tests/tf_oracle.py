@@ -3,7 +3,7 @@
 ``reference_teacher_forcing_loss`` builds the attention keys with a tape
 ``matmul`` and the initial state with ``layer_oracle.reference_init_state``,
 runs one composed step (``layer_oracle.reference_recurrence_step``) and
-output projection ``matmul(f, w_out) + b_out`` per time step and stacks
+output projection ``add(matmul(f, w_out), b_out)`` per time step and stacks
 the logits to (T, B, vocab): the original per-step body of
 ``gcnmt.training.teacher_forcing_loss``, which the batched implementation
 must match in loss and in every parameter gradient.
@@ -11,16 +11,14 @@ must match in loss and in every parameter gradient.
 ``composed_teacher_forcing_loss`` is the batched body as it was before the
 projection and the loss became one node: the same recurrence node as
 ``gcnmt.training.teacher_forcing_loss`` builds the features of the real
-steps, then ``matmul(features, w_out) + b_out`` projects them and
+steps, then ``add(matmul(features, w_out), b_out)`` projects them and
 ``logits_nll_loss`` takes the loss under an all-ones mask. It does the
 same arithmetic in the same order as ``gcnmt.training.nll_loss``, so the
 two must agree bit for bit.
 
 ``logits_nll_loss`` is the former one-node NLL over logits, kept verbatim.
-Every tape op used here is one ``gcnmt`` records, except ``stack0``; it and
-the other ops ``gcnmt`` does not record (``sub``, ``mul``, ``neg``,
-``sigmoid``, ``tanh``, ``softmax``, ``tsum``, ``weighted_sum``) and
-``grad_check`` live in ``tape_ops``.
+The tape ops used here that ``gcnmt`` does not record (``add``,
+``matmul``, ``stack0``) live in ``tape_ops``.
 """
 
 import numpy as np
@@ -28,14 +26,14 @@ import numpy as np
 from gcnmt.corpus import PAD
 from gcnmt.decoder import teacher_forcing_recurrence
 from gcnmt.encoders import encode_pipeline
-from gcnmt.tensor import Tensor, matmul, node
+from gcnmt.tensor import Tensor, node
 from gcnmt.training import word_dropout
 from layer_oracle import (
     reference_attention_keys,
     reference_init_state,
     reference_recurrence_step,
 )
-from tape_ops import stack0
+from tape_ops import add, matmul, stack0
 
 
 def logits_nll_loss(logits, targets, mask):
@@ -93,7 +91,7 @@ def reference_teacher_forcing_loss(model, batch, train_cfg, rng):
     step_logits = []
     for t in range(tgt_in.shape[1]):
         s, f = reference_recurrence_step(tgt_in[:, t], s, enc, dec, keys)
-        step_logits.append(matmul(f, dec.w_out) + dec.b_out)
+        step_logits.append(add(matmul(f, dec.w_out), dec.b_out))
     all_logits = stack0(step_logits)  # (T, B, vocab)
     return logits_nll_loss(all_logits, tgt_out.T, mask.T)
 
@@ -104,6 +102,6 @@ def composed_teacher_forcing_loss(model, batch, train_cfg, rng):
     enc, tgt_in, tgt_out, mask = _inputs(model, batch, train_cfg, rng)
     dec = model.decoder
     features = teacher_forcing_recurrence(tgt_in, mask, enc, dec)
-    logits = matmul(features, dec.w_out) + dec.b_out
+    logits = add(matmul(features, dec.w_out), dec.b_out)
     targets = tgt_out.T[mask.T]
     return logits_nll_loss(logits, targets, np.ones(targets.shape))
